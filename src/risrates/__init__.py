@@ -21,7 +21,8 @@ from .geometry import (AreaEstimate, BlockageWedge, BlockedRegionError,
                        SegmentObstacle, blocked_candidate_area, bearing,
                        displaced_distance, displaced_position, excess_area,
                        numeric_blocked_area, segment_visibility,
-                       visible_excess_area_A1, visible_region_predicate,
+                       shadowed_visible_area, visible_excess_area_A1,
+                       visible_region_predicate,
                        wall_shadow_interval, wedge_from_wall)
 from .montecarlo import (Estimate, TrialOutcome, estimate_ho, estimate_rr,
                          rr_outcome_from_field, run_ho_trial, run_rr_trial)
@@ -43,7 +44,7 @@ __all__ = [
     "DegenerateIntersectionError", "BlockedRegionError", "bearing",
     "displaced_distance", "displaced_position", "excess_area",
     "blocked_candidate_area", "visible_excess_area_A1", "wedge_from_wall",
-    "wall_shadow_interval", "numeric_blocked_area",
+    "wall_shadow_interval", "shadowed_visible_area", "numeric_blocked_area",
     "visible_region_predicate", "segment_visibility",
     # stochastic
     "RandomObstacleModel", "SelfBlockModel", "PppRegion", "poisson_count",

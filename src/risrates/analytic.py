@@ -10,17 +10,14 @@ from typing import Callable
 
 from .geometry import (CircularSector, GeometryDomainError, MoveGeometry,
                        displaced_distance, displaced_position,
-                       numeric_blocked_area, visible_excess_area_A1,
-                       visible_region_predicate)
+                       shadowed_visible_area, visible_excess_area_A1)
+# Not called here; perfbench/spans.py wraps these names in this module.
+from .geometry import numeric_blocked_area, visible_region_predicate  # noqa: F401
 from .scenarios import (Deterministic, Law, MobilitySpec, ScenarioKnown,
                         ScenarioUnknown, SignalingConfig, law_bounds)
 from .stochastic import p_not_blocked_Z
 
 logger = logging.getLogger(__name__)
-
-# Fixed-grid node count for marginals whose integrand carries Monte Carlo
-# noise (adaptive bisection would chase the noise instead of converging).
-_GRID_NODES = 13
 
 
 @dataclass(frozen=True)
@@ -74,18 +71,6 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
             + _simpson_rec(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
 
 
-def _composite_simpson_mean(values: list[float], a: float, b: float) -> float:
-    """Mean of a function from equally spaced samples (odd count) on [a, b]."""
-    n = len(values) - 1
-    if n % 2 != 0 or n < 2:
-        raise ValueError("composite Simpson needs an odd number of nodes >= 3")
-    s = values[0] + values[-1]
-    s += 4.0 * sum(values[1:-1:2])
-    s += 2.0 * sum(values[2:-1:2])
-    h = (b - a) / n
-    return s * h / 3.0 / (b - a)
-
-
 class _NearestValid:
     """Integrand wrapper that replaces domain-failing nodes with the value at
     the nearest valid abscissa, counting the substitutions."""
@@ -129,57 +114,28 @@ def _mean_over_interval(f, lo, hi, tol):
     return value
 
 
-def _marginal_mean(point_fn: Callable[[float, float, tuple], float],
-                   mobility: MobilitySpec, *, smooth: bool,
-                   tol: float = 1e-6) -> float:
-    """Mean of point_fn(speed, angle, node_tag) under the mobility laws.
-
-    Smooth integrands get adaptive Simpson (absolute error <= tol); noisy
-    ones (Monte Carlo bites inside) use a fixed composite-Simpson grid with
-    a deterministic node tag so per-node seeds are reproducible.
-    """
+def _marginal_mean(point_fn: Callable[[float, float], float],
+                   mobility: MobilitySpec, tol: float = 1e-6) -> float:
+    """Mean of point_fn(speed, angle) under the mobility laws, by adaptive
+    Simpson (absolute error <= tol); nested over angle then speed when both
+    laws are spread."""
     s_lo, s_hi = law_bounds(mobility.speed_law)
     a_lo, a_hi = law_bounds(mobility.angle_law)
     speed_fixed = s_lo == s_hi
     angle_fixed = a_lo == a_hi
 
     if speed_fixed and angle_fixed:
-        return point_fn(s_lo, a_lo, ())
-
-    if smooth:
-        if angle_fixed:
-            return _mean_over_interval(lambda d: point_fn(d, a_lo, ()),
-                                       s_lo, s_hi, tol)
-        if speed_fixed:
-            return _mean_over_interval(lambda x: point_fn(s_lo, x, ()),
-                                       a_lo, a_hi, tol)
-
-        def angle_slice(x: float) -> float:
-            return _mean_over_interval(lambda d: point_fn(d, x, ()),
-                                       s_lo, s_hi, 0.5 * tol)
-
-        return _mean_over_interval(angle_slice, a_lo, a_hi, 0.5 * tol)
-
-    # Fixed-grid path.
+        return point_fn(s_lo, a_lo)
     if angle_fixed:
-        nodes = [s_lo + (s_hi - s_lo) * i / (_GRID_NODES - 1)
-                 for i in range(_GRID_NODES)]
-        vals = [point_fn(d, a_lo, (i,)) for i, d in enumerate(nodes)]
-        return _composite_simpson_mean(vals, s_lo, s_hi)
+        return _mean_over_interval(lambda d: point_fn(d, a_lo), s_lo, s_hi, tol)
     if speed_fixed:
-        nodes = [a_lo + (a_hi - a_lo) * i / (_GRID_NODES - 1)
-                 for i in range(_GRID_NODES)]
-        vals = [point_fn(s_lo, x, (i,)) for i, x in enumerate(nodes)]
-        return _composite_simpson_mean(vals, a_lo, a_hi)
-    a_nodes = [a_lo + (a_hi - a_lo) * j / (_GRID_NODES - 1)
-               for j in range(_GRID_NODES)]
-    outer = []
-    for j, x in enumerate(a_nodes):
-        s_nodes = [s_lo + (s_hi - s_lo) * i / (_GRID_NODES - 1)
-                   for i in range(_GRID_NODES)]
-        inner = [point_fn(d, x, (j, i)) for i, d in enumerate(s_nodes)]
-        outer.append(_composite_simpson_mean(inner, s_lo, s_hi))
-    return _composite_simpson_mean(outer, a_lo, a_hi)
+        return _mean_over_interval(lambda x: point_fn(s_lo, x), a_lo, a_hi, tol)
+
+    def angle_slice(x: float) -> float:
+        return _mean_over_interval(lambda d: point_fn(d, x), s_lo, s_hi,
+                                   0.5 * tol)
+
+    return _mean_over_interval(angle_slice, a_lo, a_hi, 0.5 * tol)
 
 
 # ---------------------------------------------------------------------------
@@ -205,38 +161,27 @@ def p_rr_with_areas(A1: float, A_extra: float, lambda_RIS: float) -> float:
     return p_rr_known(A1 - A_extra, lambda_RIS)
 
 
-def _derived_seed(seed, *extra: int) -> tuple[int, ...]:
-    base = tuple(seed) if isinstance(seed, tuple) else (seed,)
-    return tuple(int(s) for s in base) + tuple(int(e) for e in extra)
-
-
-def blocked_bite_area(scene: ScenarioKnown, d_U: float, xi: float, *,
-                      samples: int = 2_000_000, seed=0) -> float:
-    """Monte Carlo area of the visible excess region hidden by the scene's
-    extra obstacles and self-blockage sector, at one displacement point."""
+def blocked_bite_area(scene: ScenarioKnown, d_U: float, xi: float) -> float:
+    """Area of the visible excess region hidden by the scene's extra
+    obstacles and self-blockage sector at one displacement point: the sum of
+    the exact per-shadow areas (overlapping shadows count twice)."""
     g = MoveGeometry(r=scene.serving_ris_distance, d_U=d_U, xi=xi)
     R = displaced_distance(g)
     if R == 0.0:
         return 0.0
     l2, heading = displaced_position(scene.ue, scene.ris_direction,
                                      scene.orientation, d_U, xi)
-    pred, bbox = visible_region_predicate(scene.enb, scene.walls, scene.ue,
-                                          l2, g.r, R)
-    bite = 0.0
-    for i, obs in enumerate(scene.extra_obstacles):
-        est = numeric_blocked_area(pred, obs, samples, bbox=bbox, origin=l2,
-                                   seed=_derived_seed(seed, 1, i))
-        bite += est.area
+    shadows = list(scene.extra_obstacles)
     if scene.self_block is not None and scene.self_block.theta > 0.0:
         direction = (heading if scene.self_block_direction is None
                      else scene.self_block_direction)
-        sector = CircularSector(origin=l2, radius=math.inf,
-                                start_angle=direction - 0.5 * scene.self_block.theta,
-                                sweep=scene.self_block.theta)
-        est = numeric_blocked_area(pred, sector, samples, bbox=bbox,
-                                   seed=_derived_seed(seed, 2, 0))
-        bite += est.area
-    return bite
+        shadows.append(CircularSector(
+            origin=l2, radius=math.inf,
+            start_angle=direction - 0.5 * scene.self_block.theta,
+            sweep=scene.self_block.theta))
+    return sum((shadowed_visible_area(scene.enb, scene.walls, scene.ue, l2,
+                                      g.r, R, shadow) for shadow in shadows),
+               0.0)
 
 
 def _scene_has_bites(scene: ScenarioKnown) -> bool:
@@ -244,41 +189,29 @@ def _scene_has_bites(scene: ScenarioKnown) -> bool:
         scene.self_block is not None and scene.self_block.theta > 0.0)
 
 
-def rr_probability_known(scene: ScenarioKnown, d_U: float, xi: float, *,
-                         bite_samples: int = 2_000_000, seed=0) -> float:
+def rr_probability_known(scene: ScenarioKnown, d_U: float, xi: float) -> float:
     """Reassignment probability at one displacement point of a known room.
 
-    The wall shadow enters through the closed-form visible area; extra
-    obstacles and the body shadow are removed as numerically estimated
-    bites (the estimates are clamped into [0, A1] so sampling noise cannot
-    produce an inconsistent subtraction).
+    The wall shadow enters through the closed-form visible area A1; extra
+    obstacles and the body shadow are removed as exact bites, clamped into
+    [0, A1] because overlapping shadows are summed, not unioned.
     """
     if d_U == 0.0:
         return 0.0
     g = MoveGeometry(r=scene.serving_ris_distance, d_U=d_U, xi=xi)
     a1 = visible_excess_area_A1(scene, g)
     if a1 > 0.0 and _scene_has_bites(scene):
-        bite = min(blocked_bite_area(scene, d_U, xi, samples=bite_samples,
-                                     seed=seed), a1)
+        bite = min(blocked_bite_area(scene, d_U, xi), a1)
         return p_rr_with_areas(a1, bite, scene.lambda_RIS)
     return p_rr_known(a1, scene.lambda_RIS)
 
 
 def p_rr_marginal(scene: ScenarioKnown, mobility: MobilitySpec, *,
-                  tol: float = 1e-6, bite_samples: int = 2_000_000,
-                  seed=0) -> float:
-    """Reassignment probability averaged over the mobility laws.
-
-    Point-mass laws collapse to the closed form; smooth scenes integrate
-    adaptively, scenes with Monte Carlo bites use the fixed grid.
-    """
-    noisy = _scene_has_bites(scene)
-
-    def point(d: float, x: float, tag: tuple) -> float:
-        return rr_probability_known(scene, d, x, bite_samples=bite_samples,
-                                    seed=_derived_seed(seed, *tag))
-
-    return _marginal_mean(point, mobility, smooth=not noisy, tol=tol)
+                  tol: float = 1e-6) -> float:
+    """Reassignment probability averaged over the mobility laws; point-mass
+    laws collapse to the closed form."""
+    return _marginal_mean(lambda d, x: rr_probability_known(scene, d, x),
+                          mobility, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +240,12 @@ def p_rr_unknown(s: ScenarioUnknown, d_U: float, xi: float) -> float:
 
 
 def marginal_p_ho(s: ScenarioUnknown, tol: float = 1e-6) -> float:
-    return _marginal_mean(lambda d, x, tag: p_ho(s, d, x), s.mobility,
-                          smooth=True, tol=tol)
+    return _marginal_mean(lambda d, x: p_ho(s, d, x), s.mobility, tol=tol)
 
 
 def marginal_p_rr_unknown(s: ScenarioUnknown, tol: float = 1e-6) -> float:
-    return _marginal_mean(lambda d, x, tag: p_rr_unknown(s, d, x), s.mobility,
-                          smooth=True, tol=tol)
+    return _marginal_mean(lambda d, x: p_rr_unknown(s, d, x), s.mobility,
+                          tol=tol)
 
 
 def ho_rate(s: ScenarioUnknown, sig: SignalingConfig) -> float:
@@ -365,8 +297,9 @@ def dimension_servers(target_capacity: float, s: ScenarioUnknown,
                       sig: SignalingConfig, kind: str) -> int:
     """Smallest server count keeping the per-server load share under the
     capacity, with the class total split uniformly."""
-    if target_capacity <= 0.0:
-        raise ValueError("target_capacity must be positive")
+    if not (target_capacity > 0.0) or not math.isfinite(target_capacity):
+        raise ValueError(f"target capacity must be a positive finite number, "
+                         f"got {target_capacity!r}")
     total = class_load(s, sig, kind)
     if not math.isfinite(total):
         raise ValueError("class load is not finite; no server count suffices")

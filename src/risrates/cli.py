@@ -107,10 +107,10 @@ def _deliver(text: str, out: Optional[str], manifest: dict) -> int:
 # analytic
 
 
-def _analytic_rows(cfg: LoadedConfig, seed: int) -> list[tuple[str, float]]:
+def _analytic_rows(cfg: LoadedConfig) -> list[tuple[str, float]]:
     if isinstance(cfg.scenario, ScenarioKnown):
         scene = cfg.scenario
-        return [("p_rr", p_rr_marginal(scene, scene.mobility, seed=seed))]
+        return [("p_rr", p_rr_marginal(scene, scene.mobility))]
     s = cfg.scenario
     rows = [("p_rr", marginal_p_rr_unknown(s)), ("p_ho", marginal_p_ho(s))]
     if cfg.signaling is not None:
@@ -124,7 +124,7 @@ def _analytic_rows(cfg: LoadedConfig, seed: int) -> list[tuple[str, float]]:
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    rows = _analytic_rows(cfg, args.seed)
+    rows = _analytic_rows(cfg)
     text = render_csv(("quantity", "value"),
                       [(k, fmt9(v)) for k, v in rows])
     return _deliver(text, args.out, _manifest(cfg, args.seed))
@@ -236,8 +236,7 @@ def _sweep_output_fn(cfg: LoadedConfig, output: str, trials: int,
     if output == "p_rr":
         if known:
             return lambda c, seed: p_rr_marginal(c.scenario,
-                                                 c.scenario.mobility,
-                                                 seed=seed)
+                                                 c.scenario.mobility)
         return lambda c, seed: marginal_p_rr_unknown(c.scenario)
     if output == "p_ho":
         need_unknown()
@@ -340,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the obstacle-bite quadrature of known rooms")
+                   help="recorded in the manifest; the closed forms do not "
+                        "depend on it")
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate or load run")

@@ -8,6 +8,7 @@ directly toward it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -362,6 +363,220 @@ def visible_excess_area_A1(scene, g: MoveGeometry) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Exact shadowed areas (polar sweep)
+
+# Gauss-Legendre nodes per sweep piece. The integrand is analytic inside each
+# piece and breakpoints are graded towards every near-real singularity, so
+# this many nodes reach roundoff.
+_SWEEP_NODES = 24
+# Graded breakpoints stop at pieces this wide (radians).
+_GRADE_TO = 0.5
+
+
+@functools.cache
+def _sweep_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], plain and mapped through
+    s -> 3s^2 - 2s^3. The map's derivative vanishes at both ends, which
+    absorbs the square-root behaviour of the exclusion-circle radii next to
+    a tangent angle. numpy.polynomial is imported here, not at module level,
+    to keep the package import fast."""
+    from numpy.polynomial.legendre import leggauss
+    s, w = leggauss(_SWEEP_NODES)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+    return s, w, s * s * (3.0 - 2.0 * s), 6.0 * w * s * (1.0 - s)
+
+
+def _sweep_nodes(start: float, span: float, breaks: list[float],
+                 tangents: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and weights over the angles [start, start + span]:
+    Gauss-Legendre on each piece between the breakpoints, with the mapped
+    rule on the pieces that end at one of the tangent angles."""
+    cuts = {0.0, span}
+    cuts.update(o for o in ((a - start) % TWO_PI for a in breaks + tangents)
+                if 0.0 < o < span)
+    tangent = [(a - start) % TWO_PI for a in tangents]
+    for tau in tangent:
+        # a cut near a tangent leaves the next piece close to a square-root
+        # branch point: grade the pieces down to that distance
+        if 0.0 < tau < span:
+            gap = min(abs(c - tau) for c in cuts if c != tau)
+            cuts.update(o for o in _graded(tau, gap) if 0.0 < o < span)
+    cuts = np.array(sorted(cuts))
+    at_tangent = np.isin(cuts, tangent)
+    mapped = (at_tangent[:-1] | at_tangent[1:])[:, None]
+    width = np.diff(cuts)[:, None]
+    s, w, s_mapped, w_mapped = _sweep_rules()
+    phi = start + cuts[:-1, None] + width * np.where(mapped, s_mapped, s)
+    return phi.ravel(), (width * np.where(mapped, w_mapped, w)).ravel()
+
+
+def _graded(center: float, scale: float) -> list[float]:
+    """Breakpoints at center and at center +/- scale * 2^k for k = 0, 1, ...
+    up to _GRADE_TO. Placed around a singularity `scale` away from `center`,
+    they keep every piece near it no wider than its distance to the
+    singularity."""
+    out = [center]
+    if scale > 0.0:
+        out += [center - scale, center + scale]
+        while scale < _GRADE_TO:
+            scale *= 2.0
+            out += [center - scale, center + scale]
+    return out
+
+
+def _line_line(p, d, q, e) -> list[tuple[float, float]]:
+    """Crossing of the lines p + s*d and q + t*e (none when parallel)."""
+    den = d[0] * e[1] - d[1] * e[0]
+    if den == 0.0:
+        return []
+    s = ((q[0] - p[0]) * e[1] - (q[1] - p[1]) * e[0]) / den
+    return [(p[0] + s * d[0], p[1] + s * d[1])]
+
+
+def _line_circle(p, d, c, rho) -> list[tuple[float, float]]:
+    """Crossings of the line p + s*d with the circle (c, rho)."""
+    fx, fy = p[0] - c[0], p[1] - c[1]
+    a = d[0] * d[0] + d[1] * d[1]
+    b = fx * d[0] + fy * d[1]
+    disc = b * b - a * (fx * fx + fy * fy - rho * rho)
+    if disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    return [(p[0] + s * d[0], p[1] + s * d[1])
+            for s in ((-b - sq) / a, (-b + sq) / a)]
+
+
+def _circle_circle(c0, r0, c1, r1) -> list[tuple[float, float]]:
+    """Crossings of the circles (c0, r0) and (c1, r1)."""
+    dx, dy = c1[0] - c0[0], c1[1] - c0[1]
+    dist = math.hypot(dx, dy)
+    if dist == 0.0 or dist > r0 + r1 or dist < abs(r0 - r1):
+        return []
+    a = (r0 * r0 - r1 * r1 + dist * dist) / (2.0 * dist)
+    h = math.sqrt(max(r0 * r0 - a * a, 0.0))
+    mx, my = c0[0] + a * dx / dist, c0[1] + a * dy / dist
+    return [(mx - h * dy / dist, my + h * dx / dist),
+            (mx + h * dy / dist, my - h * dx / dist)]
+
+
+def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
+                          ue: Point2D, displaced: Point2D, r: float, R: float,
+                          extra) -> float:
+    """Exact area of (visible excess region ∩ shadow(extra)).
+
+    The region is the one visible_region_predicate(enb, walls, ue, displaced,
+    r, R) tests, and the shadow has numeric_blocked_area's meaning with
+    origin=displaced: a SegmentObstacle hides every point whose sight
+    segment from `displaced` crosses it; a CircularSector must be anchored
+    at `displaced` (its radius is honoured).
+
+    Polar sweep around L2 = displaced: every boundary cuts the ray at angle
+    phi at radii in closed form (coverage and exclusion circles, each wall
+    wedge's two border lines through the base station, the obstacle's
+    line), so the area is the integral over phi of the sum of (b^2 - a^2)/2
+    over the ray's in-region intervals [a, b]. Gauss-Legendre runs on each
+    piece between the directions of the region's vertices: segment
+    endpoints, the base station, tangents to the exclusion circle and every
+    pairwise crossing of the boundary lines and circles.
+    """
+    if R <= 0.0:
+        return 0.0
+    l2 = (displaced.x, displaced.y)
+    l1 = (ue.x, ue.y)
+    b = (enb.x, enb.y)
+    lines = []  # (point, direction) of every straight boundary
+    borders = []  # per wall: the wedge's start and end border directions
+    for wall in walls:
+        start, width = wall_shadow_interval(enb, wall)
+        ds = (math.cos(start), math.sin(start))
+        de = (math.cos(start + width), math.sin(start + width))
+        borders.append((ds, de))
+        lines += [(b, ds), (b, de)]
+    cap = R
+    points = [b]
+    if isinstance(extra, SegmentObstacle):
+        span_start, span = wall_shadow_interval(displaced, extra)
+        seg_a = (extra.a.x, extra.a.y)
+        seg_e = (extra.b.x - extra.a.x, extra.b.y - extra.a.y)
+        lines.append((seg_a, seg_e))
+        points += [seg_a, (extra.b.x, extra.b.y)]
+    elif isinstance(extra, CircularSector):
+        if extra.origin != displaced:
+            raise GeometryDomainError(
+                "a shadow sector must be anchored at the displaced position")
+        span_start, span = extra.start_angle, extra.sweep
+        cap = min(R, extra.radius)
+    else:
+        raise TypeError(f"unsupported shadow source: {type(extra).__name__}")
+
+    circles = ((l2, cap), (l1, r))
+    points += _circle_circle(l2, cap, l1, r)
+    for i, (p, d) in enumerate(lines):
+        for q, e in lines[i + 1:]:
+            points += _line_line(p, d, q, e)
+        for c, rho in circles:
+            points += _line_circle(p, d, c, rho)
+    breaks = [bearing(displaced, Point2D(*pt)) for pt in points]
+    for p, d in lines:
+        # A line at distance h from L2 cuts the ray at h / |sin(phi - along)|,
+        # whose poles lie asin(h / cap) past the directions in which the
+        # line leaves disk(L2, cap).
+        h = abs(d[0] * (l2[1] - p[1]) - d[1] * (l2[0] - p[0])) / math.hypot(*d)
+        if h < cap:
+            along = math.atan2(d[1], d[0])
+            breaks += (_graded(along, math.asin(h / cap))
+                       + _graded(along + math.pi, math.asin(h / cap)))
+    d_u = math.hypot(l2[0] - l1[0], l2[1] - l1[1])
+    tangents = []
+    if d_u > 0.0:
+        # The exclusion radii branch where disc(phi) = 0: seen from outside
+        # circle(L1, r), at the two tangents and at their mirror images
+        # behind L2; seen from inside, acosh(q) off the real axis at
+        # toward +/- pi/2.
+        q = r / d_u
+        toward = bearing(displaced, ue)
+        if q < 1.0:
+            half = math.asin(q)
+            tangents = [toward - half, toward + half]
+            breaks += [toward + math.pi - half, toward + math.pi + half]
+        else:
+            for a in (toward - 0.5 * math.pi, toward + 0.5 * math.pi):
+                breaks += _graded(a, math.acosh(q))
+    phi, weights = _sweep_nodes(span_start, span, breaks, tangents)
+    ux, uy = np.cos(phi), np.sin(phi)
+
+    # Candidate radii along each ray; the pieces between consecutive sorted
+    # radii are classified at their midpoints.
+    wx, wy = l2[0] - l1[0], l2[1] - l1[1]
+    proj = wx * ux + wy * uy
+    disc = proj * proj - (wx * wx + wy * wy - r * r)
+    root = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+    radii = [np.zeros_like(phi), np.full_like(phi, cap),
+             -proj - root, -proj + root]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p, d in lines:
+            # cross(d, l2 - p + t u) = 0
+            c0 = d[0] * (l2[1] - p[1]) - d[1] * (l2[0] - p[0])
+            radii.append(-c0 / (d[0] * uy - d[1] * ux))
+    t = np.sort(np.clip(np.nan_to_num(np.stack(radii, axis=1), nan=0.0,
+                                      posinf=cap, neginf=0.0), 0.0, cap),
+                axis=1)
+    mid = 0.5 * (t[:, 1:] + t[:, :-1])
+    px = l2[0] + mid * ux[:, None]
+    py = l2[1] + mid * uy[:, None]
+    keep = (px - l1[0]) ** 2 + (py - l1[1]) ** 2 >= r * r
+    vx, vy = px - b[0], py - b[1]
+    for ds, de in borders:
+        keep &= ~((ds[0] * vy - ds[1] * vx >= 0.0)
+                  & (vx * de[1] - vy * de[0] >= 0.0))
+    if isinstance(extra, SegmentObstacle):
+        # the sight line from L2 meets the obstacle at radii[-1]
+        keep &= mid >= radii[-1][:, None]
+    f = 0.5 * np.where(keep, t[:, 1:] ** 2 - t[:, :-1] ** 2, 0.0).sum(axis=1)
+    return float(weights @ f)
+
+
+# ---------------------------------------------------------------------------
 # Numeric (rejection-sampling) areas and visibility tests
 
 
@@ -430,6 +645,7 @@ def numeric_blocked_area(region: Callable[[np.ndarray], np.ndarray],
     `origin` crosses it; for a CircularSector it is plain membership, with a
     finite radius honored. The seed makes parallel shards reproducible; it is
     passed straight to numpy's default_rng and may be an int or a tuple.
+    This is the Monte Carlo oracle for the exact shadowed_visible_area.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point2D
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, Point2D
 
 # Dimensionless switch point for the series branch of the survival bracket.
 _SERIES_SWITCH = 0.05

@@ -55,11 +55,11 @@ def _report(num: int, ok: bool, detail: str) -> None:
           flush=True)
 
 
-def _closed_static(name: str, lam: float, seed: int = 0) -> float:
+def _closed_static(name: str, lam: float) -> float:
     scene = load_packaged(f"table3-static-{name}").scenario
     g = MoveGeometry(r=scene.serving_ris_distance, d_U=2.0, xi=XI45)
     a1 = visible_excess_area_A1(scene, g)
-    bite = (blocked_bite_area(scene, 2.0, XI45, seed=seed)
+    bite = (blocked_bite_area(scene, 2.0, XI45)
             if _scene_has_bites(scene) else 0.0)
     return p_rr_with_areas(a1, min(bite, a1), lam)
 
@@ -72,7 +72,7 @@ def test_criterion_01_closed_vs_monte_carlo_parity():
         scene = load_packaged(f"table3-static-{name}").scenario
         g = MoveGeometry(r=scene.serving_ris_distance, d_U=2.0, xi=XI45)
         a1 = visible_excess_area_A1(scene, g)
-        bite = (blocked_bite_area(scene, 2.0, XI45, seed=0)
+        bite = (blocked_bite_area(scene, 2.0, XI45)
                 if _scene_has_bites(scene) else 0.0)
         for lam in DENSITIES:
             closed = p_rr_with_areas(a1, min(bite, a1), lam)
@@ -123,7 +123,7 @@ def test_criterion_03_uniform_speed_bands():
     vals = {}
     for name in STATIC_CASES:
         cfg = load_packaged(f"table3-uniform-{name}")
-        vals[name] = p_rr_marginal(cfg.scenario, cfg.scenario.mobility, seed=0)
+        vals[name] = p_rr_marginal(cfg.scenario, cfg.scenario.mobility)
     got = sorted(vals.values())
     bands = sorted((0.3, 0.4, 0.5))
     ok = all(abs(v - b) <= 0.07 for v, b in zip(got, bands))

@@ -322,6 +322,15 @@ def test_dimension_command(tmp_path):
         float(got["class_load"]) / 2.0)
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_dimension_rejects_non_finite_threshold(threshold, capsys):
+    rc = main(["dimension", "--config",
+               str(packaged_config_path("dimensioning-speed10")),
+               "--threshold", threshold])
+    assert rc == 2
+    assert "positive finite number" in capsys.readouterr().err
+
+
 def test_protocol_trace_file(tmp_path):
     out = tmp_path / "rr.txt"
     assert main(["protocol", "--kind", "rr", "--out", str(out)]) == 0

@@ -25,6 +25,7 @@ from risrates import (
     load_packaged,
     numeric_blocked_area,
     segment_visibility,
+    shadowed_visible_area,
     visible_excess_area_A1,
     visible_region_predicate,
     wall_shadow_interval,
@@ -355,6 +356,72 @@ def test_visible_region_predicate_counts_frozen_region():
     box = (bbox[2] - bbox[0]) * (bbox[3] - bbox[1])
     se = box * math.sqrt(frac * (1 - frac) / n)
     assert frac * box == pytest.approx(10.228142693519818, abs=4 * se)
+
+
+# ---------------------------------------------------------------------------
+# exact shadowed areas (polar sweep)
+
+
+def _displaced(scene, d_U, xi):
+    g = MoveGeometry(scene.serving_ris_distance, d_U, xi)
+    l2, heading = displaced_position(scene.ue, scene.ris_direction,
+                                     scene.orientation, d_U, xi)
+    return g, displaced_distance(g), l2, heading
+
+
+@pytest.mark.parametrize("name", ["noobstacle", "obstacle", "selfblock"])
+def test_shadowed_area_full_turn_equals_closed_form_A1(name):
+    # a full-turn sector shadows the whole visible excess region
+    scene = load_packaged(f"table3-static-{name}").scenario
+    checked = 0
+    for d_U in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+        for xi_deg in (10.0, 30.0, 45.0, 60.0, 90.0):
+            g, R, l2, _ = _displaced(scene, d_U, math.radians(xi_deg))
+            try:
+                a1 = visible_excess_area_A1(scene, g)
+            except GeometryDomainError:
+                continue
+            sector = CircularSector(l2, math.inf, 0.3, 2.0 * math.pi)
+            area = shadowed_visible_area(scene.enb, scene.walls, scene.ue, l2,
+                                         g.r, R, sector)
+            assert area == pytest.approx(a1, rel=1e-9), (d_U, xi_deg)
+            checked += 1
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("d_U, xi_deg", [(2.0, 45.0), (1.4, 60.0),
+                                          (1.8, 65.0), (3.0, 30.0)])
+def test_shadowed_area_matches_rejection_oracle(d_U, xi_deg):
+    obstacle = load_packaged("table3-static-obstacle").scenario
+    selfblock = load_packaged("table3-static-selfblock").scenario
+    g, R, l2, heading = _displaced(obstacle, d_U, math.radians(xi_deg))
+    theta = selfblock.self_block.theta
+    shadows = (obstacle.extra_obstacles[0],
+               CircularSector(l2, math.inf, heading - 0.5 * theta, theta))
+    pred, bbox = visible_region_predicate(obstacle.enb, obstacle.walls,
+                                          obstacle.ue, l2, g.r, R)
+    for extra in shadows:
+        exact = shadowed_visible_area(obstacle.enb, obstacle.walls,
+                                      obstacle.ue, l2, g.r, R, extra)
+        assert exact == shadowed_visible_area(obstacle.enb, obstacle.walls,
+                                              obstacle.ue, l2, g.r, R, extra)
+        est = numeric_blocked_area(pred, extra, 2_000_000, bbox=bbox,
+                                   origin=l2, seed=2024)
+        assert est.area > 0.0
+        assert abs(exact - est.area) <= 4.0 * est.stderr, (extra, exact, est)
+
+
+def test_shadowed_area_rejects_unsupported_shadows():
+    scene = _static_scene()
+    g, R, l2, _ = _displaced(scene, 2.0, XI45)
+    args = (scene.enb, scene.walls, scene.ue, l2, g.r, R)
+    elsewhere = CircularSector(scene.ue, math.inf, 0.0, 1.0)
+    with pytest.raises(GeometryDomainError, match="anchored"):
+        shadowed_visible_area(*args, elsewhere)
+    with pytest.raises(TypeError):
+        shadowed_visible_area(*args, l2)
+    assert shadowed_visible_area(*args[:-1], 0.0,
+                                 scene.extra_obstacles[0]) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,17 @@ import pytest
 
 from risrates import (
     Estimate,
+    MoveGeometry,
     TrialOutcome,
+    displaced_distance,
+    displaced_position,
     estimate_ho,
     estimate_rr,
     load_packaged,
     marginal_p_ho,
     p_rr_known,
     rr_outcome_from_field,
+    rr_probability_known,
     run_ho_trial,
     run_rr_trial,
 )
@@ -145,6 +149,26 @@ def test_estimate_rr_matches_closed_form():
     est = estimate_rr(scene, mob, Z=20_000, seed=1)
     closed = p_rr_known(10.228142693519818, scene.lambda_RIS)
     assert abs(est.mean - closed) <= 4.0 * max(est.stderr, 1e-4)
+
+
+@pytest.mark.parametrize("name", ["obstacle", "selfblock"])
+def test_estimate_rr_matches_closed_form_off_nominal(name):
+    scene = _static(name)
+    x0, y0, x1, y1 = scene.room
+    for d, xi_deg in ((1.2, 55.0), (1.4, 60.0), (1.6, 60.0), (1.8, 65.0)):
+        xi = math.radians(xi_deg)
+        # the closed form integrates over the plane and the trials over the
+        # room: they agree where disk(L2, R) stays inside the room
+        R = displaced_distance(MoveGeometry(scene.serving_ris_distance, d, xi))
+        l2, _ = displaced_position(scene.ue, scene.ris_direction,
+                                   scene.orientation, d, xi)
+        assert x0 <= l2.x - R and l2.x + R <= x1
+        assert y0 <= l2.y - R and l2.y + R <= y1
+        closed = rr_probability_known(scene, d, xi)
+        est = estimate_rr(scene, MobilitySpec(speed_law=Deterministic(d),
+                                              angle_law=Deterministic(xi)),
+                          Z=100_000, seed=11)
+        assert abs(est.mean - closed) <= max(0.01, 3.0 * est.stderr), (d, xi_deg)
 
 
 def test_estimate_ho_matches_closed_form():
