@@ -11,7 +11,9 @@ Data files are CSV: comma separator, one header line, LF endings, UTF-8,
 numbers at 9 significant digits. Run metadata (config digest, seed, version,
 timestamp) goes to a sidecar <out>.manifest.json, never into the data file,
 so reruns with the same seed are byte-identical. Exit codes: 0 on success,
-2 on config or argument errors, 3 on geometry failures.
+2 on config or argument errors, 3 on geometry failures. A sweep cell whose
+value lies outside its formula's domain reads nan and is listed under
+"failed" in the manifest; the sweep exits 3 only when no cell has a value.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .analytic import (class_load, dimension_servers, ho_rate,
 from .config import ConfigError, LoadedConfig, load_config, parse_config
 from .geometry import (BlockedRegionError, DegenerateIntersectionError,
                        GeometryDomainError)
-from .montecarlo import estimate_ho, estimate_rr
+from .montecarlo import Estimate, estimate_ho, estimate_rr
 from .protocol import export_trace, ho_sequence, rr_sequence, simulate_load
 from .scenarios import ScenarioKnown, ScenarioUnknown
 
@@ -42,6 +44,7 @@ _GEOMETRY_ERRORS = (GeometryDomainError, DegenerateIntersectionError,
 SWEEP_VARS = ("lambda_RIS", "lambda_eNB", "lambda_B", "d_U", "theta",
               "N_RISM", "N_SGW")
 SWEEP_OUTPUTS = ("p_rr", "p_ho", "e_rr", "e_ho", "e_gamma", "mc_rr", "mc_ho")
+MC_OUTPUTS = ("mc_rr", "mc_ho")  # each followed by an <output>_stderr column
 
 
 def fmt9(x: float) -> str:
@@ -222,7 +225,7 @@ def _apply_sweep_var(cfg: LoadedConfig, var: str, value: float) -> LoadedConfig:
 
 
 def _sweep_output_fn(cfg: LoadedConfig, output: str, trials: int,
-                     ) -> Callable[[LoadedConfig, int], float]:
+                     ) -> Callable[[LoadedConfig, int], float | Estimate]:
     known = cfg.kind == "known"
 
     def need_unknown() -> None:
@@ -257,11 +260,11 @@ def _sweep_output_fn(cfg: LoadedConfig, output: str, trials: int,
         if not known:
             raise ConfigError("output 'mc_rr' needs a 'known' config")
         return lambda c, seed: estimate_rr(c.scenario, c.scenario.mobility,
-                                           Z=trials, seed=seed).mean
+                                           Z=trials, seed=seed)
     if output == "mc_ho":
         need_unknown()
         return lambda c, seed: estimate_ho(c.scenario, c.scenario.mobility,
-                                           Z=trials, seed=seed).mean
+                                           Z=trials, seed=seed)
     raise ConfigError(f"unknown output {output!r}; choose from "
                       f"{', '.join(SWEEP_OUTPUTS)}")
 
@@ -273,15 +276,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not outputs:
         raise ConfigError("--outputs: need at least one output")
     fns = [_sweep_output_fn(cfg, out, args.trials) for out in outputs]
+    header = [args.var]
+    for out in outputs:
+        header += [out, f"{out}_stderr"] if out in MC_OUTPUTS else [out]
     rows = []
+    failed = []
     for i, v in enumerate(values):
         variant = _apply_sweep_var(cfg, args.var, v)
         row = [fmt9(v)]
-        for fn in fns:
-            row.append(fmt9(fn(variant, args.seed + i)))
+        for out, fn in zip(outputs, fns):
+            try:
+                result = fn(variant, args.seed + i)
+            except GeometryDomainError as exc:
+                # out of the formula's domain at this value: the cell reads
+                # nan, the manifest says why, and the other rows still run
+                error = exc
+                failed.append({"value": v, "output": out, "reason": str(exc)})
+                row += ["nan"] * (2 if out in MC_OUTPUTS else 1)
+                continue
+            if isinstance(result, Estimate):
+                row += [fmt9(result.mean), fmt9(result.stderr)]
+            else:
+                row.append(fmt9(result))
         rows.append(row)
-    text = render_csv([args.var] + outputs, rows)
-    return _deliver(text, args.out, _manifest(cfg, args.seed))
+    if len(failed) == len(values) * len(outputs):
+        raise error  # not one cell has a value
+    manifest = _manifest(cfg, args.seed)
+    manifest["failed"] = failed
+    return _deliver(render_csv(header, rows), args.out, manifest)
 
 
 # ---------------------------------------------------------------------------

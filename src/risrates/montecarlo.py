@@ -10,8 +10,10 @@ nodes after an identical prefix).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -108,51 +110,98 @@ def rr_outcome_from_field(scene: ScenarioKnown, points: np.ndarray,
                                             d_U=d_U, xi=xi))
     else:
         R = scene.serving_ris_distance
-    ok = _candidate_mask(scene, pts, np.full(1, l2.x), np.full(1, l2.y),
-                         np.full(1, R), np.full(1, heading),
-                         np.zeros(len(pts), dtype=np.int64))
+    _, ok = _candidate_mask(scene, _wall_wedges(scene), pts[:, 0], pts[:, 1],
+                            np.full(1, l2.x), np.full(1, l2.y), np.full(1, R),
+                            np.full(1, heading),
+                            np.zeros(len(pts), dtype=np.int64))
     count = int(np.count_nonzero(ok))
     return TrialOutcome(rr_occurred=count > 0, ho_occurred=False,
                         candidate_count=count)
 
 
-def _candidate_mask(scene: ScenarioKnown, pts: np.ndarray,
+_Wedge = tuple[float, float, float, float, float]
+
+
+def _wall_wedges(scene: ScenarioKnown) -> tuple[_Wedge, ...]:
+    """Each wall's shadow at the base station as (u1x, u1y, u2x, u2y,
+    width): the closed wedge swept counterclockwise from u1 to u2."""
+    wedges = []
+    for wall in scene.walls:
+        start, width = wall_shadow_interval(scene.enb, wall)
+        wedges.append((math.cos(start), math.sin(start),
+                       math.cos(start + width), math.sin(start + width), width))
+    return tuple(wedges)
+
+
+def _outside_wedge(vx, vy, u1x, u1y, u2x, u2y, width: float) -> np.ndarray:
+    """True where vector v lies outside the closed wedge swept
+    counterclockwise from ray u1 to ray u2, by cross-product signs."""
+    c1 = u1x * vy - u1y * vx  # >= 0: v at or counterclockwise of u1
+    c2 = vx * u2y - vy * u2x  # >= 0: v at or clockwise of u2
+    if width < math.pi:
+        return (c1 < 0.0) | (c2 < 0.0)
+    if width < TWO_PI:
+        # outside a reflex wedge = strictly inside the open convex
+        # complement swept counterclockwise from u2 to u1
+        return (c1 < 0.0) & (c2 < 0.0)
+    return np.zeros(np.shape(vx), dtype=bool)
+
+
+def _candidate_mask(scene: ScenarioKnown, walls: tuple[_Wedge, ...],
+                    px: np.ndarray, py: np.ndarray,
                     l2x: np.ndarray, l2y: np.ndarray, R: np.ndarray,
-                    heading: np.ndarray, trial_idx: np.ndarray) -> np.ndarray:
-    """Vectorized candidate predicate; per-point trial_idx selects the
-    displacement (L2, R, heading) each point is judged against."""
-    px = pts[:, 0]
-    py = pts[:, 1]
-    tx = l2x[trial_idx]
-    ty = l2y[trial_idx]
+                    heading: np.ndarray, trial_idx: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized candidate predicate over the points of several trials.
+
+    Each point is judged against the displacement (l2x, l2y, R, heading) of
+    its trial, trial_idx. Returns the indices of the points strictly inside
+    their coverage disk and, aligned with them, the candidate mask; the
+    other predicates run only on those points.
+    """
+    R2 = R ** 2
+    # one displacement for every trial (both mobility laws fixed): scalars
+    shared = all(a.min() == a.max() for a in (l2x, l2y, R2, heading))
+    if shared:
+        tx, ty, r2, hd = l2x[0], l2y[0], R2[0], heading[0]
+    else:
+        tx, ty, r2 = l2x[trial_idx], l2y[trial_idx], R2[trial_idx]
+    dist2 = px - tx
+    dist2 *= dist2
+    dy = py - ty
+    dy *= dy
+    dist2 += dy
+    idx = np.flatnonzero(dist2 < r2)  # strict: ties are no events
+    px, py = px[idx], py[idx]
+    if not shared:
+        trial = trial_idx[idx]
+        tx, ty, hd = l2x[trial], l2y[trial], heading[trial]
     dx = px - tx
     dy = py - ty
-    ok = dx * dx + dy * dy < R[trial_idx] ** 2  # strict: ties are no events
     r = scene.serving_ris_distance
     ex = px - scene.ue.x
     ey = py - scene.ue.y
-    ok &= ex * ex + ey * ey >= r * r
-    if scene.walls:
-        ang = np.arctan2(py - scene.enb.y, px - scene.enb.x)
-        for wall in scene.walls:
-            start, width = wall_shadow_interval(scene.enb, wall)
-            ok &= (ang - start) % TWO_PI > width
+    ok = ex * ex + ey * ey >= r * r
+    if walls:
+        vx = px - scene.enb.x
+        vy = py - scene.enb.y
+        for wedge in walls:
+            ok &= _outside_wedge(vx, vy, *wedge)
     for obs in scene.extra_obstacles:
         ax, ay, bx, by = obs.a.x, obs.a.y, obs.b.x, obs.b.y
         d1 = (bx - ax) * (ty - ay) - (by - ay) * (tx - ax)
         d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        d3 = (px - tx) * (ay - ty) - (py - ty) * (ax - tx)
-        d4 = (px - tx) * (by - ty) - (py - ty) * (bx - tx)
+        d3 = dx * (ay - ty) - dy * (ax - tx)
+        d4 = dx * (by - ty) - dy * (bx - tx)
         ok &= ~((d1 * d2 <= 0.0) & (d3 * d4 <= 0.0))
     if scene.self_block is not None and scene.self_block.theta > 0.0:
         theta = scene.self_block.theta
-        if scene.self_block_direction is None:
-            direction = heading[trial_idx]
-        else:
-            direction = np.full(len(px), scene.self_block_direction)
-        off = (np.arctan2(dy, dx) - (direction - 0.5 * theta)) % TWO_PI
-        ok &= off > theta
-    return ok
+        if scene.self_block_direction is not None:
+            hd = scene.self_block_direction
+        lo = hd - 0.5 * theta
+        ok &= _outside_wedge(dx, dy, np.cos(lo), np.sin(lo),
+                             np.cos(lo + theta), np.sin(lo + theta), theta)
+    return idx, ok
 
 
 def run_rr_trial(scene: ScenarioKnown, d_U: float, xi: float,
@@ -174,7 +223,13 @@ def run_rr_trial(scene: ScenarioKnown, d_U: float, xi: float,
 def _rr_shard(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
               rng: np.random.Generator) -> int:
     """Number of successful trials in one shard. Draw order: speeds, angles,
-    count uniforms, then positions."""
+    count uniforms, then all x positions, then all y positions."""
+    return _rr_successes(scene, mobility, n, rng, _wall_wedges(scene))
+
+
+def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
+                  rng: np.random.Generator, walls: tuple[_Wedge, ...]) -> int:
+    """_rr_shard with the scene's wall wedges computed by the caller."""
     speeds = _draw_law(rng, mobility.speed_law, n)
     angles = _draw_law(rng, mobility.angle_law, n)
     x0, y0, x1, y1 = scene.room
@@ -183,10 +238,8 @@ def _rr_shard(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     total = int(counts.sum())
     if total == 0:
         return 0
-    pts = np.empty((total, 2))
-    pts[:, 0] = rng.uniform(x0, x1, total)
-    pts[:, 1] = rng.uniform(y0, y1, total)
-    trial_idx = np.repeat(np.arange(n), counts)
+    px = rng.uniform(x0, x1, total)
+    py = rng.uniform(y0, y1, total)
 
     away = scene.ris_direction + math.pi
     heading = away + scene.orientation * angles
@@ -195,29 +248,38 @@ def _rr_shard(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     r = scene.serving_ris_distance
     R = np.sqrt(r * r + speeds * speeds
                 - 2.0 * r * speeds * np.cos(math.pi - angles))
-    moving = speeds[trial_idx] > 0.0
-    ok = _candidate_mask(scene, pts, l2x, l2y, R, heading, trial_idx) & moving
-    hits = np.bincount(trial_idx[ok], minlength=n) > 0
+    trial_idx = np.repeat(np.arange(n), counts)
+    idx, ok = _candidate_mask(scene, walls, px, py, l2x, l2y, R, heading,
+                              trial_idx)
+    hits = np.zeros(n, dtype=bool)
+    hits[trial_idx[idx.compress(ok)]] = True
+    hits &= speeds > 0.0
     return int(np.count_nonzero(hits))
+
+
+def _estimate(shard_fn: Callable[..., int],
+              scene: ScenarioKnown | ScenarioUnknown, mobility: MobilitySpec,
+              Z: int, seed: int) -> Estimate:
+    """Mean of Z trials run in shards of SHARD_SIZE, shard k drawing from
+    SeedSequence((seed, k)); shard_fn(scene, mobility, n, rng) returns the
+    number of successes among n trials."""
+    if Z < 1:
+        raise ValueError("Z must be at least 1")
+    successes = 0
+    for shard_idx, done in enumerate(range(0, Z, SHARD_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, shard_idx)))
+        successes += shard_fn(scene, mobility, min(SHARD_SIZE, Z - done), rng)
+    mean = successes / Z
+    return Estimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / Z),
+                    trials=Z, seed=seed)
 
 
 def estimate_rr(scene: ScenarioKnown, mobility: MobilitySpec,
                 Z: int = 100_000, seed: int = 0) -> Estimate:
     """Mean of Z independent reassignment trials with per-trial mobility."""
-    if Z < 1:
-        raise ValueError("Z must be at least 1")
-    successes = 0
-    done = 0
-    shard_idx = 0
-    while done < Z:
-        n = min(SHARD_SIZE, Z - done)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, shard_idx)))
-        successes += _rr_shard(scene, mobility, n, rng)
-        done += n
-        shard_idx += 1
-    mean = successes / Z
-    return Estimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / Z),
-                    trials=Z, seed=seed)
+    walls = _wall_wedges(scene)
+    return _estimate(functools.partial(_rr_successes, walls=walls), scene,
+                     mobility, Z, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +332,4 @@ def _ho_shard(s: ScenarioUnknown, mobility: MobilitySpec, n: int,
 def estimate_ho(s: ScenarioUnknown, mobility: MobilitySpec,
                 Z: int = 100_000, seed: int = 0) -> Estimate:
     """Mean of Z independent handover trials with per-trial mobility."""
-    if Z < 1:
-        raise ValueError("Z must be at least 1")
-    successes = 0
-    done = 0
-    shard_idx = 0
-    while done < Z:
-        n = min(SHARD_SIZE, Z - done)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, shard_idx)))
-        successes += _ho_shard(s, mobility, n, rng)
-        done += n
-        shard_idx += 1
-    mean = successes / Z
-    return Estimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / Z),
-                    trials=Z, seed=seed)
+    return _estimate(_ho_shard, s, mobility, Z, seed)

@@ -289,6 +289,60 @@ def test_sweep_lambda_ris_leaves_ho_outputs_identical(tmp_path):
     assert p_rr_vals[0] < p_rr_vals[-1]
 
 
+@pytest.mark.parametrize("config, outputs, columns", [
+    ("table3-static-obstacle", "mc_rr,p_rr",
+     ["lambda_RIS", "mc_rr", "mc_rr_stderr", "p_rr"]),
+    ("table4-unknown", "p_ho,mc_ho",
+     ["lambda_RIS", "p_ho", "mc_ho", "mc_ho_stderr"]),
+])
+def test_sweep_mc_outputs_carry_stderr(tmp_path, config, outputs, columns):
+    out = tmp_path / "sweep.csv"
+    values = "0.05,0.1" if config.startswith("table3") else "1e-05,2e-05"
+    rc = main(["sweep", "--config", str(packaged_config_path(config)),
+               "--var", "lambda_RIS", "--values", values,
+               "--outputs", outputs, "--trials", "3000", "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv(out)
+    assert header == columns
+    mc = next(i for i, c in enumerate(header) if c.startswith("mc_"))
+    for row in rows:
+        p = float(row[mc])
+        assert 0.0 < p < 1.0
+        # p is read back at 9 digits, so compare at that precision
+        assert float(row[mc + 1]) == pytest.approx(
+            math.sqrt(p * (1.0 - p) / 3000), rel=1e-8)
+
+
+def test_sweep_keeps_rows_outside_the_domain(tmp_path):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--config",
+               str(packaged_config_path("table3-static-noobstacle")),
+               "--var", "d_U", "--values", "1,2,3,4,5",
+               "--outputs", "p_rr,mc_rr", "--trials", "2000",
+               "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv(out)
+    assert [row[0] for row in rows] == ["1", "2", "3", "4", "5"]
+    assert all(0.0 < float(row[1]) < 1.0 for row in rows[:4])
+    assert rows[4][1] == "nan"
+    assert all(0.0 < float(row[2]) < 1.0 for row in rows)  # trials still run
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["failed"] == [{
+        "value": 5.0, "output": "p_rr",
+        "reason": "displaced position left the wall shadow"}]
+
+
+def test_sweep_exits_3_when_every_row_fails(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--config",
+               str(packaged_config_path("table3-static-noobstacle")),
+               "--var", "d_U", "--values", "5,6", "--outputs", "p_rr",
+               "--out", str(out)])
+    assert rc == 3
+    assert "left the wall shadow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_server_split_preserves_totals(tmp_path):
     out = tmp_path / "split.csv"
     rc = main(["sweep", "--config",

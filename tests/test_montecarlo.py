@@ -22,8 +22,12 @@ from risrates import (
     run_ho_trial,
     run_rr_trial,
 )
-from risrates.montecarlo import SHARD_SIZE, _poisson_counts, _rr_shard
-from risrates.scenarios import Deterministic, MobilitySpec
+from risrates.geometry import (TWO_PI, Point2D, SegmentObstacle,
+                               wall_shadow_interval)
+from risrates.montecarlo import (SHARD_SIZE, _candidate_mask, _draw_law,
+                                 _poisson_counts, _rr_shard, _wall_wedges)
+from risrates.scenarios import Deterministic, MobilitySpec, Uniform
+from risrates.stochastic import SelfBlockModel
 
 XI45 = math.radians(45.0)
 
@@ -93,6 +97,96 @@ def test_zero_displacement_trial_has_no_event():
 
 
 # ---------------------------------------------------------------------------
+# the candidate kernel against the bearing-based reference predicate
+
+
+def _reference_candidates(scene, px, py, l2x, l2y, R, heading, trial_idx):
+    """Every predicate on every point, wedges tested by bearings (arctan2
+    and a modulo): the reference for the compress-first kernel."""
+    tx = l2x[trial_idx]
+    ty = l2y[trial_idx]
+    dx = px - tx
+    dy = py - ty
+    ok = dx * dx + dy * dy < R[trial_idx] ** 2
+    r = scene.serving_ris_distance
+    ex = px - scene.ue.x
+    ey = py - scene.ue.y
+    ok &= ex * ex + ey * ey >= r * r
+    if scene.walls:
+        ang = np.arctan2(py - scene.enb.y, px - scene.enb.x)
+        for wall in scene.walls:
+            start, width = wall_shadow_interval(scene.enb, wall)
+            ok &= (ang - start) % TWO_PI > width
+    for obs in scene.extra_obstacles:
+        ax, ay, bx, by = obs.a.x, obs.a.y, obs.b.x, obs.b.y
+        d1 = (bx - ax) * (ty - ay) - (by - ay) * (tx - ax)
+        d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        d3 = (px - tx) * (ay - ty) - (py - ty) * (ax - tx)
+        d4 = (px - tx) * (by - ty) - (py - ty) * (bx - tx)
+        ok &= ~((d1 * d2 <= 0.0) & (d3 * d4 <= 0.0))
+    if scene.self_block is not None and scene.self_block.theta > 0.0:
+        theta = scene.self_block.theta
+        if scene.self_block_direction is None:
+            direction = heading[trial_idx]
+        else:
+            direction = np.full(len(px), scene.self_block_direction)
+        off = (np.arctan2(dy, dx) - (direction - 0.5 * theta)) % TWO_PI
+        ok &= off > theta
+    return ok
+
+
+def _kernel_scenes():
+    noob = _static("noobstacle")
+    yield "wall", noob
+    yield "obstacle", _static("obstacle")
+    # base station mid-room: one wedge straddles the +-pi bearing cut
+    yield "walls-across-bearing-cut", dataclasses.replace(
+        noob, enb=Point2D(5.0, 5.0),
+        walls=(SegmentObstacle(Point2D(3.0, 4.0), Point2D(3.0, 6.0)),
+               SegmentObstacle(Point2D(8.0, 1.0), Point2D(9.0, 3.0))))
+    for deg in (45, 90, 180, 270, 360):
+        for direction in (None, math.radians(70.0)):
+            yield f"body-{deg}-{direction}", dataclasses.replace(
+                _static("selfblock"),
+                self_block=SelfBlockModel(math.radians(deg)),
+                self_block_direction=direction)
+
+
+@pytest.mark.parametrize("mobility", [
+    MobilitySpec(Uniform(0.5, 2.5), Uniform(0.0, math.pi)),
+    MobilitySpec(Deterministic(2.0), Deterministic(XI45)),
+], ids=["per-trial", "shared"])
+@pytest.mark.parametrize("label, scene", list(_kernel_scenes()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_candidate_kernel_matches_reference(label, scene, mobility):
+    rng = np.random.default_rng(2024)
+    n = 400
+    speeds = _draw_law(rng, mobility.speed_law, n)
+    angles = _draw_law(rng, mobility.angle_law, n)
+    heading = scene.ris_direction + math.pi + scene.orientation * angles
+    l2x = scene.ue.x + speeds * np.cos(heading)
+    l2y = scene.ue.y + speeds * np.sin(heading)
+    r = scene.serving_ris_distance
+    R = np.sqrt(r * r + speeds * speeds
+                - 2.0 * r * speeds * np.cos(math.pi - angles))
+    counts = rng.poisson(50.0, n)
+    trial_idx = np.repeat(np.arange(n), counts)
+    x0, y0, x1, y1 = scene.room
+    px = rng.uniform(x0, x1, len(trial_idx))
+    py = rng.uniform(y0, y1, len(trial_idx))
+
+    expected = np.flatnonzero(_reference_candidates(
+        scene, px, py, l2x, l2y, R, heading, trial_idx))
+    idx, ok = _candidate_mask(scene, _wall_wedges(scene), px, py, l2x, l2y,
+                              R, heading, trial_idx)
+    np.testing.assert_array_equal(idx[ok], expected)
+    if scene.self_block is not None and scene.self_block.theta == TWO_PI:
+        assert len(expected) == 0
+    else:
+        assert 0 < len(expected) < len(px) // 4
+
+
+# ---------------------------------------------------------------------------
 # pathwise monotonicity under a shared seed
 
 
@@ -140,6 +234,29 @@ def test_estimate_rr_deterministic_and_sharded():
         rng = np.random.default_rng(np.random.SeedSequence((3, shard_idx)))
         successes += _rr_shard(scene, mob, n, rng)
     assert a.mean == successes / 6000
+
+
+# estimate_rr(..., Z=20_000, seed=0).mean of the bearing-based kernel. The
+# values lock the draw order (speeds, angles, count uniforms, all x, then
+# all y) and the predicate; lambda_RIS = 0.8 per m^2 puts 80 nodes in the
+# mean, so the counts come from the generator's Poisson branch.
+PINNED_RR = [
+    ("table3-static-noobstacle", None, 0.63855),
+    ("table3-static-obstacle", None, 0.557),
+    ("table3-static-selfblock", None, 0.51065),
+    ("table3-uniform-noobstacle", None, 0.4322),
+    ("table3-uniform-obstacle", None, 0.41275),
+    ("table3-uniform-selfblock", None, 0.28715),
+    ("table3-static-obstacle", 0.8, 0.9986),
+]
+
+
+@pytest.mark.parametrize("name, lam, mean", PINNED_RR)
+def test_estimate_rr_pinned_at_seed_0(name, lam, mean):
+    scene = load_packaged(name).scenario
+    if lam is not None:
+        scene = dataclasses.replace(scene, lambda_RIS=lam)
+    assert estimate_rr(scene, scene.mobility, Z=20_000, seed=0).mean == mean
 
 
 def test_estimate_rr_matches_closed_form():
