@@ -20,21 +20,18 @@ from .geometry import (AreaEstimate, BlockageWedge, BlockedRegionError,
                        GeometryDomainError, MoveGeometry, Point2D,
                        SegmentObstacle, blocked_candidate_area, bearing,
                        displaced_distance, displaced_position, excess_area,
-                       numeric_blocked_area, segment_visibility,
-                       shadowed_visible_area, visible_excess_area_A1,
-                       visible_region_predicate,
+                       numeric_blocked_area, shadowed_visible_area,
+                       visible_excess_area_A1, visible_region_predicate,
                        wall_shadow_interval, wedge_from_wall)
-from .montecarlo import (Estimate, TrialOutcome, estimate_ho, estimate_rr,
-                         rr_outcome_from_field, run_ho_trial, run_rr_trial)
+from .montecarlo import Estimate, estimate_ho, estimate_rr
 from .protocol import (ENTITY_KINDS, Entity, LoadResult, SequenceTemplate,
                        SignalingMessage, basic_sequence, export_trace,
                        ho_sequence, rr_sequence, simulate_load)
 from .scenarios import (Deterministic, MobilitySpec, ScenarioKnown,
                         ScenarioUnknown, SignalingConfig, Uniform)
-from .stochastic import (PppRegion, RandomObstacleModel, SelfBlockModel,
+from .stochastic import (RandomObstacleModel, SelfBlockModel,
                          p_blocked_static, p_not_blocked_Z, p_self_blocked,
-                         poisson_count, sample_ppp, sample_ppp_xy,
-                         survival_bracket)
+                         poisson_counts, survival_bracket)
 
 __all__ = [
     "__version__",
@@ -45,11 +42,11 @@ __all__ = [
     "displaced_distance", "displaced_position", "excess_area",
     "blocked_candidate_area", "visible_excess_area_A1", "wedge_from_wall",
     "wall_shadow_interval", "shadowed_visible_area", "numeric_blocked_area",
-    "visible_region_predicate", "segment_visibility",
+    "visible_region_predicate",
     # stochastic
-    "RandomObstacleModel", "SelfBlockModel", "PppRegion", "poisson_count",
-    "sample_ppp", "sample_ppp_xy", "p_blocked_static", "p_self_blocked",
-    "p_not_blocked_Z", "survival_bracket",
+    "RandomObstacleModel", "SelfBlockModel", "poisson_counts",
+    "p_blocked_static", "p_self_blocked", "p_not_blocked_Z",
+    "survival_bracket",
     # scenarios
     "Deterministic", "Uniform", "MobilitySpec", "SignalingConfig",
     "ScenarioKnown", "ScenarioUnknown",
@@ -59,8 +56,7 @@ __all__ = [
     "p_rr_unknown", "marginal_p_ho", "marginal_p_rr_unknown", "ho_rate",
     "rr_rate", "signaling_rate", "class_load", "dimension_servers",
     # montecarlo
-    "Estimate", "TrialOutcome", "rr_outcome_from_field", "run_rr_trial",
-    "run_ho_trial", "estimate_rr", "estimate_ho",
+    "Estimate", "estimate_rr", "estimate_ho",
     # protocol
     "ENTITY_KINDS", "Entity", "SignalingMessage", "SequenceTemplate",
     "rr_sequence", "ho_sequence", "basic_sequence", "export_trace",

@@ -13,9 +13,9 @@ from .geometry import (CircularSector, GeometryDomainError, MoveGeometry,
                        shadowed_visible_area, visible_excess_area_A1)
 # Not called here; perfbench/spans.py wraps these names in this module.
 from .geometry import numeric_blocked_area, visible_region_predicate  # noqa: F401
-from .scenarios import (Deterministic, Law, MobilitySpec, ScenarioKnown,
-                        ScenarioUnknown, SignalingConfig, law_bounds)
-from .stochastic import p_not_blocked_Z
+from .scenarios import (MobilitySpec, ScenarioKnown, ScenarioUnknown,
+                        SignalingConfig, law_bounds)
+from .stochastic import event_probability, p_not_blocked_Z
 
 logger = logging.getLogger(__name__)
 
@@ -222,21 +222,15 @@ def p_ho(s: ScenarioUnknown, d_U: float, xi: float) -> float:
     """Handover probability: at least one unblocked base station inside the
     displaced coverage disk. Zero displacement means no new candidates at
     all, so the probability is exactly zero there."""
-    if d_U == 0.0:
-        return 0.0
-    R = displaced_distance(MoveGeometry(r=s.r_eNB, d_U=d_U, xi=xi))
     pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
-    return -math.expm1(-pz * s.lambda_eNB * math.pi * R * R)
+    return float(event_probability(pz, s.lambda_eNB, s.r_eNB, d_U, xi))
 
 
 def p_rr_unknown(s: ScenarioUnknown, d_U: float, xi: float) -> float:
     """Reassignment probability in the unknown-obstacle model; same shape as
     p_ho with the reflective-node density and radius."""
-    if d_U == 0.0:
-        return 0.0
-    R = displaced_distance(MoveGeometry(r=s.r_RIS, d_U=d_U, xi=xi))
     pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
-    return -math.expm1(-pz * s.lambda_RIS * math.pi * R * R)
+    return float(event_probability(pz, s.lambda_RIS, s.r_RIS, d_U, xi))
 
 
 def marginal_p_ho(s: ScenarioUnknown, tol: float = 1e-6) -> float:

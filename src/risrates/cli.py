@@ -32,14 +32,10 @@ from .analytic import (class_load, dimension_servers, ho_rate,
                        marginal_p_ho, marginal_p_rr_unknown, p_rr_marginal,
                        rr_rate, signaling_rate)
 from .config import ConfigError, LoadedConfig, load_config, parse_config
-from .geometry import (BlockedRegionError, DegenerateIntersectionError,
-                       GeometryDomainError)
+from .geometry import GeometryDomainError
 from .montecarlo import Estimate, estimate_ho, estimate_rr
 from .protocol import export_trace, ho_sequence, rr_sequence, simulate_load
 from .scenarios import ScenarioKnown, ScenarioUnknown
-
-_GEOMETRY_ERRORS = (GeometryDomainError, DegenerateIntersectionError,
-                    BlockedRegionError)
 
 SWEEP_VARS = ("lambda_RIS", "lambda_eNB", "lambda_B", "d_U", "theta",
               "N_RISM", "N_SGW")
@@ -415,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _GEOMETRY_ERRORS as exc:
+    except GeometryDomainError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

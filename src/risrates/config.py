@@ -229,7 +229,10 @@ def _parse_unknown(raw: dict) -> ScenarioUnknown:
     except ValueError as exc:
         raise ConfigError(f"obstacles: {exc}") from exc
     if raw.get("self_block") is not None:
-        self_block, _ = _self_block(raw["self_block"], "self_block")
+        self_block, direction = _self_block(raw["self_block"], "self_block")
+        if direction is not None:
+            _fail("self_block.direction_deg", "an 'unknown' config's body "
+                  "shadow has no direction; remove the field")
     else:
         self_block = SelfBlockModel(theta=0.0)
     try:

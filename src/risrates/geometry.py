@@ -12,7 +12,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,13 +77,6 @@ class CircularSector:
             raise ValueError("sector radius must be positive (math.inf allowed)")
         if not 0.0 <= self.sweep <= TWO_PI:
             raise ValueError("sector sweep must lie in [0, 2*pi]")
-
-    def contains(self, p: Point2D) -> bool:
-        off = (math.atan2(p.y - self.origin.y, p.x - self.origin.x)
-               - self.start_angle) % TWO_PI
-        if off > self.sweep:
-            return False
-        return self.origin.distance_to(p) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -154,15 +147,20 @@ def bearing(p: Point2D, q: Point2D) -> float:
     return math.atan2(q.y - p.y, q.x - p.x)
 
 
-def displaced_distance(g: MoveGeometry) -> float:
-    """Distance from the serving node to the user after one displacement.
+def displaced_distance_sq(r, d_U, xi):
+    """Squared distance from the serving node (r away) to the user after a
+    displacement d_U at movement angle xi; broadcasts over arrays.
 
     Law of cosines in the triangle (node, start, end); the angle at the start
     position is pi - xi because xi = 0 points directly away from the node.
+    Near zero, roundoff can leave the result slightly negative.
     """
-    sq = (g.r * g.r + g.d_U * g.d_U
-          - 2.0 * g.r * g.d_U * math.cos(math.pi - g.xi))
-    return math.sqrt(max(sq, 0.0))
+    return r * r + d_U * d_U - 2.0 * r * d_U * np.cos(math.pi - xi)
+
+
+def displaced_distance(g: MoveGeometry) -> float:
+    """Distance from the serving node to the user after one displacement."""
+    return math.sqrt(max(displaced_distance_sq(g.r, g.d_U, g.xi), 0.0))
 
 
 def excess_area(g: MoveGeometry) -> float:
@@ -577,7 +575,23 @@ def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
 
 
 # ---------------------------------------------------------------------------
-# Numeric (rejection-sampling) areas and visibility tests
+# Sight-line test and numeric (rejection-sampling) areas
+
+
+def segment_crosses(ox, oy, px, py, seg: SegmentObstacle) -> np.ndarray:
+    """Does the segment from (ox, oy) to (px, py) meet seg? Broadcasts over
+    arrays of either end.
+
+    Inclusive test by orientation signs: touching counts as crossing, and the
+    collinear-overlap corner cases resolve to True, which is the conservative
+    choice for a blockage test.
+    """
+    ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
+    d1 = (bx - ax) * (oy - ay) - (by - ay) * (ox - ax)
+    d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    d3 = (px - ox) * (ay - oy) - (py - oy) * (ax - ox)
+    d4 = (px - ox) * (by - oy) - (py - oy) * (bx - ox)
+    return (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
 
 
 @dataclass(frozen=True)
@@ -586,30 +600,6 @@ class AreaEstimate:
     stderr: float
     samples: int
     seed: object = None
-
-
-def _cross(ox, oy, ax, ay, bx, by):
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def _segments_cross_many(origin: Point2D, pts: np.ndarray,
-                         seg: SegmentObstacle) -> np.ndarray:
-    """For each point p in pts: does segment origin->p intersect seg?
-
-    Inclusive test: touching counts as crossing. Vectorized orientation
-    signs; the collinear-overlap corner cases resolve to True, which is the
-    conservative choice for a blockage test.
-    """
-    ox, oy = origin.x, origin.y
-    ax, ay = seg.a.x, seg.a.y
-    bx, by = seg.b.x, seg.b.y
-    px = pts[:, 0]
-    py = pts[:, 1]
-    d1 = _cross(ax, ay, bx, by, ox, oy)
-    d2 = _cross(ax, ay, bx, by, px, py)
-    d3 = _cross(ox, oy, px, py, ax, ay)
-    d4 = _cross(ox, oy, px, py, bx, by)
-    return (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
 
 
 def _sector_contains_many(sector: CircularSector, pts: np.ndarray) -> np.ndarray:
@@ -626,7 +616,7 @@ def _shadow_mask(pts: np.ndarray, extra, origin: Point2D | None) -> np.ndarray:
     if isinstance(extra, SegmentObstacle):
         if origin is None:
             raise ValueError("origin is required for a segment-obstacle shadow")
-        return _segments_cross_many(origin, pts, extra)
+        return segment_crosses(origin.x, origin.y, pts[:, 0], pts[:, 1], extra)
     if isinstance(extra, CircularSector):
         return _sector_contains_many(extra, pts)
     raise TypeError(f"unsupported shadow source: {type(extra).__name__}")
@@ -701,31 +691,3 @@ def visible_region_predicate(enb: Point2D, walls: Sequence[SegmentObstacle],
 
     bbox = (displaced.x - R, displaced.y - R, displaced.x + R, displaced.y + R)
     return predicate, bbox
-
-
-def _segment_pair_intersects(p: Point2D, q: Point2D,
-                             a: Point2D, b: Point2D) -> bool:
-    d1 = _cross(a.x, a.y, b.x, b.y, p.x, p.y)
-    d2 = _cross(a.x, a.y, b.x, b.y, q.x, q.y)
-    d3 = _cross(p.x, p.y, q.x, q.y, a.x, a.y)
-    d4 = _cross(p.x, p.y, q.x, q.y, b.x, b.y)
-    return d1 * d2 <= 0.0 and d3 * d4 <= 0.0
-
-
-def segment_visibility(p: Point2D, q: Point2D,
-                       obstacles: Iterable[SegmentObstacle],
-                       self_block: CircularSector | None = None) -> bool:
-    """True iff q is visible from p: no obstacle crosses pq and q does not
-    fall inside the self-blockage sector, interpreted as anchored at p."""
-    if p == q:
-        raise ValueError("p and q must differ")
-    for obs in obstacles:
-        if _segment_pair_intersects(p, q, obs.a, obs.b):
-            return False
-    if self_block is not None:
-        anchored = CircularSector(origin=p, radius=self_block.radius,
-                                  start_angle=self_block.start_angle,
-                                  sweep=self_block.sweep)
-        if anchored.contains(q):
-            return False
-    return True

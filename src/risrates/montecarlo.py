@@ -2,10 +2,7 @@
 
 Estimators draw trials in fixed-size shards, each shard seeded from
 (master seed, shard index), so a parallel harness reproduces the sequential
-result exactly. Single-trial functions draw the node field as one count
-uniform plus one matrix of per-node uniforms, which makes outcomes pathwise
-monotone in the density under a shared seed (a larger mean only appends
-nodes after an identical prefix).
+result exactly.
 """
 
 from __future__ import annotations
@@ -17,22 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import TWO_PI, displaced_distance, displaced_position, MoveGeometry, wall_shadow_interval
-from .scenarios import Deterministic, Law, MobilitySpec, ScenarioKnown, ScenarioUnknown
-from .stochastic import p_self_blocked, poisson_count
+from .geometry import (TWO_PI, MoveGeometry, displaced_distance,
+                       displaced_distance_sq, displaced_position,
+                       segment_crosses, wall_shadow_interval)
+from .scenarios import MobilitySpec, ScenarioKnown, ScenarioUnknown, draw_law
+from .stochastic import p_self_blocked, poisson_counts
 
 SHARD_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    rr_occurred: bool
-    ho_occurred: bool
-    candidate_count: int
-
-    def __post_init__(self) -> None:
-        if self.candidate_count < 0:
-            raise ValueError("candidate_count must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -49,52 +37,14 @@ class Estimate:
             raise ValueError("trials must be positive")
 
 
-def _draw_law(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
-    if isinstance(law, Deterministic):
-        return np.full(n, law.value)
-    if law.low == law.high:
-        return np.full(n, law.low)
-    return rng.uniform(law.low, law.high, n)
-
-
-def _poisson_counts(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
-    """Vectorized Poisson counts, inversion below mean 60 (one uniform per
-    entry), generator fallback above."""
-    means = np.asarray(means, dtype=float)
-    counts = np.zeros(means.shape, dtype=np.int64)
-    big = means > 60.0
-    if big.any():
-        counts[big] = rng.poisson(means[big])
-    small = ~big
-    if small.any():
-        m = means[small]
-        u = rng.random(m.shape)
-        c = np.zeros(m.shape, dtype=np.int64)
-        pk = np.exp(-m)
-        cdf = pk.copy()
-        remaining = u > cdf
-        k = 0
-        while remaining.any():
-            k += 1
-            pk = pk * (m / k)
-            cdf = cdf + pk
-            newly = remaining & (u <= cdf)
-            c[newly] = k
-            remaining &= ~newly
-            if k > 2000:  # precision-exhausted tail
-                c[remaining] = k
-                break
-        counts[small] = c
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Known-room reassignment trials
 
 
-def rr_outcome_from_field(scene: ScenarioKnown, points: np.ndarray,
-                          d_U: float, xi: float) -> TrialOutcome:
-    """Pure candidate test for an explicit node field, one displacement.
+def rr_candidate_count(scene: ScenarioKnown, points: np.ndarray,
+                       d_U: float, xi: float) -> int:
+    """Number of viable new serving candidates in an explicit node field at
+    one displacement.
 
     A node is a viable new serving candidate when it is strictly closer to
     the displaced position than the serving node will be, not inside the
@@ -105,18 +55,12 @@ def rr_outcome_from_field(scene: ScenarioKnown, points: np.ndarray,
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     l2, heading = displaced_position(scene.ue, scene.ris_direction,
                                      scene.orientation, d_U, xi)
-    if d_U > 0.0:
-        R = displaced_distance(MoveGeometry(r=scene.serving_ris_distance,
-                                            d_U=d_U, xi=xi))
-    else:
-        R = scene.serving_ris_distance
+    R = displaced_distance(MoveGeometry(scene.serving_ris_distance, d_U, xi))
     _, ok = _candidate_mask(scene, _wall_wedges(scene), pts[:, 0], pts[:, 1],
                             np.full(1, l2.x), np.full(1, l2.y), np.full(1, R),
                             np.full(1, heading),
                             np.zeros(len(pts), dtype=np.int64))
-    count = int(np.count_nonzero(ok))
-    return TrialOutcome(rr_occurred=count > 0, ho_occurred=False,
-                        candidate_count=count)
+    return int(np.count_nonzero(ok))
 
 
 _Wedge = tuple[float, float, float, float, float]
@@ -188,12 +132,7 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[_Wedge, ...],
         for wedge in walls:
             ok &= _outside_wedge(vx, vy, *wedge)
     for obs in scene.extra_obstacles:
-        ax, ay, bx, by = obs.a.x, obs.a.y, obs.b.x, obs.b.y
-        d1 = (bx - ax) * (ty - ay) - (by - ay) * (tx - ax)
-        d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        d3 = dx * (ay - ty) - dy * (ax - tx)
-        d4 = dx * (by - ty) - dy * (bx - tx)
-        ok &= ~((d1 * d2 <= 0.0) & (d3 * d4 <= 0.0))
+        ok &= ~segment_crosses(tx, ty, px, py, obs)
     if scene.self_block is not None and scene.self_block.theta > 0.0:
         theta = scene.self_block.theta
         if scene.self_block_direction is not None:
@@ -202,22 +141,6 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[_Wedge, ...],
         ok &= _outside_wedge(dx, dy, np.cos(lo), np.sin(lo),
                              np.cos(lo + theta), np.sin(lo + theta), theta)
     return idx, ok
-
-
-def run_rr_trial(scene: ScenarioKnown, d_U: float, xi: float,
-                 seed: int = 0) -> TrialOutcome:
-    """One reassignment trial: sample a node field over the room, test it."""
-    rng = np.random.default_rng(seed)
-    x0, y0, x1, y1 = scene.room
-    mean = scene.lambda_RIS * (x1 - x0) * (y1 - y0)
-    n = poisson_count(rng, mean)
-    pts = rng.random((n, 2))
-    pts[:, 0] = x0 + pts[:, 0] * (x1 - x0)
-    pts[:, 1] = y0 + pts[:, 1] * (y1 - y0)
-    if d_U == 0.0:
-        return TrialOutcome(rr_occurred=False, ho_occurred=False,
-                            candidate_count=0)
-    return rr_outcome_from_field(scene, pts, d_U, xi)
 
 
 def _rr_shard(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
@@ -230,11 +153,11 @@ def _rr_shard(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
 def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
                   rng: np.random.Generator, walls: tuple[_Wedge, ...]) -> int:
     """_rr_shard with the scene's wall wedges computed by the caller."""
-    speeds = _draw_law(rng, mobility.speed_law, n)
-    angles = _draw_law(rng, mobility.angle_law, n)
+    speeds = draw_law(rng, mobility.speed_law, n)
+    angles = draw_law(rng, mobility.angle_law, n)
     x0, y0, x1, y1 = scene.room
     mean = scene.lambda_RIS * (x1 - x0) * (y1 - y0)
-    counts = _poisson_counts(rng, np.full(n, mean))
+    counts = poisson_counts(rng, np.full(n, mean))
     total = int(counts.sum())
     if total == 0:
         return 0
@@ -245,9 +168,8 @@ def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     heading = away + scene.orientation * angles
     l2x = scene.ue.x + speeds * np.cos(heading)
     l2y = scene.ue.y + speeds * np.sin(heading)
-    r = scene.serving_ris_distance
-    R = np.sqrt(r * r + speeds * speeds
-                - 2.0 * r * speeds * np.cos(math.pi - angles))
+    R = np.sqrt(displaced_distance_sq(scene.serving_ris_distance, speeds,
+                                      angles))
     trial_idx = np.repeat(np.arange(n), counts)
     idx, ok = _candidate_mask(scene, walls, px, py, l2x, l2y, R, heading,
                               trial_idx)
@@ -286,43 +208,24 @@ def estimate_rr(scene: ScenarioKnown, mobility: MobilitySpec,
 # Unknown-obstacle handover trials
 
 
-def run_ho_trial(s: ScenarioUnknown, d_U: float, xi: float,
-                 seed: int = 0) -> TrialOutcome:
-    """One handover trial: Poisson base-station field over the displaced
-    coverage disk, thinned by static blockage (radius drawn from the
-    linear-in-area law on [0, R_LoS]) and by the body shadow."""
-    rng = np.random.default_rng(seed)
-    R = displaced_distance(MoveGeometry(r=s.r_eNB, d_U=d_U, xi=xi)) \
-        if d_U > 0.0 else s.r_eNB
-    n = poisson_count(rng, s.lambda_eNB * math.pi * R * R)
-    u = rng.random((n, 3))
-    survivors = _ho_survivors(s, u)
-    count = int(np.count_nonzero(survivors))
-    return TrialOutcome(rr_occurred=False, ho_occurred=count > 0,
-                        candidate_count=count)
-
-
-def _ho_survivors(s: ScenarioUnknown, u: np.ndarray) -> np.ndarray:
-    radii = s.R_LoS * np.sqrt(u[:, 0])
-    beta = s.obstacle_model.beta
-    beta0 = s.obstacle_model.beta0
-    alive = u[:, 1] < np.exp(-(beta * radii + beta0))
-    alive &= u[:, 2] >= p_self_blocked(s.self_block)
-    return alive
-
-
 def _ho_shard(s: ScenarioUnknown, mobility: MobilitySpec, n: int,
               rng: np.random.Generator) -> int:
-    speeds = _draw_law(rng, mobility.speed_law, n)
-    angles = _draw_law(rng, mobility.angle_law, n)
-    r = s.r_eNB
-    R2 = r * r + speeds * speeds - 2.0 * r * speeds * np.cos(math.pi - angles)
-    counts = _poisson_counts(rng, s.lambda_eNB * math.pi * R2)
+    """Number of handovers in one shard: a Poisson base-station field over
+    each displaced coverage disk, thinned by static blockage (radius drawn
+    from the linear-in-area law on [0, R_LoS]) and by the body shadow. Draw
+    order: speeds, angles, count uniforms, then three uniforms per node."""
+    speeds = draw_law(rng, mobility.speed_law, n)
+    angles = draw_law(rng, mobility.angle_law, n)
+    R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles), 0.0)
+    counts = poisson_counts(rng, s.lambda_eNB * math.pi * R2)
     total = int(counts.sum())
     if total == 0:
         return 0
     u = rng.random((total, 3))
-    alive = _ho_survivors(s, u)
+    radii = s.R_LoS * np.sqrt(u[:, 0])
+    m = s.obstacle_model
+    alive = u[:, 1] < np.exp(-(m.beta * radii + m.beta0))
+    alive &= u[:, 2] >= p_self_blocked(s.self_block)
     trial_idx = np.repeat(np.arange(n), counts)
     hits = np.bincount(trial_idx[alive], minlength=n) > 0
     hits &= speeds > 0.0

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenarios import ScenarioUnknown, SignalingConfig
-from .stochastic import p_not_blocked_Z, poisson_count
+from .scenarios import ScenarioUnknown, SignalingConfig, draw_law
+from .stochastic import event_probability, p_not_blocked_Z, poisson_counts
 
 ENTITY_KINDS = frozenset({
     "UE", "serving-RIS", "target-RIS", "serving-eNB", "target-eNB",
@@ -188,34 +188,19 @@ def _tally(counter: Counter, template: SequenceTemplate, times: int) -> None:
     if times <= 0:
         return
     for m in template.messages:
-        if m.internal:
-            counter[m.sender.kind] += times
-        else:
-            counter[m.sender.kind] += times
+        counter[m.sender.kind] += times
+        if not m.internal:
             counter[m.receiver.kind] += times
-
-
-def _draw(rng: np.random.Generator, law, n: int) -> np.ndarray:
-    from .scenarios import Deterministic
-    if isinstance(law, Deterministic):
-        return np.full(n, law.value)
-    if law.low == law.high:
-        return np.full(n, law.low)
-    return rng.uniform(law.low, law.high, n)
 
 
 def _event_probs(s: ScenarioUnknown, rng: np.random.Generator, n: int,
                  radius: float, density: float) -> np.ndarray:
     """Per-session event probabilities for fresh mobility draws against a
     candidate field of the given exclusion radius and density."""
-    speeds = _draw(rng, s.mobility.speed_law, n)
-    angles = _draw(rng, s.mobility.angle_law, n)
+    speeds = draw_law(rng, s.mobility.speed_law, n)
+    angles = draw_law(rng, s.mobility.angle_law, n)
     pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
-    R2 = (radius * radius + speeds * speeds
-          - 2.0 * radius * speeds * np.cos(math.pi - angles))
-    p = -np.expm1(-pz * density * math.pi * R2)
-    p[speeds == 0.0] = 0.0
-    return p
+    return event_probability(pz, density, radius, speeds, angles)
 
 
 def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
@@ -232,29 +217,24 @@ def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
         raise ValueError("duration must be positive and finite")
     rng = np.random.default_rng(seed)
     tallies: Counter = Counter()
-    ho_tpl = ho_sequence(ho_mode)
-    rr_tpl = rr_sequence()
-    ho_init = 0
-    rr_init = 0
-
-    for rate in sig.sgw_rates:
-        n = poisson_count(rng, rate * duration)
-        _tally(tallies, basic_sequence("sgw"), n)
-        if n:
-            p = _event_probs(s, rng, n, s.r_eNB, s.lambda_eNB)
-            events = int(np.count_nonzero(rng.random(n) < sig.p_a * p))
-            ho_init += events
-            _tally(tallies, ho_tpl, events)
-
-    for rate in sig.rism_rates:
-        n = poisson_count(rng, rate * duration)
-        _tally(tallies, basic_sequence("rism"), n)
-        if n:
-            p = _event_probs(s, rng, n, s.r_RIS, s.lambda_RIS)
-            events = int(np.count_nonzero(rng.random(n) < sig.p_a * p))
-            rr_init += events
-            _tally(tallies, rr_tpl, events)
+    initiations = {}
+    for kind, template, rates, radius, density in (
+            ("sgw", ho_sequence(ho_mode), sig.sgw_rates, s.r_eNB,
+             s.lambda_eNB),
+            ("rism", rr_sequence(), sig.rism_rates, s.r_RIS, s.lambda_RIS)):
+        initiations[kind] = 0
+        for rate in rates:
+            mean = rate * duration
+            # an idle server takes no uniform from the stream
+            n = int(poisson_counts(rng, mean)) if mean else 0
+            _tally(tallies, basic_sequence(kind), n)
+            if n:
+                p = _event_probs(s, rng, n, radius, density)
+                events = int(np.count_nonzero(rng.random(n) < sig.p_a * p))
+                initiations[kind] += events
+                _tally(tallies, template, events)
 
     rates = {kind: count / duration for kind, count in sorted(tallies.items())}
-    return LoadResult(entity_rates=rates, rr_initiations=rr_init,
-                      ho_initiations=ho_init, duration=duration, seed=seed)
+    return LoadResult(entity_rates=rates, rr_initiations=initiations["rism"],
+                      ho_initiations=initiations["sgw"], duration=duration,
+                      seed=seed)

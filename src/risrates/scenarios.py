@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .geometry import Point2D, SegmentObstacle
 from .stochastic import RandomObstacleModel, SelfBlockModel
 
@@ -36,6 +38,14 @@ def law_bounds(law: Law) -> tuple[float, float]:
     if isinstance(law, Deterministic):
         return law.value, law.value
     return law.low, law.high
+
+
+def draw_law(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
+    """n draws from the law; a point mass takes nothing from rng."""
+    lo, hi = law_bounds(law)
+    if lo == hi:
+        return np.full(n, lo)
+    return rng.uniform(lo, hi, n)
 
 
 @dataclass(frozen=True)

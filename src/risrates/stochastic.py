@@ -1,4 +1,5 @@
-"""Probability primitives: PPP sampling, blockage and self-blockage models.
+"""Probability primitives: Poisson counts, blockage and self-blockage
+models, and the candidate event probability.
 
 Densities are per square meter everywhere in code; the config layer converts
 per-km2 inputs before objects are built.
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, Point2D
+from .geometry import TWO_PI, displaced_distance_sq
 
 # Dimensionless switch point for the series branch of the survival bracket.
 _SERIES_SWITCH = 0.05
@@ -56,85 +57,42 @@ class SelfBlockModel:
             raise ValueError("theta must lie in [0, 2*pi]")
 
 
-@dataclass(frozen=True)
-class PppRegion:
-    """Sampling region for a homogeneous PPP.
+def poisson_counts(rng: np.random.Generator, means) -> np.ndarray:
+    """Poisson counts, one per mean: inversion from one uniform per entry up
+    to mean 60, the generator's own sampler above.
 
-    shape "rectangle" takes bounds (x0, y0, x1, y1); shape "disk" takes
-    bounds (cx, cy, radius).
+    For a fixed uniform, inversion is monotone in the mean, which gives
+    common-random-number couplings: under a shared seed, means up to 60
+    give counts that never fall as a mean grows.
     """
-
-    shape: str
-    bounds: tuple
-    density: float
-
-    def __post_init__(self) -> None:
-        if self.shape not in ("rectangle", "disk"):
-            raise ValueError("shape must be 'rectangle' or 'disk'")
-        if self.density < 0.0:
-            raise ValueError("density must be nonnegative")
-        if self.area <= 0.0:
-            raise ValueError("region must have positive measure")
-
-    @property
-    def area(self) -> float:
-        if self.shape == "rectangle":
-            x0, y0, x1, y1 = self.bounds
-            return (x1 - x0) * (y1 - y0)
-        _, _, radius = self.bounds
-        return math.pi * radius * radius
-
-
-def poisson_count(rng: np.random.Generator, mean: float) -> int:
-    """Poisson draw; inversion from a single uniform for small means.
-
-    The inversion branch is monotone in the mean for a fixed uniform, which
-    gives common-random-number couplings for free. Large means fall back to
-    the generator's own (transformed-rejection) sampler.
-    """
-    if mean < 0.0:
-        raise ValueError("mean must be nonnegative")
-    if mean == 0.0:
-        return 0
-    if mean > 60.0:
-        return int(rng.poisson(mean))
-    u = rng.random()
-    p = math.exp(-mean)
-    cdf = p
-    k = 0
-    while u > cdf:
-        k += 1
-        p *= mean / k
-        cdf += p
-        if k > 10_000:  # numerically stuck tail; effectively impossible
-            break
-    return k
-
-
-def sample_ppp(region: PppRegion, seed=None) -> list[Point2D]:
-    """Sample one PPP realization over the region. Fixed seed, fixed points."""
-    xy = sample_ppp_xy(region, np.random.default_rng(seed))
-    return [Point2D(float(x), float(y)) for x, y in xy]
-
-
-def sample_ppp_xy(region: PppRegion, rng: np.random.Generator) -> np.ndarray:
-    """Array-valued PPP sampler sharing one draw order with sample_ppp:
-    count first, then x-coordinates (or radii), then y (or angles)."""
-    n = poisson_count(rng, region.density * region.area)
-    pts = np.empty((n, 2))
-    if n == 0:
-        return pts
-    if region.shape == "rectangle":
-        x0, y0, x1, y1 = region.bounds
-        pts[:, 0] = rng.uniform(x0, x1, n)
-        pts[:, 1] = rng.uniform(y0, y1, n)
-    else:
-        cx, cy, radius = region.bounds
-        rr = radius * np.sqrt(rng.random(n))
-        ang = rng.uniform(0.0, TWO_PI, n)
-        pts[:, 0] = cx + rr * np.cos(ang)
-        pts[:, 1] = cy + rr * np.sin(ang)
-    return pts
+    means = np.asarray(means, dtype=float)
+    if (means < 0.0).any():
+        raise ValueError("Poisson means must be nonnegative")
+    counts = np.zeros(means.shape, dtype=np.int64)
+    big = means > 60.0
+    if big.any():
+        counts[big] = rng.poisson(means[big])
+    small = ~big
+    if small.any():
+        m = means[small]
+        u = rng.random(m.shape)
+        c = np.zeros(m.shape, dtype=np.int64)
+        pk = np.exp(-m)
+        cdf = pk.copy()
+        remaining = u > cdf
+        k = 0
+        while remaining.any():
+            k += 1
+            pk = pk * (m / k)
+            cdf = cdf + pk
+            newly = remaining & (u <= cdf)
+            c[newly] = k
+            remaining &= ~newly
+            if k > 2000:  # precision-exhausted tail
+                c[remaining] = k
+                break
+        counts[small] = c
+    return counts
 
 
 def p_blocked_static(r: float, m: RandomObstacleModel) -> float:
@@ -183,3 +141,13 @@ def p_not_blocked_Z(m: RandomObstacleModel, s: SelfBlockModel,
     x = m.beta * R_LoS
     val = (1.0 - p_self_blocked(s)) * math.exp(-m.beta0) * survival_bracket(x)
     return min(max(val, 0.0), 1.0)
+
+
+def event_probability(pz: float, density: float, r: float, d_U, xi):
+    """1 - exp(-pz * density * pi * R^2): the probability that a Poisson
+    field of candidates, each unblocked with probability pz, puts at least
+    one inside the displaced coverage disk, whose radius R is the distance
+    from the serving node (r away) after the move. Zero where the user does
+    not move. Broadcasts over d_U and xi."""
+    p = -np.expm1(-pz * density * math.pi * displaced_distance_sq(r, d_U, xi))
+    return np.where(d_U > 0.0, p, 0.0)

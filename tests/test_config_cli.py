@@ -97,6 +97,18 @@ def test_density_unit_conversion():
     assert s.obstacle_model.lambda_B == pytest.approx(1e-3, rel=1e-12)
 
 
+def test_unknown_config_rejects_self_block_direction():
+    from risrates import parse_config
+    raw = json.loads(
+        packaged_config_path("table4-unknown").read_text(encoding="utf-8"))
+    raw["self_block"]["direction_deg"] = 30.0
+    with pytest.raises(ConfigError, match=r"self_block\.direction_deg"):
+        parse_config(raw)
+    raw["self_block"]["direction_deg"] = None
+    assert parse_config(raw).scenario.self_block.theta == pytest.approx(
+        math.radians(45.0))
+
+
 def test_self_block_defaults_to_disabled():
     from risrates import parse_config
     raw = json.loads(

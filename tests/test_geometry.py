@@ -24,14 +24,14 @@ from risrates import (
     excess_area,
     load_packaged,
     numeric_blocked_area,
-    segment_visibility,
     shadowed_visible_area,
     visible_excess_area_A1,
     visible_region_predicate,
     wall_shadow_interval,
     wedge_from_wall,
 )
-from risrates.geometry import wedge_circle_area
+from risrates.geometry import (_sector_contains_many, segment_crosses,
+                               wedge_circle_area)
 
 XI45 = math.radians(45.0)
 
@@ -430,24 +430,17 @@ def test_shadowed_area_rejects_unsupported_shadows():
 
 def test_segment_visibility_blocking_and_clear():
     wall = SegmentObstacle(Point2D(1.0, -1.0), Point2D(1.0, 1.0))
-    assert not segment_visibility(Point2D(0.0, 0.0), Point2D(2.0, 0.0), [wall])
-    assert segment_visibility(Point2D(0.0, 0.0), Point2D(0.5, 0.5), [wall])
-    assert segment_visibility(Point2D(0.0, 2.0), Point2D(2.0, 2.0), [wall])
-
-
-def test_segment_visibility_self_block_anchors_at_p():
-    sector = CircularSector(origin=Point2D(50.0, 50.0), radius=math.inf,
-                            start_angle=-0.3, sweep=0.6)
-    # sector template faces +x; anchored at p it hides q east of p
-    assert not segment_visibility(Point2D(0.0, 0.0), Point2D(3.0, 0.0), [],
-                                  self_block=sector)
-    assert segment_visibility(Point2D(0.0, 0.0), Point2D(-3.0, 0.0), [],
-                              self_block=sector)
-
-
-def test_segment_visibility_identical_points_raise():
-    with pytest.raises(ValueError):
-        segment_visibility(Point2D(1.0, 1.0), Point2D(1.0, 1.0), [])
+    assert segment_crosses(0.0, 0.0, 2.0, 0.0, wall)
+    assert not segment_crosses(0.0, 0.0, 0.5, 0.5, wall)
+    assert not segment_crosses(0.0, 2.0, 2.0, 2.0, wall)
+    # touching an endpoint blocks; arrays broadcast against a scalar origin
+    px = np.array([2.0, 0.5, 2.0, 1.0])
+    py = np.array([0.0, 0.5, 3.0, 1.0])
+    np.testing.assert_array_equal(segment_crosses(0.0, 0.0, px, py, wall),
+                                  [True, False, False, True])
+    np.testing.assert_array_equal(
+        segment_crosses(np.array([0.0, 3.0]), 0.0, 2.0, 0.0, wall),
+        [True, False])
 
 
 def test_circular_sector_validation_and_membership():
@@ -456,9 +449,9 @@ def test_circular_sector_validation_and_membership():
     with pytest.raises(ValueError):
         CircularSector(Point2D(0, 0), 1.0, 0.0, 7.0)
     s = CircularSector(Point2D(0, 0), 2.0, 0.0, math.pi / 2)
-    assert s.contains(Point2D(1.0, 1.0))
-    assert not s.contains(Point2D(1.0, -1.0))
-    assert not s.contains(Point2D(3.0, 3.0))
+    pts = np.array([[1.0, 1.0], [1.0, -1.0], [3.0, 3.0]])
+    np.testing.assert_array_equal(_sector_contains_many(s, pts),
+                                  [True, False, False])
 
 
 def test_blockage_wedge_validation():

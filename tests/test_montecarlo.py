@@ -1,4 +1,4 @@
-"""Trial-level and estimator-level checks for the Monte Carlo engines."""
+"""Shard-level and estimator-level checks for the Monte Carlo engines."""
 
 import dataclasses
 import math
@@ -9,7 +9,6 @@ import pytest
 from risrates import (
     Estimate,
     MoveGeometry,
-    TrialOutcome,
     displaced_distance,
     displaced_position,
     estimate_ho,
@@ -17,17 +16,14 @@ from risrates import (
     load_packaged,
     marginal_p_ho,
     p_rr_known,
-    rr_outcome_from_field,
     rr_probability_known,
-    run_ho_trial,
-    run_rr_trial,
 )
 from risrates.geometry import (TWO_PI, Point2D, SegmentObstacle,
                                wall_shadow_interval)
-from risrates.montecarlo import (SHARD_SIZE, _candidate_mask, _draw_law,
-                                 _poisson_counts, _rr_shard, _wall_wedges)
-from risrates.scenarios import Deterministic, MobilitySpec, Uniform
-from risrates.stochastic import SelfBlockModel
+from risrates.montecarlo import (SHARD_SIZE, _candidate_mask, _ho_shard,
+                                 _rr_shard, _wall_wedges, rr_candidate_count)
+from risrates.scenarios import Deterministic, MobilitySpec, Uniform, draw_law
+from risrates.stochastic import SelfBlockModel, poisson_counts
 
 XI45 = math.radians(45.0)
 
@@ -37,8 +33,6 @@ def _static(name: str):
 
 
 def test_outcome_and_estimate_validation():
-    with pytest.raises(ValueError):
-        TrialOutcome(rr_occurred=False, ho_occurred=False, candidate_count=-1)
     with pytest.raises(ValueError):
         Estimate(mean=1.2, stderr=0.0, trials=10, seed=0)
     with pytest.raises(ValueError):
@@ -68,14 +62,14 @@ def test_field_predicate_blocking_mechanisms():
     ]
     for pt, e_no, e_ob, e_sb in cases:
         field = np.array([pt])
-        assert rr_outcome_from_field(noob, field, 2.0, XI45).rr_occurred == e_no
-        assert rr_outcome_from_field(obst, field, 2.0, XI45).rr_occurred == e_ob
-        assert rr_outcome_from_field(selfb, field, 2.0, XI45).rr_occurred == e_sb
+        assert rr_candidate_count(noob, field, 2.0, XI45) == e_no
+        assert rr_candidate_count(obst, field, 2.0, XI45) == e_ob
+        assert rr_candidate_count(selfb, field, 2.0, XI45) == e_sb
 
     field = np.array([c[0] for c in cases])
-    assert rr_outcome_from_field(noob, field, 2.0, XI45).candidate_count == 3
-    assert rr_outcome_from_field(obst, field, 2.0, XI45).candidate_count == 2
-    assert rr_outcome_from_field(selfb, field, 2.0, XI45).candidate_count == 2
+    assert rr_candidate_count(noob, field, 2.0, XI45) == 3
+    assert rr_candidate_count(obst, field, 2.0, XI45) == 2
+    assert rr_candidate_count(selfb, field, 2.0, XI45) == 2
 
 
 def test_field_predicate_radius_is_strict():
@@ -84,16 +78,19 @@ def test_field_predicate_radius_is_strict():
     R = 3.695518130045147
     inside = (l2[0] + 0.999 * R * 0.5, l2[1] + 0.999 * R * math.sqrt(3) / 2)
     outside = (l2[0] + 1.001 * R * 0.5, l2[1] + 1.001 * R * math.sqrt(3) / 2)
-    assert rr_outcome_from_field(noob, np.array([inside]), 2.0, XI45).rr_occurred
-    assert not rr_outcome_from_field(noob, np.array([outside]), 2.0,
-                                     XI45).rr_occurred
+    assert rr_candidate_count(noob, np.array([inside]), 2.0, XI45) == 1
+    assert rr_candidate_count(noob, np.array([outside]), 2.0, XI45) == 0
 
 
 def test_zero_displacement_trial_has_no_event():
     scene = _static("noobstacle")
-    out = run_rr_trial(scene, 0.0, XI45, seed=9)
-    assert not out.rr_occurred
-    assert out.candidate_count == 0
+    # without a move the coverage disk is the exclusion circle: no point of
+    # a dense field can be a candidate, and no trial of a shard succeeds
+    x0, y0, x1, y1 = scene.room
+    field = np.random.default_rng(9).uniform((x0, y0), (x1, y1), (5000, 2))
+    assert rr_candidate_count(scene, field, 0.0, XI45) == 0
+    still = MobilitySpec(Deterministic(0.0), Deterministic(XI45))
+    assert _rr_shard(scene, still, 200, np.random.default_rng(9)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +158,8 @@ def _kernel_scenes():
 def test_candidate_kernel_matches_reference(label, scene, mobility):
     rng = np.random.default_rng(2024)
     n = 400
-    speeds = _draw_law(rng, mobility.speed_law, n)
-    angles = _draw_law(rng, mobility.angle_law, n)
+    speeds = draw_law(rng, mobility.speed_law, n)
+    angles = draw_law(rng, mobility.angle_law, n)
     heading = scene.ris_direction + math.pi + scene.orientation * angles
     l2x = scene.ue.x + speeds * np.cos(heading)
     l2y = scene.ue.y + speeds * np.sin(heading)
@@ -190,27 +187,23 @@ def test_candidate_kernel_matches_reference(label, scene, mobility):
 # pathwise monotonicity under a shared seed
 
 
-def test_rr_trials_monotone_in_density():
-    base = _static("obstacle")
-    denser = dataclasses.replace(base, lambda_RIS=4 * base.lambda_RIS)
-    for seed in range(40):
-        low = run_rr_trial(base, 2.0, XI45, seed=seed)
-        high = run_rr_trial(denser, 2.0, XI45, seed=seed)
-        assert high.candidate_count >= low.candidate_count
-        assert high.rr_occurred or not low.rr_occurred
-
-
 def test_ho_trials_monotone_in_density():
+    # one-trial shards: a denser field only appends nodes, each with its
+    # three uniforms, after an identical prefix, so a handover at the lower
+    # density is kept at the higher one
     base = load_packaged("table4-unknown").scenario
     # scale down so the Poisson mean stays in the inversion regime, where
     # the coupled-prefix property holds
     small = dataclasses.replace(base, lambda_eNB=1e-4, r_eNB=30.0)
     denser = dataclasses.replace(small, lambda_eNB=3e-4)
+    mobility = MobilitySpec(Deterministic(2.0), Deterministic(XI45))
+    differ = 0
     for seed in range(40):
-        low = run_ho_trial(small, 2.0, XI45, seed=seed)
-        high = run_ho_trial(denser, 2.0, XI45, seed=seed)
-        assert high.candidate_count >= low.candidate_count
-        assert high.ho_occurred or not low.ho_occurred
+        low = _ho_shard(small, mobility, 1, np.random.default_rng(seed))
+        high = _ho_shard(denser, mobility, 1, np.random.default_rng(seed))
+        assert high >= low
+        differ += high != low
+    assert differ > 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +312,7 @@ def test_stationary_users_never_trigger_events():
 def test_poisson_counts_moments_both_regimes():
     rng = np.random.default_rng(10)
     for mean in (0.7, 12.0, 80.0):
-        counts = _poisson_counts(rng, np.full(30_000, mean))
+        counts = poisson_counts(rng, np.full(30_000, mean))
         se = math.sqrt(mean / 30_000)
         assert counts.mean() == pytest.approx(mean, abs=4.5 * se)
         assert counts.var() == pytest.approx(mean, rel=0.1)
@@ -328,7 +321,7 @@ def test_poisson_counts_moments_both_regimes():
 def test_poisson_counts_zero_mean_and_mixed_vector():
     rng = np.random.default_rng(0)
     means = np.array([0.0, 5.0, 0.0, 70.0])
-    counts = _poisson_counts(rng, means)
+    counts = poisson_counts(rng, means)
     assert counts[0] == 0
     assert counts[2] == 0
     assert counts.shape == (4,)

@@ -8,16 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risrates.stochastic import (
-    PppRegion,
     RandomObstacleModel,
     SelfBlockModel,
     _SERIES_SWITCH,
     p_blocked_static,
     p_not_blocked_Z,
     p_self_blocked,
-    poisson_count,
-    sample_ppp,
-    sample_ppp_xy,
+    poisson_counts,
     survival_bracket,
 )
 
@@ -129,16 +126,16 @@ def test_p_not_blocked_Z_structure():
 
 def test_poisson_count_zero_and_negative_mean():
     rng = np.random.default_rng(0)
-    assert poisson_count(rng, 0.0) == 0
+    assert poisson_counts(rng, 0.0) == 0
     with pytest.raises(ValueError):
-        poisson_count(rng, -0.5)
+        poisson_counts(rng, [1.0, -0.5])
 
 
 @pytest.mark.parametrize("mean", [0.3, 7.0, 80.0])
 def test_poisson_count_moments(mean):
     rng = np.random.default_rng(1234)
     n = 40_000
-    draws = np.array([poisson_count(rng, mean) for _ in range(n)])
+    draws = poisson_counts(rng, np.full(n, mean))
     se_mean = math.sqrt(mean / n)
     assert draws.mean() == pytest.approx(mean, abs=4.5 * se_mean)
     # Poisson variance equals the mean; allow a generous band
@@ -146,57 +143,23 @@ def test_poisson_count_moments(mean):
 
 
 def test_poisson_count_monotone_in_mean_for_shared_uniform():
-    # inversion sampling couples counts monotonically under a shared stream
-    for seed in range(10):
-        a = poisson_count(np.random.default_rng(seed), 4.0)
-        b = poisson_count(np.random.default_rng(seed), 6.0)
-        assert b >= a
+    # inversion takes one uniform per entry, so under a shared stream every
+    # entry's count is monotone in its own mean up to the mean-60 switch
+    means = np.linspace(0.0, 60.0, 241)
+    for seed in range(20):
+        low = poisson_counts(np.random.default_rng(seed), means)
+        for scale in (1.01, 1.5, 2.0):
+            high = poisson_counts(np.random.default_rng(seed),
+                                  np.minimum(scale * means, 60.0))
+            assert (high >= low).all()
+            assert (high > low).any()
 
 
-def test_sample_ppp_rectangle_bounds_and_determinism():
-    region = PppRegion("rectangle", (1.0, 2.0, 3.0, 5.0), 4.0)
-    assert region.area == pytest.approx(6.0)
-    pts = sample_ppp(region, seed=11)
-    again = sample_ppp(region, seed=11)
-    assert pts == again
-    for p in pts:
-        assert 1.0 <= p.x <= 3.0
-        assert 2.0 <= p.y <= 5.0
-
-
-def test_sample_ppp_disk_bounds():
-    region = PppRegion("disk", (0.5, -0.5, 2.0), 3.0)
-    assert region.area == pytest.approx(math.pi * 4.0)
-    pts = sample_ppp(region, seed=3)
-    assert pts, "density 3 over ~12.6 m^2 should essentially never be empty"
-    for p in pts:
-        assert math.hypot(p.x - 0.5, p.y + 0.5) <= 2.0 + 1e-12
-
-
-def test_sample_ppp_xy_count_statistics():
-    region = PppRegion("rectangle", (0.0, 0.0, 10.0, 10.0), 0.2)
-    rng = np.random.default_rng(77)
-    counts = [len(sample_ppp_xy(region, rng)) for _ in range(3000)]
-    mean = region.area * 0.2
-    assert np.mean(counts) == pytest.approx(mean, abs=4.5 * math.sqrt(mean / 3000))
-
-
-def test_sample_ppp_disk_radial_law():
-    # areas scale quadratically: half the radius holds a quarter of the points
-    region = PppRegion("disk", (0.0, 0.0, 1.0), 500.0)
-    rng = np.random.default_rng(5)
-    pts = sample_ppp_xy(region, rng)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    frac = np.mean(r <= 0.5)
-    assert frac == pytest.approx(0.25, abs=4.5 * math.sqrt(0.25 * 0.75 / len(pts)))
-
-
-def test_ppp_region_validation():
-    with pytest.raises(ValueError):
-        PppRegion("hexagon", (0, 0, 1, 1), 1.0)
-    with pytest.raises(ValueError):
-        PppRegion("rectangle", (0, 0, 1, 1), -1.0)
-    with pytest.raises(ValueError):
-        PppRegion("rectangle", (2, 0, 1, 1), 1.0)  # inverted bounds
-    with pytest.raises(ValueError):
-        PppRegion("disk", (0, 0, 0.0), 1.0)  # zero radius
+def test_poisson_count_scalar_mean_matches_length_one_vector():
+    # a scalar mean draws exactly what a length-1 vector does, in both
+    # regimes, and leaves the generator in the same state
+    for mean in (0.3, 5.0, 59.9, 61.0, 5000.0):
+        for seed in range(50):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert poisson_counts(a, mean) == poisson_counts(b, [mean])[0]
+            assert a.random() == b.random()
