@@ -11,9 +11,10 @@ Data files are CSV: comma separator, one header line, LF endings, UTF-8,
 numbers at 9 significant digits. Run metadata (config digest, seed, version,
 timestamp) goes to a sidecar <out>.manifest.json, never into the data file,
 so reruns with the same seed are byte-identical. Exit codes: 0 on success,
-2 on config or argument errors, 3 on geometry failures. A sweep cell whose
-value lies outside its formula's domain reads nan and is listed under
-"failed" in the manifest; the sweep exits 3 only when no cell has a value.
+1 when the reader of stdout stops early, 2 on config or argument errors,
+3 on geometry failures. A sweep cell whose value lies outside its formula's
+domain reads nan and is listed under "failed" in the manifest; the sweep
+exits 3 only when no cell has a value.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -407,7 +409,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that stopped early (`| head`) shows up here at the latest
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,13 +9,15 @@ internal and excluded from wire-message counts.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenarios import ScenarioUnknown, SignalingConfig, draw_law
+from .scenarios import (ScenarioUnknown, SignalingConfig, draw_law,
+                        is_point_mass)
 from .stochastic import event_probability, p_not_blocked_Z, poisson_counts
 
 ENTITY_KINDS = frozenset({
@@ -193,14 +195,51 @@ def _tally(counter: Counter, template: SequenceTemplate, times: int) -> None:
             counter[m.receiver.kind] += times
 
 
-def _event_probs(s: ScenarioUnknown, rng: np.random.Generator, n: int,
-                 radius: float, density: float) -> np.ndarray:
-    """Per-session event probabilities for fresh mobility draws against a
-    candidate field of the given exclusion radius and density."""
-    speeds = draw_law(rng, s.mobility.speed_law, n)
-    angles = draw_law(rng, s.mobility.angle_law, n)
+# Sessions are streamed in chunks of this many, which bounds the memory of a
+# long run without changing a draw.
+_CHUNK = 1 << 20
+
+
+def _ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
+    """A copy of rng's PCG64 stream, k doubles further on."""
+    bg = copy.deepcopy(rng.bit_generator)
+    return np.random.Generator(bg.advance(k))
+
+
+def _count_events(s: ScenarioUnknown, rng: np.random.Generator, n: int,
+                  radius: float, density: float, p_a: float) -> int:
+    """How many of n sessions run the procedure: each draws a fresh move and
+    does so with probability p_a times its event probability against a
+    candidate field of the given exclusion radius and density.
+
+    rng gives, in order, n speeds, n angles and n uniforms (a point-mass law
+    gives none). Three copies of the stream, started at each block, read
+    them a chunk at a time, so no array holds more than _CHUNK sessions;
+    rng itself is moved past all three blocks.
+    """
+    speed_law, angle_law = s.mobility.speed_law, s.mobility.angle_law
+    n_speed = 0 if is_point_mass(speed_law) else n
+    n_angle = 0 if is_point_mass(angle_law) else n
+    speed_rng = _ahead(rng, 0)
+    angle_rng = _ahead(rng, n_speed)
+    uniform_rng = _ahead(rng, n_speed + n_angle)
+    rng.bit_generator.advance(n_speed + n_angle + n)
     pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
-    return event_probability(pz, density, radius, speeds, angles)
+
+    def threshold(m: int) -> np.ndarray:
+        speeds = draw_law(speed_rng, speed_law, m)
+        angles = draw_law(angle_rng, angle_law, m)
+        return p_a * event_probability(pz, density, radius, speeds, angles)
+
+    # with both laws fixed every session shares one threshold; computing it
+    # on a one-element array runs the same numpy loops as the full array
+    fixed = threshold(1) if n_speed == n_angle == 0 else None
+    events = 0
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
+        q = threshold(m) if fixed is None else fixed
+        events += int(np.count_nonzero(uniform_rng.random(m) < q))
+    return events
 
 
 def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
@@ -229,8 +268,7 @@ def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
             n = int(poisson_counts(rng, mean)) if mean else 0
             _tally(tallies, basic_sequence(kind), n)
             if n:
-                p = _event_probs(s, rng, n, radius, density)
-                events = int(np.count_nonzero(rng.random(n) < sig.p_a * p))
+                events = _count_events(s, rng, n, radius, density, sig.p_a)
                 initiations[kind] += events
                 _tally(tallies, template, events)
 

@@ -40,10 +40,16 @@ def law_bounds(law: Law) -> tuple[float, float]:
     return law.low, law.high
 
 
-def draw_law(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
-    """n draws from the law; a point mass takes nothing from rng."""
+def is_point_mass(law: Law) -> bool:
     lo, hi = law_bounds(law)
-    if lo == hi:
+    return lo == hi
+
+
+def draw_law(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
+    """n draws from the law: one double each from rng, except that a point
+    mass takes nothing from rng."""
+    lo, hi = law_bounds(law)
+    if is_point_mass(law):
         return np.full(n, lo)
     return rng.uniform(lo, hi, n)
 
@@ -81,8 +87,9 @@ class SignalingConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sgw_rates", tuple(self.sgw_rates))
         object.__setattr__(self, "rism_rates", tuple(self.rism_rates))
-        if any(r < 0.0 for r in self.sgw_rates + self.rism_rates):
-            raise ValueError("arrival rates must be nonnegative")
+        if not all(math.isfinite(r) and r >= 0.0
+                   for r in self.sgw_rates + self.rism_rates):
+            raise ValueError("arrival rates must be finite and nonnegative")
         if not 0.0 <= self.p_a <= 1.0:
             raise ValueError("p_a must lie in [0, 1]")
 

@@ -76,23 +76,48 @@ def poisson_counts(rng: np.random.Generator, means) -> np.ndarray:
     if small.any():
         m = means[small]
         u = rng.random(m.shape)
-        c = np.zeros(m.shape, dtype=np.int64)
-        pk = np.exp(-m)
-        cdf = pk.copy()
-        remaining = u > cdf
-        k = 0
-        while remaining.any():
-            k += 1
-            pk = pk * (m / k)
-            cdf = cdf + pk
-            newly = remaining & (u <= cdf)
-            c[newly] = k
-            remaining &= ~newly
-            if k > 2000:  # precision-exhausted tail
-                c[remaining] = k
-                break
-        counts[small] = c
+        if m.min() == m.max():
+            counts[small] = _invert_one_mean(m[0], u)
+        else:
+            counts[small] = _invert(m, u)
     return counts
+
+
+# Inversion caps counts here, deep in a tail that the double-precision CDF
+# cannot resolve.
+_MAX_COUNT = 2001
+
+
+def _invert(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Smallest k with u <= CDF_k(m), entry by entry, at most _MAX_COUNT."""
+    c = np.zeros(m.shape, dtype=np.int64)
+    pk = np.exp(-m)
+    cdf = pk.copy()
+    remaining = u > cdf
+    k = 0
+    while remaining.any():
+        k += 1
+        pk = pk * (m / k)
+        cdf = cdf + pk
+        newly = remaining & (u <= cdf)
+        c[newly] = k
+        remaining &= ~newly
+        if k == _MAX_COUNT:
+            c[remaining] = k
+            break
+    return c
+
+
+def _invert_one_mean(m: np.float64, u: np.ndarray) -> np.ndarray:
+    """_invert for a mean shared by every entry: the same CDF recurrence,
+    tabulated once up to the largest uniform, then searched."""
+    pk = np.exp(-m)
+    cdf = [pk]
+    top = u.max()
+    while cdf[-1] < top and len(cdf) <= _MAX_COUNT:
+        pk = pk * (m / len(cdf))
+        cdf.append(cdf[-1] + pk)
+    return np.minimum(np.searchsorted(cdf, u, side="left"), _MAX_COUNT)
 
 
 def p_blocked_static(r: float, m: RandomObstacleModel) -> float:

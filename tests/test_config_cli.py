@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import risrates
 from risrates import (
     ConfigError,
     ScenarioKnown,
@@ -408,3 +413,22 @@ def test_protocol_trace_file(tmp_path):
     assert main(["protocol", "--kind", "ho", "--mode", "s1",
                  "--out", str(out2)]) == 0
     assert len(out2.read_text().splitlines()) == 17
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "table4-unknown", "--duration", "100"],
+    ["protocol", "--kind", "rr"],
+])
+def test_closed_stdout_exits_without_traceback(argv):
+    # the reader goes away before anything is written, as `| head -0` would
+    if argv[1] == "--config":
+        argv = argv[:2] + [str(packaged_config_path(argv[2]))] + argv[3:]
+    src = Path(risrates.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "risrates.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1, stderr
+    assert stderr == ""

@@ -57,6 +57,10 @@ def _cases() -> dict[str, list[str]]:
     cases["load-x2/spread-unknown"] = ["simulate", "--config",
                                        "spread-unknown", "--duration", "100",
                                        "--seed", "0"]
+    # 2·10^6 sessions per server: crosses a chunk of the load simulator
+    for name in ("table4-unknown", "spread-unknown"):
+        cases[f"load-long/{name}"] = ["simulate", "--config", name,
+                                      "--duration", "20000", "--seed", "0"]
     cases["protocol/rr"] = ["protocol", "--kind", "rr"]
     for mode in ("x2", "s1"):
         cases[f"protocol/ho-{mode}"] = ["protocol", "--kind", "ho",

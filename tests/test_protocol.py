@@ -1,7 +1,11 @@
 """Signaling templates: structure, trace format, load accounting."""
 
+import dataclasses
 import math
+import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from risrates import (
@@ -17,6 +21,14 @@ from risrates import (
     marginal_p_rr_unknown,
     rr_sequence,
     simulate_load,
+)
+from risrates import protocol
+from risrates.protocol import LoadResult, _tally
+from risrates.scenarios import MobilitySpec, SignalingConfig, Uniform, draw_law
+from risrates.stochastic import (
+    event_probability,
+    p_not_blocked_Z,
+    poisson_counts,
 )
 
 
@@ -164,3 +176,96 @@ def test_simulate_load_pinned_with_idle_and_small_classes():
         "MME": 0.44, "RIS-M": 2.14, "SGW": 0.54, "UE": 5.05,
         "serving-RIS": 2.55, "serving-eNB": 3.94, "target-RIS": 1.53,
         "target-eNB": 1.1}
+
+
+def test_signaling_config_rejects_non_finite_rates():
+    # NaN passes a plain `r < 0` test and would give 0 sessions; inf would
+    # fail deep inside the Poisson sampler
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SignalingConfig(sgw_rates=(1.0, bad), rism_rates=(1.0,), p_a=0.5)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SignalingConfig(sgw_rates=(1.0,), rism_rates=(bad,), p_a=0.5)
+    SignalingConfig(sgw_rates=(0.0,), rism_rates=(2.5,), p_a=0.5)
+
+
+# ---------------------------------------------------------------------------
+# streamed load simulation against the whole-array reference
+
+
+def _reference_simulate_load(s, sig, duration, seed=0, ho_mode="x2"):
+    """The load simulator with every per-session array built whole: the
+    streamed one must match it draw for draw."""
+    rng = np.random.default_rng(seed)
+    tallies = Counter()
+    initiations = {}
+    for kind, template, rates, radius, density in (
+            ("sgw", ho_sequence(ho_mode), sig.sgw_rates, s.r_eNB,
+             s.lambda_eNB),
+            ("rism", rr_sequence(), sig.rism_rates, s.r_RIS, s.lambda_RIS)):
+        initiations[kind] = 0
+        for rate in rates:
+            mean = rate * duration
+            n = int(poisson_counts(rng, mean)) if mean else 0
+            _tally(tallies, basic_sequence(kind), n)
+            if n:
+                speeds = draw_law(rng, s.mobility.speed_law, n)
+                angles = draw_law(rng, s.mobility.angle_law, n)
+                pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
+                p = event_probability(pz, density, radius, speeds, angles)
+                events = int(np.count_nonzero(rng.random(n) < sig.p_a * p))
+                initiations[kind] += events
+                _tally(tallies, template, events)
+    rates = {kind: count / duration for kind, count in sorted(tallies.items())}
+    return LoadResult(entity_rates=rates, rr_initiations=initiations["rism"],
+                      ho_initiations=initiations["sgw"], duration=duration,
+                      seed=seed)
+
+
+UNKNOWN_CONFIGS = ["table4-unknown", "mobility-dip", "obstacle-density",
+                   "dimensioning-speed10", "dimensioning-speed15"]
+
+
+def _load_case(variant):
+    """Scenario and signaling of a packaged config, or of table4-unknown with
+    spread laws: both (the random-direction mode) or the angle alone."""
+    if variant in UNKNOWN_CONFIGS:
+        cfg = load_packaged(variant)
+        return cfg.scenario, cfg.signaling
+    cfg = load_packaged("table4-unknown")
+    speed = (Uniform(0.5, 15.0) if variant == "spread"
+             else cfg.scenario.mobility.speed_law)
+    mobility = MobilitySpec(speed_law=speed, angle_law=Uniform(0.0, math.pi))
+    # two classes per server, one of them small, so the stream runs on
+    # across classes
+    sig = SignalingConfig(sgw_rates=(100.0, 3.0), rism_rates=(2.0, 100.0),
+                          p_a=0.99)
+    return dataclasses.replace(cfg.scenario, mobility=mobility), sig
+
+
+@pytest.mark.parametrize("chunk,duration", [(7, 1.3), (4096, 170.0)])
+@pytest.mark.parametrize("variant", UNKNOWN_CONFIGS + ["spread", "angle"])
+def test_streamed_load_matches_whole_array_reference(monkeypatch, variant,
+                                                     chunk, duration):
+    # about 130 or 17,000 sessions per class of rate 100/s: many chunk
+    # boundaries at either chunk size
+    s, sig = _load_case(variant)
+    monkeypatch.setattr(protocol, "_CHUNK", chunk)
+    for seed in range(3):
+        for mode in ("x2", "s1"):
+            expected = _reference_simulate_load(s, sig, duration, seed, mode)
+            assert expected.rr_initiations + expected.ho_initiations > 0
+            assert simulate_load(s, sig, duration, seed, mode) == expected
+
+
+def test_streamed_load_memory_is_bounded():
+    # 2·10^6 sessions per server; the whole-array simulator traced about
+    # 107 MiB here, the streamed one about 10 MiB
+    cfg = load_packaged("table4-unknown")
+    tracemalloc.start()
+    try:
+        simulate_load(cfg.scenario, cfg.signaling, duration=20_000.0, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak / 2**20

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risrates import stochastic
 from risrates.stochastic import (
     RandomObstacleModel,
     SelfBlockModel,
@@ -163,3 +164,69 @@ def test_poisson_count_scalar_mean_matches_length_one_vector():
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             assert poisson_counts(a, mean) == poisson_counts(b, [mean])[0]
             assert a.random() == b.random()
+
+
+def _reference_inversion(rng, means):
+    """poisson_counts below the mean-60 switch as one loop over k for every
+    entry, the form the one-mean table must reproduce."""
+    m = np.asarray(means, dtype=float)
+    u = rng.random(m.shape)
+    c = np.zeros(m.shape, dtype=np.int64)
+    pk = np.exp(-m)
+    cdf = pk.copy()
+    remaining = u > cdf
+    k = 0
+    while remaining.any():
+        k += 1
+        pk = pk * (m / k)
+        cdf = cdf + pk
+        newly = remaining & (u <= cdf)
+        c[newly] = k
+        remaining &= ~newly
+        if k > 2000:
+            c[remaining] = k
+            break
+    return c
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096])
+def test_one_mean_table_matches_inversion_loop(n):
+    means = [0.0, 1e-9, 0.0429, *np.linspace(0.0, 60.0, 61)[1:], 60.0]
+    for mean in means:
+        for seed in range(5):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = poisson_counts(a, np.full(n, mean))
+            assert np.array_equal(got, _reference_inversion(b, np.full(n, mean)))
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+class _TopUniform:
+    """Stands in for a generator whose every uniform is the largest double
+    below 1."""
+
+    def random(self, shape):
+        return np.full(shape, 1.0 - 2.0 ** -53)
+
+
+def test_inversion_cap_at_2001():
+    # for some means the summed CDF stops short of 1 - 2**-53 and the count
+    # is capped at 2001; for others it reaches it first
+    capped = 0
+    for mean in np.linspace(0.0, 60.0, 121):
+        expected = _reference_inversion(_TopUniform(), np.full(3, mean))
+        assert np.array_equal(poisson_counts(_TopUniform(), np.full(3, mean)),
+                              expected)
+        capped += int(expected[0] == 2001)
+    assert 0 < capped < 121
+
+
+def test_mixed_means_go_through_the_inversion_loop(monkeypatch):
+    def refuse(m, u):
+        raise AssertionError("one-mean table used for mixed means")
+
+    monkeypatch.setattr(stochastic, "_invert_one_mean", refuse)
+    means = np.array([0.2, 5.0, 5.0, 59.0])
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(poisson_counts(a, means),
+                              _reference_inversion(b, means))
