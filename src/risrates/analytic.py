@@ -218,28 +218,37 @@ def p_rr_marginal(scene: ScenarioKnown, mobility: MobilitySpec, *,
 # Unknown-obstacle probabilities and rates
 
 
-def p_ho(s: ScenarioUnknown, d_U: float, xi: float) -> float:
+def p_ho(s: ScenarioUnknown, d_U: float, xi: float, *,
+         pz: float | None = None) -> float:
     """Handover probability: at least one unblocked base station inside the
     displaced coverage disk. Zero displacement means no new candidates at
-    all, so the probability is exactly zero there."""
-    pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
+    all, so the probability is exactly zero there. pz, if given, is
+    p_not_blocked_Z of the scenario, worked out once by the caller."""
+    if pz is None:
+        pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
     return float(event_probability(pz, s.lambda_eNB, s.r_eNB, d_U, xi))
 
 
-def p_rr_unknown(s: ScenarioUnknown, d_U: float, xi: float) -> float:
+def p_rr_unknown(s: ScenarioUnknown, d_U: float, xi: float, *,
+                 pz: float | None = None) -> float:
     """Reassignment probability in the unknown-obstacle model; same shape as
     p_ho with the reflective-node density and radius."""
-    pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
+    if pz is None:
+        pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
     return float(event_probability(pz, s.lambda_RIS, s.r_RIS, d_U, xi))
 
 
 def marginal_p_ho(s: ScenarioUnknown, tol: float = 1e-6) -> float:
-    return _marginal_mean(lambda d, x: p_ho(s, d, x), s.mobility, tol=tol)
+    # the blockage probability does not depend on the move: one call
+    pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
+    return _marginal_mean(lambda d, x: p_ho(s, d, x, pz=pz), s.mobility,
+                          tol=tol)
 
 
 def marginal_p_rr_unknown(s: ScenarioUnknown, tol: float = 1e-6) -> float:
-    return _marginal_mean(lambda d, x: p_rr_unknown(s, d, x), s.mobility,
-                          tol=tol)
+    pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
+    return _marginal_mean(lambda d, x: p_rr_unknown(s, d, x, pz=pz),
+                          s.mobility, tol=tol)
 
 
 def ho_rate(s: ScenarioUnknown, sig: SignalingConfig) -> float:

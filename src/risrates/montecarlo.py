@@ -3,6 +3,11 @@
 Estimators draw trials in fixed-size shards, each shard seeded from
 (master seed, shard index), so a parallel harness reproduces the sequential
 result exactly.
+
+A handover shard computes a value shared by every trial once (a point-mass
+law gives one value that broadcasts) and expands only the trials that drew
+a base station, with the same draws and results as one array per trial; its
+cost follows the drawn base stations, not the shard size.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import numpy as np
 from .geometry import (TWO_PI, MoveGeometry, displaced_distance,
                        displaced_distance_sq, displaced_position,
                        segment_crosses, wall_shadow_interval)
-from .scenarios import MobilitySpec, ScenarioKnown, ScenarioUnknown, draw_law
+from .scenarios import (Law, MobilitySpec, ScenarioKnown, ScenarioUnknown,
+                        draw_law, is_point_mass)
 from .stochastic import p_self_blocked, poisson_counts
 
 SHARD_SIZE = 4096
@@ -157,7 +163,7 @@ def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     angles = draw_law(rng, mobility.angle_law, n)
     x0, y0, x1, y1 = scene.room
     mean = scene.lambda_RIS * (x1 - x0) * (y1 - y0)
-    counts = poisson_counts(rng, np.full(n, mean))
+    counts = poisson_counts(rng, mean, n)
     total = int(counts.sum())
     if total == 0:
         return 0
@@ -213,23 +219,36 @@ def _ho_shard(s: ScenarioUnknown, mobility: MobilitySpec, n: int,
     """Number of handovers in one shard: a Poisson base-station field over
     each displaced coverage disk, thinned by static blockage (radius drawn
     from the linear-in-area law on [0, R_LoS]) and by the body shadow. Draw
-    order: speeds, angles, count uniforms, then three uniforms per node."""
-    speeds = draw_law(rng, mobility.speed_law, n)
-    angles = draw_law(rng, mobility.angle_law, n)
+    order: speeds, angles, count uniforms, then three uniforms per node.
+
+    A point-mass law gives one value that broadcasts over the trials, so a
+    shared speed, angle, R^2 and Poisson mean are computed once; after the
+    counts, only the trials that drew a node are touched.
+    """
+    speeds = _draw_broadcast(rng, mobility.speed_law, n)
+    angles = _draw_broadcast(rng, mobility.angle_law, n)
     R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles), 0.0)
-    counts = poisson_counts(rng, s.lambda_eNB * math.pi * R2)
-    total = int(counts.sum())
-    if total == 0:
+    counts = poisson_counts(rng, s.lambda_eNB * math.pi * R2, n)
+    drew = np.flatnonzero(counts > 0)
+    if not drew.size:
         return 0
-    u = rng.random((total, 3))
+    counts = counts[drew]
+    u = rng.random((int(counts.sum()), 3))
     radii = s.R_LoS * np.sqrt(u[:, 0])
     m = s.obstacle_model
     alive = u[:, 1] < np.exp(-(m.beta * radii + m.beta0))
     alive &= u[:, 2] >= p_self_blocked(s.self_block)
-    trial_idx = np.repeat(np.arange(n), counts)
-    hits = np.bincount(trial_idx[alive], minlength=n) > 0
-    hits &= speeds > 0.0
+    hits = np.zeros(drew.size, dtype=bool)
+    hits[np.repeat(np.arange(drew.size), counts)[alive]] = True
+    moved = speeds > 0.0
+    hits &= moved[drew] if moved.size > 1 else moved
     return int(np.count_nonzero(hits))
+
+
+def _draw_broadcast(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
+    """draw_law over n trials, except that a point mass gives one value,
+    which broadcasts."""
+    return draw_law(rng, law, 1 if is_point_mass(law) else n)
 
 
 def estimate_ho(s: ScenarioUnknown, mobility: MobilitySpec,

@@ -7,6 +7,7 @@ per-km2 inputs before objects are built.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,8 +58,9 @@ class SelfBlockModel:
             raise ValueError("theta must lie in [0, 2*pi]")
 
 
-def poisson_counts(rng: np.random.Generator, means) -> np.ndarray:
-    """Poisson counts, one per mean: inversion from one uniform per entry up
+def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
+    """Poisson counts, one per entry of `means` broadcast to `size` (by
+    default the shape of `means`): inversion from one uniform per entry up
     to mean 60, the generator's own sampler above.
 
     For a fixed uniform, inversion is monotone in the mean, which gives
@@ -66,6 +68,16 @@ def poisson_counts(rng: np.random.Generator, means) -> np.ndarray:
     give counts that never fall as a mean grows.
     """
     means = np.asarray(means, dtype=float)
+    shape = means.shape if size is None else size
+    if means.size and means.min() == means.max():
+        # one mean for every entry: no masks, and the CDF comes from a table
+        m = means.flat[0]
+        if m < 0.0:
+            raise ValueError("Poisson means must be nonnegative")
+        if m > 60.0:
+            return rng.poisson(m, shape)
+        return _invert_one_mean(m, rng.random(shape))
+    means = np.broadcast_to(means, shape)
     if (means < 0.0).any():
         raise ValueError("Poisson means must be nonnegative")
     counts = np.zeros(means.shape, dtype=np.int64)
@@ -75,11 +87,7 @@ def poisson_counts(rng: np.random.Generator, means) -> np.ndarray:
     small = ~big
     if small.any():
         m = means[small]
-        u = rng.random(m.shape)
-        if m.min() == m.max():
-            counts[small] = _invert_one_mean(m[0], u)
-        else:
-            counts[small] = _invert(m, u)
+        counts[small] = _invert(m, rng.random(m.shape))
     return counts
 
 
@@ -108,16 +116,36 @@ def _invert(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     return c
 
 
+@functools.lru_cache(maxsize=64)
+def _cdf_table(m: float) -> np.ndarray:
+    """CDF_0, CDF_1, ... of one mean by _invert's recurrence, read-only.
+    accumulate runs it in order, so every entry has the loop's bits. The
+    table ends where the sum stops growing: past the mode the terms only
+    shrink, so every later entry would repeat the last one."""
+    pk = np.empty(_MAX_COUNT + 1)
+    pk[0] = np.exp(-m)
+    pk[1:] = m / np.arange(1, _MAX_COUNT + 1, dtype=float)
+    cdf = np.add.accumulate(np.multiply.accumulate(pk))
+    flat = np.flatnonzero(cdf[1:] == cdf[:-1])
+    if flat.size:
+        cdf = cdf[:flat[0] + 1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def _invert_one_mean(m: np.float64, u: np.ndarray) -> np.ndarray:
-    """_invert for a mean shared by every entry: the same CDF recurrence,
-    tabulated once up to the largest uniform, then searched."""
-    pk = np.exp(-m)
-    cdf = [pk]
-    top = u.max()
-    while cdf[-1] < top and len(cdf) <= _MAX_COUNT:
-        pk = pk * (m / len(cdf))
-        cdf.append(cdf[-1] + pk)
-    return np.minimum(np.searchsorted(cdf, u, side="left"), _MAX_COUNT)
+    """_invert for a mean shared by every entry: the table of that mean is
+    searched, for the entries above CDF_0 (count 1 or more) only. A uniform
+    above the whole table gets the cap, as in the loop."""
+    cdf = _cdf_table(float(m))
+    u = np.asarray(u)
+    counts = np.zeros(u.shape, dtype=np.int64)
+    u_flat = u.reshape(-1)
+    drew = np.flatnonzero(u_flat > cdf[0])
+    k = np.searchsorted(cdf, u_flat[drew], side="left")
+    k[k == cdf.size] = _MAX_COUNT
+    counts.reshape(-1)[drew] = k
+    return counts
 
 
 def p_blocked_static(r: float, m: RandomObstacleModel) -> float:

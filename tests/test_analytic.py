@@ -25,7 +25,8 @@ from risrates import (
     rr_rate,
     signaling_rate,
 )
-from risrates.analytic import _NearestValid
+from risrates import analytic
+from risrates.analytic import _NearestValid, _marginal_mean
 from risrates.geometry import GeometryDomainError
 from risrates.scenarios import Deterministic, MobilitySpec, Uniform
 
@@ -149,6 +150,27 @@ def test_marginal_double_integral_matches_quad():
     outer, _ = integrate.quad(inner, 0.0, math.pi, epsabs=1e-10, limit=200)
     assert marginal_p_rr_unknown(s, tol=1e-8) == pytest.approx(outer / math.pi,
                                                                abs=1e-7)
+
+
+def test_unknown_marginals_evaluate_blockage_once(monkeypatch):
+    # the unblocked probability does not depend on the move: one call per
+    # marginal, and the same bits as evaluating it at every node
+    base = _table_scene().scenario
+    s = dataclasses.replace(
+        base, mobility=MobilitySpec(speed_law=Uniform(0.5, 15.0),
+                                    angle_law=Uniform(0.0, math.pi)))
+    per_node = (_marginal_mean(lambda d, x: p_ho(s, d, x), s.mobility),
+                _marginal_mean(lambda d, x: p_rr_unknown(s, d, x), s.mobility))
+    calls = []
+    real = analytic.p_not_blocked_Z
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analytic, "p_not_blocked_Z", counted)
+    assert (marginal_p_ho(s), marginal_p_rr_unknown(s)) == per_node
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

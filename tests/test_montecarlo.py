@@ -19,11 +19,12 @@ from risrates import (
     rr_probability_known,
 )
 from risrates.geometry import (TWO_PI, Point2D, SegmentObstacle,
-                               wall_shadow_interval)
+                               displaced_distance_sq, wall_shadow_interval)
 from risrates.montecarlo import (SHARD_SIZE, _candidate_mask, _ho_shard,
                                  _rr_shard, _wall_wedges, rr_candidate_count)
 from risrates.scenarios import Deterministic, MobilitySpec, Uniform, draw_law
-from risrates.stochastic import SelfBlockModel, poisson_counts
+from risrates.stochastic import (RandomObstacleModel, SelfBlockModel, _invert,
+                                 p_self_blocked, poisson_counts)
 
 XI45 = math.radians(45.0)
 
@@ -204,6 +205,109 @@ def test_ho_trials_monotone_in_density():
         assert high >= low
         differ += high != low
     assert differ > 0
+
+
+# ---------------------------------------------------------------------------
+# the handover shard against its whole-array form
+
+UNKNOWN = ("table4-unknown", "mobility-dip", "obstacle-density",
+           "dimensioning-speed10", "dimensioning-speed15")
+
+
+def _reference_counts(rng, means):
+    """Poisson counts over a full array of means with no one-mean table:
+    the generator's sampler above 60, the inversion loop at and below."""
+    counts = np.zeros(means.shape, dtype=np.int64)
+    big = means > 60.0
+    if big.any():
+        counts[big] = rng.poisson(means[big])
+    small = ~big
+    if small.any():
+        m = means[small]
+        counts[small] = _invert(m, rng.random(m.shape))
+    return counts
+
+
+def _reference_ho_shard(s, mobility, n, rng):
+    """The handover shard as one array per trial for every quantity: n
+    speeds, angles, R^2 and means, every trial expanded, hits by bincount."""
+    speeds = draw_law(rng, mobility.speed_law, n)
+    angles = draw_law(rng, mobility.angle_law, n)
+    R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles), 0.0)
+    counts = _reference_counts(rng, s.lambda_eNB * math.pi * R2)
+    total = int(counts.sum())
+    if total == 0:
+        return 0
+    u = rng.random((total, 3))
+    radii = s.R_LoS * np.sqrt(u[:, 0])
+    m = s.obstacle_model
+    alive = u[:, 1] < np.exp(-(m.beta * radii + m.beta0))
+    alive &= u[:, 2] >= p_self_blocked(s.self_block)
+    trial_idx = np.repeat(np.arange(n), counts)
+    hits = np.bincount(trial_idx[alive], minlength=n) > 0
+    hits &= speeds > 0.0
+    return int(np.count_nonzero(hits))
+
+
+def _ho_cases():
+    for name in UNKNOWN:
+        s = load_packaged(name).scenario
+        yield name, s, s.mobility
+    s = load_packaged("table4-unknown").scenario
+    speed = Uniform(0.5, 15.0)
+    angle = Uniform(0.0, math.pi)
+    fixed_speed, fixed_angle = s.mobility.speed_law, s.mobility.angle_law
+    yield "both-spread", s, MobilitySpec(speed, angle)
+    yield "speed-spread", s, MobilitySpec(speed, fixed_angle)
+    yield "angle-spread", s, MobilitySpec(fixed_speed, angle)
+    # trials that do not move draw nodes but never hand over: U(0, 5e-324)
+    # rounds about half its draws to a speed of exactly 0
+    yield "speed-from-0", s, MobilitySpec(Uniform(0.0, 3.0), angle)
+    yield "speed-0-or-subnormal", s, MobilitySpec(Uniform(0.0, 5e-324), angle)
+    yield "still", s, MobilitySpec(Deterministic(0.0), fixed_angle)
+    # means above 60 go to the generator's sampler; a body shadow of 358
+    # degrees keeps most trials without a live node
+    body = SelfBlockModel(math.radians(358.0))
+    yield "mean-above-60", dataclasses.replace(
+        s, lambda_eNB=1.5, self_block=body), s.mobility
+    yield "means-across-60", dataclasses.replace(
+        s, lambda_eNB=0.1, self_block=body), MobilitySpec(speed, fixed_angle)
+    yield "theta-0", dataclasses.replace(
+        s, self_block=SelfBlockModel(0.0)), s.mobility
+    yield "lambda_B-0", dataclasses.replace(
+        s, obstacle_model=RandomObstacleModel(0.0, 10.0, 10.0)), s.mobility
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096])
+@pytest.mark.parametrize("label, s, mobility", list(_ho_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_ho_shard_matches_reference(label, s, mobility, n):
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _ho_shard(s, mobility, n, a) == _reference_ho_shard(
+            s, mobility, n, b), seed
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+# estimate_ho(..., Z=200_000, seed=0).mean, recorded with the whole-array
+# shard (_reference_ho_shard). "mean-above-60" is table4-unknown at
+# lambda_eNB = 1.5 per m^2 (64 base stations in the mean) and a body
+# shadow of 358 degrees.
+PINNED_HO = [
+    ("table4-unknown", 0.03525),
+    ("mobility-dip", 0.023405),
+    ("obstacle-density", 0.027495),
+    ("dimensioning-speed10", 0.156775),
+    ("dimensioning-speed15", 0.364785),
+    ("both-spread", 0.184685),
+    ("mean-above-60", 0.2965),
+]
+
+
+@pytest.mark.parametrize("label, mean", PINNED_HO)
+def test_estimate_ho_pinned_at_seed_0(label, mean):
+    _, s, mobility = next(c for c in _ho_cases() if c[0] == label)
+    assert estimate_ho(s, mobility, Z=200_000, seed=0).mean == mean
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,39 @@ def test_one_mean_table_matches_inversion_loop(n):
             assert a.bit_generator.state == b.bit_generator.state
 
 
+def test_table_cache_keeps_means_apart():
+    # one generator pair walks through means in turn, each several times,
+    # neighbours in the list one ulp or one step of the d_U sweep apart: a
+    # table cached for one mean must never serve another
+    stochastic._cdf_table.cache_clear()
+    means = [0.0429, 5.0, np.nextafter(5.0, 6.0), 0.5278, 60.0, 0.0, 13.66,
+             np.nextafter(60.0, 0.0)]
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    for rnd in range(3):
+        for i, mean in enumerate(means):
+            n = (1, 7, 4096)[(rnd + i) % 3]
+            got = poisson_counts(a, np.full(n, mean))
+            assert np.array_equal(got, _reference_inversion(b, np.full(n, mean)))
+            assert a.bit_generator.state == b.bit_generator.state
+    info = stochastic._cdf_table.cache_info()
+    assert info.currsize == len(means)
+    assert info.hits == 2 * len(means)
+    table = stochastic._cdf_table(5.0)
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+    assert not np.array_equal(table, stochastic._cdf_table(np.nextafter(5.0, 6.0)))
+
+
+def test_one_shared_mean_broadcasts_to_size():
+    # a one-element mean with a size draws what the full array draws
+    for mean in (0.0, 0.0429, 7.5, 60.0, 61.0):
+        for n in (1, 7, 4096):
+            a, b = np.random.default_rng(3), np.random.default_rng(3)
+            assert np.array_equal(poisson_counts(a, [mean], n),
+                                  poisson_counts(b, np.full(n, mean)))
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 class _TopUniform:
     """Stands in for a generator whose every uniform is the largest double
     below 1."""
