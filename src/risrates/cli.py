@@ -9,12 +9,13 @@ Subcommands:
 
 Data files are CSV: comma separator, one header line, LF endings, UTF-8,
 numbers at 9 significant digits. Run metadata (config digest, seed, version,
-timestamp) goes to a sidecar <out>.manifest.json, never into the data file,
-so reruns with the same seed are byte-identical. Exit codes: 0 on success,
-1 when the reader of stdout stops early, 2 on config or argument errors,
-3 on geometry failures. A sweep cell whose value lies outside its formula's
-domain reads nan and is listed under "failed" in the manifest; the sweep
-exits 3 only when no cell has a value.
+timestamp; for Monte Carlo runs the threads and shards used) goes to a
+sidecar <out>.manifest.json, never into the data file, so reruns with the
+same seed are byte-identical. Exit codes: 0 on success, 1 when the reader
+of stdout stops early, 2 on config or argument errors, 3 on geometry
+failures. A sweep cell whose value lies outside its formula's domain reads
+nan and is listed under "failed" in the manifest; the sweep exits 3 only
+when no cell has a value.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .analytic import (class_load, dimension_servers, ho_rate,
                        rr_rate, signaling_rate)
 from .config import ConfigError, LoadedConfig, load_config, parse_config
 from .geometry import GeometryDomainError
-from .montecarlo import Estimate, estimate_ho, estimate_rr
+from .montecarlo import Estimate, estimate_ho, estimate_rr, run_record
 from .protocol import export_trace, ho_sequence, rr_sequence, simulate_load
 from .scenarios import ScenarioKnown, ScenarioUnknown
 
@@ -169,7 +170,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                       [(f"mc_{label}", fmt9(est.mean)),
                        ("stderr", fmt9(est.stderr)),
                        ("trials", str(est.trials))])
-    return _deliver(text, args.out, _manifest(cfg, args.seed))
+    manifest = _manifest(cfg, args.seed)
+    manifest.update(run_record(label, args.trials))
+    return _deliver(text, args.out, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +282,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         header += [out, f"{out}_stderr"] if out in MC_OUTPUTS else [out]
     rows = []
     failed = []
+    estimates = 0
     for i, v in enumerate(values):
         variant = _apply_sweep_var(cfg, args.var, v)
         row = [fmt9(v)]
@@ -293,6 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 row += ["nan"] * (2 if out in MC_OUTPUTS else 1)
                 continue
             if isinstance(result, Estimate):
+                estimates += 1
                 row += [fmt9(result.mean), fmt9(result.stderr)]
             else:
                 row.append(fmt9(result))
@@ -301,6 +306,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise error  # not one cell has a value
     manifest = _manifest(cfg, args.seed)
     manifest["failed"] = failed
+    mc = [out for out in outputs if out in MC_OUTPUTS]
+    if mc:  # one kind only: mc_rr needs a known config, mc_ho an unknown
+        manifest.update(run_record(mc[0].removeprefix("mc_"), args.trials,
+                                   estimates))
     return _deliver(render_csv(header, rows), args.out, manifest)
 
 

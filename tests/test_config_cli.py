@@ -19,6 +19,7 @@ from risrates import (
     load_packaged,
     packaged_config_path,
 )
+from risrates import montecarlo
 from risrates.cli import fmt9, main, read_csv, render_csv, write_csv
 from risrates.scenarios import Deterministic, Uniform
 
@@ -216,6 +217,33 @@ def test_analytic_writes_data_and_manifest(tmp_path):
     assert manifest["config"] == "table4-unknown"
     assert manifest["config_sha256"] == load_packaged("table4-unknown").digest
     assert "created_utc" in manifest
+    assert "mc_workers" not in manifest and "mc_shards" not in manifest
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_monte_carlo_manifest_records_workers_and_shards(tmp_path,
+                                                         monkeypatch, workers):
+    monkeypatch.setattr(montecarlo, "WORKERS", workers)
+    known = str(packaged_config_path("table3-static-obstacle"))
+    unknown = str(packaged_config_path("table4-unknown"))
+    runs = {
+        # 9000 trials: 3 shards; a 5-row sweep runs 5 estimates
+        "rr": (["simulate", "--config", known, "--trials", "9000"],
+               min(workers, 3), 3),
+        "ho": (["simulate", "--config", unknown, "--trials", "9000"], 1, 3),
+        "sweep": (["sweep", "--config", known, "--var", "d_U",
+                   "--values", "1,2,3,4,5", "--outputs", "p_rr,mc_rr",
+                   "--trials", "9000"], min(workers, 3), 15),
+        "no-mc": (["sweep", "--config", known, "--var", "d_U",
+                   "--values", "1,2", "--outputs", "p_rr"], None, None),
+    }
+    for name, (argv, mc_workers, mc_shards) in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads(
+            (tmp_path / f"{name}.csv.manifest.json").read_text())
+        assert manifest.get("mc_workers") == mc_workers, name
+        assert manifest.get("mc_shards") == mc_shards, name
 
 
 def test_analytic_stdout_includes_manifest(capsys):

@@ -14,6 +14,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
+from risrates import montecarlo
 from risrates.cli import main
 from risrates.config import packaged_config_path
 
@@ -126,6 +129,18 @@ def test_cli_outputs_match_goldens(tmp_path):
     assert sorted(cases) == sorted(goldens)
     mismatched = [case for case, argv in cases.items()
                   if _run(argv, tmp_path) != goldens[case]]
+    assert not mismatched, mismatched
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_rr_goldens_at_forced_worker_counts(workers, tmp_path, monkeypatch):
+    # 20,000 trials make 5 shards: 3 threads share them unevenly
+    monkeypatch.setattr(montecarlo, "WORKERS", workers)
+    goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
+    cases = _cases()
+    rr = [f"simulate/{name}" for name in KNOWN + ["spread-room"]]
+    mismatched = [case for case in rr
+                  if _run(cases[case], tmp_path) != goldens[case]]
     assert not mismatched, mismatched
 
 

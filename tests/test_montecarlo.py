@@ -1,7 +1,11 @@
 """Shard-level and estimator-level checks for the Monte Carlo engines."""
 
 import dataclasses
+import functools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,10 +22,12 @@ from risrates import (
     p_rr_known,
     rr_probability_known,
 )
+from risrates import montecarlo
 from risrates.geometry import (TWO_PI, Point2D, SegmentObstacle,
                                displaced_distance_sq, wall_shadow_interval)
-from risrates.montecarlo import (SHARD_SIZE, _candidate_mask, _ho_shard,
-                                 _rr_shard, _wall_wedges, rr_candidate_count)
+from risrates.montecarlo import (SHARD_SIZE, _candidate_mask, _estimate,
+                                 _ho_shard, _rr_shard, _rr_successes,
+                                 _wall_wedges, rr_candidate_count)
 from risrates.scenarios import Deterministic, MobilitySpec, Uniform, draw_law
 from risrates.stochastic import (RandomObstacleModel, SelfBlockModel, _invert,
                                  p_self_blocked, poisson_counts)
@@ -185,6 +191,83 @@ def test_candidate_kernel_matches_reference(label, scene, mobility):
 
 
 # ---------------------------------------------------------------------------
+# the blocked RR shard against its whole-shard form
+
+
+def _reference_rr_successes(scene, mobility, n, rng, walls):
+    """The RR shard with every node of the shard in one _candidate_mask
+    call: n-long trial indices by np.repeat, shard-long temporaries."""
+    speeds = draw_law(rng, mobility.speed_law, n)
+    angles = draw_law(rng, mobility.angle_law, n)
+    x0, y0, x1, y1 = scene.room
+    mean = scene.lambda_RIS * (x1 - x0) * (y1 - y0)
+    counts = poisson_counts(rng, mean, n)
+    total = int(counts.sum())
+    if total == 0:
+        return 0
+    px = rng.uniform(x0, x1, total)
+    py = rng.uniform(y0, y1, total)
+
+    away = scene.ris_direction + math.pi
+    heading = away + scene.orientation * angles
+    l2x = scene.ue.x + speeds * np.cos(heading)
+    l2y = scene.ue.y + speeds * np.sin(heading)
+    R = np.sqrt(displaced_distance_sq(scene.serving_ris_distance, speeds,
+                                      angles))
+    trial_idx = np.repeat(np.arange(n), counts)
+    idx, ok = _candidate_mask(scene, walls, px, py, l2x, l2y, R, heading,
+                              trial_idx)
+    hits = np.zeros(n, dtype=bool)
+    hits[trial_idx[idx.compress(ok)]] = True
+    hits &= speeds > 0.0
+    return int(np.count_nonzero(hits))
+
+
+def _node_total(scene, mobility, n, seed):
+    """Nodes the RR shard of `seed` draws: its speed, angle and count draws
+    replayed."""
+    rng = np.random.default_rng(seed)
+    draw_law(rng, mobility.speed_law, n)
+    draw_law(rng, mobility.angle_law, n)
+    x0, y0, x1, y1 = scene.room
+    return int(poisson_counts(rng, scene.lambda_RIS * (x1 - x0) * (y1 - y0),
+                              n).sum())
+
+
+# Blocks of 7 and 64 nodes make trials straddle block edges; a 4096-trial
+# shard runs at the default block only (at 7 nodes per block its 650,000
+# nodes at lambda_RIS = 1.6 take about 8 s), which holds a whole shard at
+# low density and is filled 10-20 times at 0.8 and 1.6. Each case also runs
+# with one block of exactly the shard's node total.
+@pytest.mark.parametrize("n, block", [
+    (1, 7), (1, 64), (1, montecarlo._BLOCK),
+    (7, 7), (7, 64), (7, montecarlo._BLOCK),
+    (4096, montecarlo._BLOCK),
+])
+@pytest.mark.parametrize("mobility", [
+    MobilitySpec(Deterministic(2.0), Deterministic(XI45)),
+    MobilitySpec(Uniform(0.5, 2.5), Uniform(0.0, math.pi)),
+], ids=["fixed", "spread"])
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.8, 1.6])
+def test_blocked_rr_shard_matches_reference(monkeypatch, lam, mobility, n,
+                                            block):
+    # room of 100 m^2: means 5, 10, 80 and 160 nodes per trial, across the
+    # mean-60 branch of the Poisson sampler
+    scene = dataclasses.replace(_static("selfblock"), lambda_RIS=lam)
+    walls = _wall_wedges(scene)
+    for seed in range(5):
+        b = np.random.default_rng(seed)
+        expected = _reference_rr_successes(scene, mobility, n, b, walls)
+        total = _node_total(scene, mobility, n, seed)
+        for size in (block, total):
+            monkeypatch.setattr(montecarlo, "_BLOCK", max(size, 1))
+            a = np.random.default_rng(seed)
+            assert _rr_successes(scene, mobility, n, a, walls) == expected, \
+                (seed, size)
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
 # pathwise monotonicity under a shared seed
 
 
@@ -331,6 +414,83 @@ def test_estimate_rr_deterministic_and_sharded():
         rng = np.random.default_rng(np.random.SeedSequence((3, shard_idx)))
         successes += _rr_shard(scene, mob, n, rng)
     assert a.mean == successes / 6000
+
+
+@pytest.mark.parametrize("Z", [1, 4095, 4096, 4097, 3 * SHARD_SIZE + 5])
+@pytest.mark.parametrize("laws", ["fixed", "spread"])
+def test_estimate_independent_of_workers(laws, Z):
+    room = _static("obstacle")
+    s = load_packaged("table4-unknown").scenario
+    if laws == "fixed":
+        room_mob, ho_mob = room.mobility, s.mobility
+    else:
+        room_mob = MobilitySpec(Uniform(0.5, 2.5), Uniform(0.0, math.pi))
+        ho_mob = MobilitySpec(Uniform(0.5, 15.0), Uniform(0.0, math.pi))
+    rr = functools.partial(_rr_successes, walls=_wall_wedges(room))
+    for shard_fn, scene, mob in ((rr, room, room_mob), (_ho_shard, s, ho_mob)):
+        one = _estimate(shard_fn, scene, mob, Z, 5, workers=1)
+        for workers in (2, 3, 8):
+            assert _estimate(shard_fn, scene, mob, Z, 5,
+                             workers=workers) == one, (shard_fn, workers)
+
+
+def _shard_index(rng) -> int:
+    return rng.bit_generator.seed_seq.entropy[1]
+
+
+def test_estimate_runs_every_shard_once_under_thread_switching():
+    # more threads than cores, switching every microsecond: a shard index
+    # claimed twice or lost shows in the list of shards run
+    shards = 200
+    ran = []
+
+    def shard(scene, mobility, n, rng):
+        ran.append(_shard_index(rng))
+        return n
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = _estimate(shard, None, None, shards * SHARD_SIZE - 3, 0,
+                        workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(shards))
+    assert est.mean == 1.0
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_estimate_stops_and_reraises_the_first_failure(error):
+    # shard 2 raises while shard 3 runs on a second thread, which raises
+    # after it; the third thread, on shards of a millisecond each, must stop
+    shards = 50
+    raised = []
+    calls = []
+    entered_3 = threading.Event()
+    raised_2 = threading.Event()
+
+    def shard(scene, mobility, n, rng):
+        k = _shard_index(rng)
+        calls.append(k)
+        if k == 2:
+            assert entered_3.wait(5.0)
+            raised.append(error("shard 2"))
+            raised_2.set()
+            raise raised[-1]
+        if k == 3:
+            entered_3.set()
+            assert raised_2.wait(5.0)
+            time.sleep(0.05)
+            raised.append(error("shard 3"))
+            raise raised[-1]
+        time.sleep(0.001)
+        return n
+
+    with pytest.raises(error) as info:
+        _estimate(shard, None, None, shards * SHARD_SIZE, 0, workers=3)
+    assert len(raised) == 2
+    assert info.value is raised[0]
+    assert len(calls) < shards
 
 
 # estimate_rr(..., Z=20_000, seed=0).mean of the bearing-based kernel. The
