@@ -7,10 +7,12 @@ reassignment shards run on one thread per available CPU and give the same
 bits as one thread. A reassignment shard judges its nodes in fixed blocks,
 so its working set stays bounded whatever the node density.
 
-A handover shard computes a value shared by every trial once (a point-mass
-law gives one value that broadcasts) and expands only the trials that drew
-a base station, with the same draws and results as one array per trial; its
-cost follows the drawn base stations, not the shard size.
+Handover shards are handed out in runs of HO_RUN consecutive shards. Each
+shard keeps its own generator and draws, and only those generator calls run
+shard by shard: the table search for the counts, blockage and hit marking
+run once over the trials of the whole run that drew a base station, with
+the same results as one array per trial. A handover shard then costs about
+its seeding and its draws.
 """
 
 from __future__ import annotations
@@ -28,11 +30,14 @@ import numpy as np
 from .geometry import (TWO_PI, MoveGeometry, displaced_distance,
                        displaced_distance_sq, displaced_position,
                        segment_crosses, wall_shadow_interval)
-from .scenarios import (Law, MobilitySpec, ScenarioKnown, ScenarioUnknown,
-                        draw_law, is_point_mass)
-from .stochastic import p_self_blocked, poisson_counts
+from .scenarios import (MobilitySpec, ScenarioKnown, ScenarioUnknown,
+                        draw_law, is_point_mass, law_bounds)
+from .stochastic import _invert_drawn, p_self_blocked, poisson_counts
 
 SHARD_SIZE = 4096
+# Shards per unit of handover work: each keeps its own generator, and the
+# array work between draws runs once for all of them.
+HO_RUN = 16
 
 
 def _available_cpus() -> int:
@@ -174,8 +179,9 @@ def _rr_shard(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     return _rr_successes(scene, mobility, n, rng, _wall_wedges(scene))
 
 
-# Nodes judged per _candidate_mask call: a shard's temporaries stay this
-# size however many nodes its trials draw.
+# Nodes judged per _candidate_mask call, and the nodes after which a run of
+# handover shards judges those gathered so far: temporaries stay about this
+# size however many nodes the trials draw.
 _BLOCK = 2 ** 15
 
 
@@ -216,6 +222,13 @@ def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     return int(np.count_nonzero(hits))
 
 
+def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
+            rngs: list[np.random.Generator], walls: tuple[_Wedge, ...]) -> int:
+    """_rr_successes summed over a run of shards."""
+    return sum(_rr_successes(scene, mobility, n, rng, walls)
+               for n, rng in zip(sizes, rngs))
+
+
 def _shard_plan(Z: int, workers: int) -> tuple[int, int]:
     """(shards, threads) of an estimate over Z trials offered `workers`
     threads: ceil(Z / SHARD_SIZE) shards, and never more threads than
@@ -226,46 +239,50 @@ def _shard_plan(Z: int, workers: int) -> tuple[int, int]:
     return shards, min(workers, shards)
 
 
-def _estimate(shard_fn: Callable[..., int],
+def _estimate(run_fn: Callable[..., int],
               scene: ScenarioKnown | ScenarioUnknown, mobility: MobilitySpec,
-              Z: int, seed: int, workers: int = 1) -> Estimate:
+              Z: int, seed: int, workers: int = 1, run: int = 1) -> Estimate:
     """Mean of Z trials run in shards of SHARD_SIZE, shard k drawing from
-    SeedSequence((seed, k)); shard_fn(scene, mobility, n, rng) returns the
-    number of successes among n trials.
+    SeedSequence((seed, k)), handed out in runs of `run` consecutive
+    shards; run_fn(scene, mobility, sizes, rngs) returns the number of
+    successes in one run, whose shard i draws sizes[i] trials from rngs[i].
 
     The calling thread and up to workers - 1 helper threads each take the
-    next shard index from a shared counter until none is left. Counts are
+    next run from a shared counter until none is left. Counts are
     integers, so their sum, and the estimate, does not depend on which
-    thread ran which shard. After a shard raises, or an interrupt reaches
-    the calling thread, no thread starts another shard; the first such
-    exception propagates once every thread has stopped.
+    thread ran which run. After a run raises, or an interrupt reaches the
+    calling thread, no thread starts another run; the first such exception
+    propagates once every thread has stopped.
     """
     shards, workers = _shard_plan(Z, workers)
-    claim = itertools.count()
+    claim = itertools.count(0, run)
     lock = threading.Lock()
     stop = threading.Event()
     errors: list[BaseException] = []
     successes = [0] * workers  # one slot per thread
 
-    def run(slot: int) -> None:
+    def work(slot: int) -> None:
         try:
             while not stop.is_set():
                 with lock:
-                    k = next(claim)
-                if k >= shards:
+                    first = next(claim)
+                if first >= shards:
                     break
-                rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-                successes[slot] += shard_fn(
-                    scene, mobility, min(SHARD_SIZE, Z - k * SHARD_SIZE), rng)
+                ks = range(first, min(first + run, shards))
+                successes[slot] += run_fn(
+                    scene, mobility,
+                    [min(SHARD_SIZE, Z - k * SHARD_SIZE) for k in ks],
+                    [np.random.default_rng(np.random.SeedSequence((seed, k)))
+                     for k in ks])
         except BaseException as exc:  # re-raised once every thread stopped
             errors.append(exc)
             stop.set()
 
-    helpers = [threading.Thread(target=run, args=(slot,))
+    helpers = [threading.Thread(target=work, args=(slot,))
                for slot in range(1, workers)]
     for helper in helpers:
         helper.start()
-    run(0)
+    work(0)
     for helper in helpers:
         helper.join()
     if errors:
@@ -278,9 +295,9 @@ def _estimate(shard_fn: Callable[..., int],
 def estimate_rr(scene: ScenarioKnown, mobility: MobilitySpec,
                 Z: int = 100_000, seed: int = 0) -> Estimate:
     """Mean of Z independent reassignment trials with per-trial mobility,
-    on WORKERS threads."""
+    on WORKERS threads, one shard at a time."""
     walls = _wall_wedges(scene)
-    return _estimate(functools.partial(_rr_successes, walls=walls), scene,
+    return _estimate(functools.partial(_rr_run, walls=walls), scene,
                      mobility, Z, seed, workers=WORKERS)
 
 
@@ -290,52 +307,105 @@ def estimate_rr(scene: ScenarioKnown, mobility: MobilitySpec,
 
 def _ho_shard(s: ScenarioUnknown, mobility: MobilitySpec, n: int,
               rng: np.random.Generator) -> int:
-    """Number of handovers in one shard: a Poisson base-station field over
-    each displaced coverage disk, thinned by static blockage (radius drawn
-    from the linear-in-area law on [0, R_LoS]) and by the body shadow. Draw
-    order: speeds, angles, count uniforms, then three uniforms per node.
+    """Number of handovers in one shard: _ho_run over a run of one."""
+    return _ho_run(s, mobility, [n], [rng])
 
-    A point-mass law gives one value that broadcasts over the trials, so a
-    shared speed, angle, R^2 and Poisson mean are computed once; after the
-    counts, only the trials that drew a node are touched.
+
+def _ho_run(s: ScenarioUnknown, mobility: MobilitySpec, sizes: list[int],
+            rngs: list[np.random.Generator]) -> int:
+    """Number of handovers in a run of shards, shard i drawing sizes[i]
+    trials from rngs[i]: a Poisson base-station field over each displaced
+    coverage disk, thinned by static blockage (radius drawn from the
+    linear-in-area law on [0, R_LoS]) and by the body shadow. Draw order
+    in each shard: speeds, angles, count uniforms, then three uniforms per
+    node.
+
+    Only the draws run shard by shard. With both laws point masses every
+    trial shares one speed, angle and Poisson mean; up to mean 60 the count
+    uniforms of all shards go into one buffer, and one table search gives
+    the trials that drew a node and their counts. Otherwise each shard
+    draws its counts with poisson_counts. Blockage and hit marking run over
+    the drawing trials of consecutive shards together, gathered until they
+    hold _BLOCK nodes or more.
     """
-    speeds = _draw_broadcast(rng, mobility.speed_law, n)
-    angles = _draw_broadcast(rng, mobility.angle_law, n)
+    edges = list(itertools.accumulate(sizes, initial=0))
+    laws = (mobility.speed_law, mobility.angle_law)
+    mean = None
+    if all(map(is_point_mass, laws)):
+        # numpy scalars take the same ufunc loops as one-element arrays
+        speed, angle = (np.float64(law_bounds(law)[0]) for law in laws)
+        mean = _ho_means(s, speed, angle)
+    if mean is not None and 0.0 <= mean <= 60.0:
+        u = np.empty(edges[-1])
+        for rng, a, b in zip(rngs, edges, edges[1:]):
+            rng.random(out=u[a:b])
+        drew, counts = _invert_drawn(mean, u)
+        moved = np.full(drew.size, speed > 0.0)
+    else:
+        counts = np.empty(edges[-1], dtype=np.int64)
+        moved = np.empty(edges[-1], dtype=bool)
+        for rng, a, b in zip(rngs, edges, edges[1:]):
+            speeds, angles = (draw_law(rng, law, 1 if is_point_mass(law)
+                                       else b - a) for law in laws)
+            counts[a:b] = poisson_counts(rng, _ho_means(s, speeds, angles),
+                                         b - a)
+            moved[a:b] = speeds > 0.0
+        drew = np.flatnonzero(counts)
+        counts, moved = counts[drew], moved[drew]
+    # shard i's drawing trials are drew[trial_edges[i]:trial_edges[i + 1]]
+    # and own nodes node_edges[i] to node_edges[i + 1] - 1
+    trial_edges = [0, *np.searchsorted(drew, edges[1:]).tolist()]
+    node_edges = np.concatenate(((0,), np.cumsum(counts)))[trial_edges]
+    node_edges = node_edges.tolist()
+    hits = 0
+    start = 0  # first shard whose nodes are not yet judged
+    nodes: list[np.ndarray] = []
+    for i, rng in enumerate(rngs, 1):
+        nodes.append(rng.random((node_edges[i] - node_edges[i - 1], 3)))
+        if node_edges[i] - node_edges[start] >= _BLOCK or i == len(rngs):
+            a, b = trial_edges[start], trial_edges[i]
+            if b > a:
+                hits += _ho_hits(s, counts[a:b], np.concatenate(nodes),
+                                 moved[a:b])
+            start, nodes = i, []
+    return hits
+
+
+def _ho_means(s: ScenarioUnknown, speeds: np.ndarray,
+              angles: np.ndarray) -> np.ndarray:
+    """Poisson mean of base stations in each displaced coverage disk."""
     R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles), 0.0)
-    counts = poisson_counts(rng, s.lambda_eNB * math.pi * R2, n)
-    drew = np.flatnonzero(counts > 0)
-    if not drew.size:
-        return 0
-    counts = counts[drew]
-    u = rng.random((int(counts.sum()), 3))
+    return s.lambda_eNB * math.pi * R2
+
+
+def _ho_hits(s: ScenarioUnknown, counts: np.ndarray, u: np.ndarray,
+             moved: np.ndarray) -> int:
+    """Trials that moved and hold a node clear of blockage and of the body
+    shadow: trial i owns counts[i] >= 1 consecutive rows of u, three
+    uniforms per node."""
     radii = s.R_LoS * np.sqrt(u[:, 0])
     m = s.obstacle_model
     alive = u[:, 1] < np.exp(-(m.beta * radii + m.beta0))
     alive &= u[:, 2] >= p_self_blocked(s.self_block)
-    hits = np.zeros(drew.size, dtype=bool)
-    hits[np.repeat(np.arange(drew.size), counts)[alive]] = True
-    moved = speeds > 0.0
-    hits &= moved[drew] if moved.size > 1 else moved
+    hits = np.zeros(counts.size, dtype=bool)
+    hits[np.repeat(np.arange(counts.size), counts)[alive]] = True
+    hits &= moved
     return int(np.count_nonzero(hits))
-
-
-def _draw_broadcast(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
-    """draw_law over n trials, except that a point mass gives one value,
-    which broadcasts."""
-    return draw_law(rng, law, 1 if is_point_mass(law) else n)
 
 
 def estimate_ho(s: ScenarioUnknown, mobility: MobilitySpec,
                 Z: int = 100_000, seed: int = 0) -> Estimate:
     """Mean of Z independent handover trials with per-trial mobility, on
-    the calling thread alone.
+    the calling thread alone, HO_RUN shards at a time.
 
-    An HO shard takes about 70-115 us and holds the interpreter lock for
-    most of it, so threads only contend: on 2 cores, HO shards on two
-    threads took the unknown-rates benchmark's wall time from 0.76-0.81 s
-    to 1.08-1.21 s.
+    A fixed-law shard takes about 60-80 us of a run on a 2-core Xeon:
+    seeding its generator about 19, its 4096 count uniforms 16-17, its node
+    uniforms 4, and its share of the run's search and marking about 19.
+    Seeding holds the interpreter lock, so two threads ran the
+    unknown-rates benchmark's 16 handover estimates no faster (0.26-0.29 s
+    either way).
     """
-    return _estimate(_ho_shard, s, mobility, Z, seed, workers=1)
+    return _estimate(_ho_run, s, mobility, Z, seed, run=HO_RUN)
 
 
 def run_record(kind: str, Z: int, estimates: int = 1) -> dict:

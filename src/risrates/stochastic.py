@@ -134,18 +134,25 @@ def _cdf_table(m: float) -> np.ndarray:
 
 
 def _invert_one_mean(m: np.float64, u: np.ndarray) -> np.ndarray:
-    """_invert for a mean shared by every entry: the table of that mean is
-    searched, for the entries above CDF_0 (count 1 or more) only. A uniform
-    above the whole table gets the cap, as in the loop."""
-    cdf = _cdf_table(float(m))
+    """_invert for a mean shared by every entry."""
     u = np.asarray(u)
     counts = np.zeros(u.shape, dtype=np.int64)
-    u_flat = u.reshape(-1)
-    drew = np.flatnonzero(u_flat > cdf[0])
-    k = np.searchsorted(cdf, u_flat[drew], side="left")
-    k[k == cdf.size] = _MAX_COUNT
+    drew, k = _invert_drawn(m, u.reshape(-1))
     counts.reshape(-1)[drew] = k
     return counts
+
+
+def _invert_drawn(m: np.float64, u: np.ndarray) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+    """_invert_one_mean over a flat u as (entries, counts) of the entries
+    that count 1 or more: the table of the mean is searched for the
+    uniforms above CDF_0 only. A uniform above the whole table gets the
+    cap, as in the loop."""
+    cdf = _cdf_table(float(m))
+    drew = np.flatnonzero(u > cdf[0])
+    k = np.searchsorted(cdf, u[drew], side="left")
+    k[k == cdf.size] = _MAX_COUNT
+    return drew, k
 
 
 def p_blocked_static(r: float, m: RandomObstacleModel) -> float:

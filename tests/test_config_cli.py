@@ -453,10 +453,10 @@ def test_closed_stdout_exits_without_traceback(argv):
         argv = argv[:2] + [str(packaged_config_path(argv[2]))] + argv[3:]
     src = Path(risrates.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.Popen([sys.executable, "-m", "risrates.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1, stderr
+    with subprocess.Popen([sys.executable, "-m", "risrates.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1, stderr
     assert stderr == ""

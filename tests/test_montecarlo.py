@@ -25,9 +25,10 @@ from risrates import (
 from risrates import montecarlo
 from risrates.geometry import (TWO_PI, Point2D, SegmentObstacle,
                                displaced_distance_sq, wall_shadow_interval)
-from risrates.montecarlo import (SHARD_SIZE, _candidate_mask, _estimate,
-                                 _ho_shard, _rr_shard, _rr_successes,
-                                 _wall_wedges, rr_candidate_count)
+from risrates.montecarlo import (HO_RUN, SHARD_SIZE, _candidate_mask,
+                                 _estimate, _ho_run, _ho_shard, _rr_run,
+                                 _rr_shard, _rr_successes, _wall_wedges,
+                                 rr_candidate_count)
 from risrates.scenarios import Deterministic, MobilitySpec, Uniform, draw_law
 from risrates.stochastic import (RandomObstacleModel, SelfBlockModel, _invert,
                                  p_self_blocked, poisson_counts)
@@ -372,6 +373,37 @@ def test_ho_shard_matches_reference(label, s, mobility, n):
         assert a.bit_generator.state == b.bit_generator.state
 
 
+def _seeded(seed, shards):
+    return [np.random.default_rng(np.random.SeedSequence((seed, k)))
+            for k in range(shards)]
+
+
+# Runs of HO_RUN shards end one trial short of, at and one trial past a
+# run edge; 33 shards leave a last run of one partial shard. A block of
+# 500 nodes gathers a few shards at a time at low means.
+@pytest.mark.parametrize("Z", [1, 4095, HO_RUN * SHARD_SIZE - 1,
+                               HO_RUN * SHARD_SIZE, HO_RUN * SHARD_SIZE + 1,
+                               33 * SHARD_SIZE + 7])
+@pytest.mark.parametrize("label, s, mobility", list(_ho_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_ho_runs_match_per_shard_reference(monkeypatch, label, s, mobility,
+                                           Z):
+    shards = -(-Z // SHARD_SIZE)
+    sizes = [min(SHARD_SIZE, Z - k * SHARD_SIZE) for k in range(shards)]
+    reference = _seeded(3, shards)
+    expected = sum(_reference_ho_shard(s, mobility, n, rng)
+                   for n, rng in zip(sizes, reference))
+    assert estimate_ho(s, mobility, Z, seed=3).mean == expected / Z
+    for block in (montecarlo._BLOCK, 500):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        rngs = _seeded(3, shards)
+        assert sum(_ho_run(s, mobility, sizes[i:i + HO_RUN],
+                           rngs[i:i + HO_RUN])
+                   for i in range(0, shards, HO_RUN)) == expected, block
+        for k, (a, b) in enumerate(zip(rngs, reference)):
+            assert a.bit_generator.state == b.bit_generator.state, (block, k)
+
+
 # estimate_ho(..., Z=200_000, seed=0).mean, recorded with the whole-array
 # shard (_reference_ho_shard). "mean-above-60" is table4-unknown at
 # lambda_eNB = 1.5 per m^2 (64 base stations in the mean) and a body
@@ -426,12 +458,13 @@ def test_estimate_independent_of_workers(laws, Z):
     else:
         room_mob = MobilitySpec(Uniform(0.5, 2.5), Uniform(0.0, math.pi))
         ho_mob = MobilitySpec(Uniform(0.5, 15.0), Uniform(0.0, math.pi))
-    rr = functools.partial(_rr_successes, walls=_wall_wedges(room))
-    for shard_fn, scene, mob in ((rr, room, room_mob), (_ho_shard, s, ho_mob)):
-        one = _estimate(shard_fn, scene, mob, Z, 5, workers=1)
+    rr = functools.partial(_rr_run, walls=_wall_wedges(room))
+    for run_fn, run, scene, mob in ((rr, 1, room, room_mob),
+                                    (_ho_run, HO_RUN, s, ho_mob)):
+        one = _estimate(run_fn, scene, mob, Z, 5, workers=1, run=run)
         for workers in (2, 3, 8):
-            assert _estimate(shard_fn, scene, mob, Z, 5,
-                             workers=workers) == one, (shard_fn, workers)
+            assert _estimate(run_fn, scene, mob, Z, 5, workers=workers,
+                             run=run) == one, (run_fn, workers)
 
 
 def _shard_index(rng) -> int:
@@ -444,7 +477,8 @@ def test_estimate_runs_every_shard_once_under_thread_switching():
     shards = 200
     ran = []
 
-    def shard(scene, mobility, n, rng):
+    def shard(scene, mobility, sizes, rngs):
+        (n,), (rng,) = sizes, rngs
         ran.append(_shard_index(rng))
         return n
 
@@ -469,7 +503,8 @@ def test_estimate_stops_and_reraises_the_first_failure(error):
     entered_3 = threading.Event()
     raised_2 = threading.Event()
 
-    def shard(scene, mobility, n, rng):
+    def shard(scene, mobility, sizes, rngs):
+        (n,), (rng,) = sizes, rngs
         k = _shard_index(rng)
         calls.append(k)
         if k == 2:
