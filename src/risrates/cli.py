@@ -11,11 +11,15 @@ Data files are CSV: comma separator, one header line, LF endings, UTF-8,
 numbers at 9 significant digits. Run metadata (config digest, seed, version,
 timestamp; for Monte Carlo runs the threads and shards used) goes to a
 sidecar <out>.manifest.json, never into the data file, so reruns with the
-same seed are byte-identical. Exit codes: 0 on success, 1 when the reader
-of stdout stops early, 2 on config or argument errors, 3 on geometry
-failures. A sweep cell whose value lies outside its formula's domain reads
-nan and is listed under "failed" in the manifest; the sweep exits 3 only
-when no cell has a value.
+same seed are byte-identical. `protocol` writes its trace alone. All files
+go through `_deliver`: when a write fails, it removes what it wrote.
+
+Exit codes: 0 on success, 1 when the reader of stdout stops early, 2 on
+config or argument errors, 3 on geometry failures. What a command or sweep
+output needs of a config (its kind, then a signaling section) is checked
+by `_require` before any work starts. A sweep cell whose value lies outside
+its formula's domain reads nan and is listed under "failed" in the
+manifest; the sweep exits 3 only when no cell has a value.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .analytic import (class_load, dimension_servers, ho_rate,
@@ -38,11 +43,9 @@ from .config import ConfigError, LoadedConfig, load_config, parse_config
 from .geometry import GeometryDomainError
 from .montecarlo import Estimate, estimate_ho, estimate_rr, run_record
 from .protocol import export_trace, ho_sequence, rr_sequence, simulate_load
-from .scenarios import ScenarioKnown, ScenarioUnknown
 
 SWEEP_VARS = ("lambda_RIS", "lambda_eNB", "lambda_B", "d_U", "theta",
               "N_RISM", "N_SGW")
-SWEEP_OUTPUTS = ("p_rr", "p_ho", "e_rr", "e_ho", "e_gamma", "mc_rr", "mc_ho")
 MC_OUTPUTS = ("mc_rr", "mc_ho")  # each followed by an <output>_stderr column
 
 
@@ -51,26 +54,12 @@ def fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def write_csv(path: Path, header: Sequence[str],
-              rows: Sequence[Sequence[str]]) -> None:
-    path.write_bytes(render_csv(header, rows).encode("utf-8"))
-
-
 def render_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Inverse of write_csv: re-rendering the result is byte-identical."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    return rows[0], rows[1:]
 
 
 def _manifest(cfg: Optional[LoadedConfig], seed: Optional[int]) -> dict:
@@ -84,49 +73,67 @@ def _manifest(cfg: Optional[LoadedConfig], seed: Optional[int]) -> dict:
     }
 
 
-def _deliver(text: str, out: Optional[str], manifest: dict) -> int:
-    """Write the data file plus manifest sidecar, or print both. A failure
-    while writing removes whatever was partially produced."""
+def _deliver(text: str, out: Optional[str],
+             manifest: Optional[dict] = None) -> int:
+    """Write the data file plus its manifest sidecar, if any, or print both.
+    A failure while writing removes whatever was partially produced."""
+    meta = None if manifest is None else json.dumps(manifest, indent=2) + "\n"
     if out is None:
-        sys.stdout.write(text)
-        sys.stdout.write("--- manifest ---\n")
-        sys.stdout.write(json.dumps(manifest, indent=2) + "\n")
+        sys.stdout.write(text if meta is None
+                         else f"{text}--- manifest ---\n{meta}")
         return 0
-    path = Path(out)
-    sidecar = Path(str(out) + ".manifest.json")
+    files = [(Path(out), text)]
+    if meta is not None:
+        files.append((Path(out + ".manifest.json"), meta))
     try:
-        path.write_bytes(text.encode("utf-8"))
-        sidecar.write_bytes((json.dumps(manifest, indent=2) + "\n")
-                            .encode("utf-8"))
+        for path, content in files:
+            path.write_bytes(content.encode("utf-8"))
     except BaseException:
-        sidecar.unlink(missing_ok=True)
-        path.unlink(missing_ok=True)
+        for path, _ in reversed(files):
+            path.unlink(missing_ok=True)
         raise
     return 0
+
+
+def _config_of(kind: str) -> str:
+    return f"{'an' if kind == 'unknown' else 'a'} '{kind}' config"
+
+
+def _require(cfg: LoadedConfig, what: str, kind: Optional[str] = None,
+             signaling: bool = False) -> None:
+    """Refuse a config that `what` cannot run on: first one of the wrong
+    kind, then one without a signaling section when `what` needs it."""
+    if kind is not None and cfg.kind != kind:
+        raise ConfigError(f"{what} needs {_config_of(kind)}")
+    if signaling and cfg.signaling is None:
+        raise ConfigError(f"{what} needs a 'signaling' section")
+
+
+def _p_rr(cfg: LoadedConfig) -> float:
+    if cfg.kind == "known":
+        return p_rr_marginal(cfg.scenario, cfg.scenario.mobility)
+    return marginal_p_rr_unknown(cfg.scenario)
+
+
+def _mc(cfg: LoadedConfig, seed: int, trials: int) -> Estimate:
+    """RR trials in a known room, HO trials in an unknown environment."""
+    estimate = estimate_rr if cfg.kind == "known" else estimate_ho
+    return estimate(cfg.scenario, cfg.scenario.mobility, Z=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # analytic
 
 
-def _analytic_rows(cfg: LoadedConfig) -> list[tuple[str, float]]:
-    if isinstance(cfg.scenario, ScenarioKnown):
-        scene = cfg.scenario
-        return [("p_rr", p_rr_marginal(scene, scene.mobility))]
-    s = cfg.scenario
-    rows = [("p_rr", marginal_p_rr_unknown(s)), ("p_ho", marginal_p_ho(s))]
-    if cfg.signaling is not None:
-        report = signaling_rate(s, cfg.signaling)
-        rows += [("e_rr", report.e_rr), ("e_ho", report.e_ho),
-                 ("e_sb", report.e_sb), ("e_so", report.e_so),
-                 ("e_gamma", report.e_gamma),
-                 ("e_gamma_expanded", report.e_gamma_expanded)]
-    return rows
-
-
 def cmd_analytic(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    rows = _analytic_rows(cfg)
+    s = cfg.scenario
+    if cfg.kind == "known":
+        rows = [("p_rr", _p_rr(cfg))]
+    elif cfg.signaling is None:
+        rows = [("p_rr", marginal_p_rr_unknown(s)), ("p_ho", marginal_p_ho(s))]
+    else:  # the report's fields, p_rr and p_ho first, are the rows in order
+        rows = list(asdict(signaling_rate(s, cfg.signaling)).items())
     text = render_csv(("quantity", "value"),
                       [(k, fmt9(v)) for k, v in rows])
     return _deliver(text, args.out, _manifest(cfg, args.seed))
@@ -139,10 +146,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.duration is not None:
-        if not isinstance(cfg.scenario, ScenarioUnknown):
-            raise ConfigError("load simulation needs an 'unknown' config")
-        if cfg.signaling is None:
-            raise ConfigError("load simulation needs a 'signaling' section")
+        _require(cfg, "load simulation", kind="unknown", signaling=True)
         result = simulate_load(cfg.scenario, cfg.signaling, args.duration,
                                seed=args.seed, ho_mode=args.mode)
         rows = [("duration", fmt9(result.duration)),
@@ -153,19 +157,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         text = render_csv(("quantity", "value"), rows)
         return _deliver(text, args.out, _manifest(cfg, args.seed))
 
-    kind = args.kind
-    if isinstance(cfg.scenario, ScenarioKnown):
-        if kind not in (None, "rr"):
-            raise ConfigError("a 'known' config only supports --kind rr")
-        est = estimate_rr(cfg.scenario, cfg.scenario.mobility,
-                          Z=args.trials, seed=args.seed)
-        label = "rr"
-    else:
-        if kind not in (None, "ho"):
-            raise ConfigError("an 'unknown' config only supports --kind ho")
-        est = estimate_ho(cfg.scenario, cfg.scenario.mobility,
-                          Z=args.trials, seed=args.seed)
-        label = "ho"
+    label = "rr" if cfg.kind == "known" else "ho"
+    if args.kind not in (None, label):
+        raise ConfigError(f"{_config_of(cfg.kind)} only supports "
+                          f"--kind {label}")
+    est = _mc(cfg, args.seed, args.trials)
     text = render_csv(("quantity", "value"),
                       [(f"mc_{label}", fmt9(est.mean)),
                        ("stderr", fmt9(est.stderr)),
@@ -225,49 +221,25 @@ def _apply_sweep_var(cfg: LoadedConfig, var: str, value: float) -> LoadedConfig:
     return parse_config(raw, name=cfg.name)
 
 
-def _sweep_output_fn(cfg: LoadedConfig, output: str, trials: int,
-                     ) -> Callable[[LoadedConfig, int], float | Estimate]:
-    known = cfg.kind == "known"
-
-    def need_unknown() -> None:
-        if known:
-            raise ConfigError(f"output {output!r} needs an 'unknown' config")
-
-    def need_signaling(c: LoadedConfig) -> None:
-        if c.signaling is None:
-            raise ConfigError(f"output {output!r} needs a 'signaling' section")
-
-    if output == "p_rr":
-        if known:
-            return lambda c, seed: p_rr_marginal(c.scenario,
-                                                 c.scenario.mobility)
-        return lambda c, seed: marginal_p_rr_unknown(c.scenario)
-    if output == "p_ho":
-        need_unknown()
-        return lambda c, seed: marginal_p_ho(c.scenario)
-    if output == "e_rr":
-        need_unknown()
-        need_signaling(cfg)
-        return lambda c, seed: rr_rate(c.scenario, c.signaling)
-    if output == "e_ho":
-        need_unknown()
-        need_signaling(cfg)
-        return lambda c, seed: ho_rate(c.scenario, c.signaling)
-    if output == "e_gamma":
-        need_unknown()
-        need_signaling(cfg)
-        return lambda c, seed: signaling_rate(c.scenario, c.signaling).e_gamma
-    if output == "mc_rr":
-        if not known:
-            raise ConfigError("output 'mc_rr' needs a 'known' config")
-        return lambda c, seed: estimate_rr(c.scenario, c.scenario.mobility,
-                                           Z=trials, seed=seed)
-    if output == "mc_ho":
-        need_unknown()
-        return lambda c, seed: estimate_ho(c.scenario, c.scenario.mobility,
-                                           Z=trials, seed=seed)
-    raise ConfigError(f"unknown output {output!r}; choose from "
-                      f"{', '.join(SWEEP_OUTPUTS)}")
+# output -> (config kind it needs, None for either; whether it needs a
+# signaling section; its value on one swept config, seed and trial count).
+# The functions look up what they call when they run, not at import, so a
+# wrapper set on a name of this module sees every call.
+_SWEEP: dict[str, tuple] = {
+    "p_rr": (None, False, lambda c, seed, trials: _p_rr(c)),
+    "p_ho": ("unknown", False,
+             lambda c, seed, trials: marginal_p_ho(c.scenario)),
+    "e_rr": ("unknown", True,
+             lambda c, seed, trials: rr_rate(c.scenario, c.signaling)),
+    "e_ho": ("unknown", True,
+             lambda c, seed, trials: ho_rate(c.scenario, c.signaling)),
+    "e_gamma": ("unknown", True,
+                lambda c, seed, trials: signaling_rate(c.scenario,
+                                                       c.signaling).e_gamma),
+    "mc_rr": ("known", False, _mc),
+    "mc_ho": ("unknown", False, _mc),
+}
+SWEEP_OUTPUTS = tuple(_SWEEP)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -276,7 +248,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     outputs = [tok.strip() for tok in args.outputs.split(",") if tok.strip()]
     if not outputs:
         raise ConfigError("--outputs: need at least one output")
-    fns = [_sweep_output_fn(cfg, out, args.trials) for out in outputs]
+    for out in outputs:
+        if out not in _SWEEP:
+            raise ConfigError(f"unknown output {out!r}; choose from "
+                              f"{', '.join(SWEEP_OUTPUTS)}")
+        kind, signaling, _ = _SWEEP[out]
+        _require(cfg, f"output {out!r}", kind=kind, signaling=signaling)
     header = [args.var]
     for out in outputs:
         header += [out, f"{out}_stderr"] if out in MC_OUTPUTS else [out]
@@ -286,9 +263,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, v in enumerate(values):
         variant = _apply_sweep_var(cfg, args.var, v)
         row = [fmt9(v)]
-        for out, fn in zip(outputs, fns):
+        for out in outputs:
             try:
-                result = fn(variant, args.seed + i)
+                result = _SWEEP[out][2](variant, args.seed + i, args.trials)
             except GeometryDomainError as exc:
                 # out of the formula's domain at this value: the cell reads
                 # nan, the manifest says why, and the other rows still run
@@ -319,10 +296,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_dimension(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if not isinstance(cfg.scenario, ScenarioUnknown):
-        raise ConfigError("dimensioning needs an 'unknown' config")
-    if cfg.signaling is None:
-        raise ConfigError("dimensioning needs a 'signaling' section")
+    _require(cfg, "dimensioning", kind="unknown", signaling=True)
     load = class_load(cfg.scenario, cfg.signaling, args.kind)
     n = dimension_servers(args.threshold, cfg.scenario, cfg.signaling,
                           args.kind)
@@ -340,17 +314,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 
 def cmd_protocol(args: argparse.Namespace) -> int:
     template = rr_sequence() if args.kind == "rr" else ho_sequence(args.mode)
-    text = export_trace(template)
-    if args.out is None:
-        sys.stdout.write(text)
-        return 0
-    path = Path(args.out)
-    try:
-        path.write_bytes(text.encode("utf-8"))
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    return 0
+    return _deliver(export_trace(template), args.out)
 
 
 # ---------------------------------------------------------------------------

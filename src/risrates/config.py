@@ -3,6 +3,9 @@
 Configs carry densities as tagged values ({"value": x, "unit": "per-m2" |
 "per-km2"}) and every angle in degrees; both are normalized to SI (per-m2,
 radians) at the load boundary so the rest of the package never sees units.
+
+A malformed field raises ConfigError, its message led by the field's path;
+a model's own ValueError is re-raised that way by `_checked`.
 """
 
 from __future__ import annotations
@@ -10,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Iterator, NoReturn, Optional, Union
 
 from .geometry import Point2D, SegmentObstacle
 from .scenarios import (Deterministic, Law, MobilitySpec, ScenarioKnown,
@@ -41,16 +45,33 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _fail(path: str, why: str) -> None:
+def _fail(path: str, why: str) -> NoReturn:
     raise ConfigError(f"{path}: {why}")
 
 
-def _get(d: Any, key: str, path: str) -> Any:
+@contextmanager
+def _checked(path: str) -> Iterator[None]:
+    """Re-raise a model constructor's ValueError as a ConfigError naming
+    `path` (the top level, "", adds no prefix). A ConfigError from parsing
+    the constructor's arguments already names its field and passes through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+
+
+def _get(d: Any, key: str, path: str,
+         parse: Optional[Callable[..., Any]] = None, **kw: Any) -> Any:
+    """The entry `key` of the object at `path`, or, given `parse`, the
+    entry parsed by parse(entry, its own path, **kw)."""
     if not isinstance(d, dict):
         _fail(path, "expected an object")
+    here = f"{path}.{key}" if path else key
     if key not in d:
-        _fail(f"{path}.{key}" if path else key, "missing")
-    return d[key]
+        _fail(here, "missing")
+    return d[key] if parse is None else parse(d[key], here, **kw)
 
 
 def _num(v: Any, path: str) -> float:
@@ -62,31 +83,30 @@ def _num(v: Any, path: str) -> float:
     return x
 
 
+def _choice(v: Any, path: str, choices: dict[str, Any]) -> Any:
+    """What `choices` maps the string v to."""
+    if not (isinstance(v, str) and v in choices):
+        _fail(path, f"must be {' or '.join(map(repr, choices))}, got {v!r}")
+    return choices[v]
+
+
 def _density(v: Any, path: str) -> float:
-    value = _num(_get(v, "value", path), f"{path}.value")
-    unit = _get(v, "unit", path)
-    if unit == "per-m2":
-        return value
-    if unit == "per-km2":
-        return value / 1e6
-    _fail(f"{path}.unit", f"must be 'per-m2' or 'per-km2', got {unit!r}")
-    raise AssertionError  # unreachable
+    value = _get(v, "value", path, _num)
+    return value / _get(v, "unit", path, _choice,
+                        choices={"per-m2": 1.0, "per-km2": 1e6})
+
+
+# law kind -> (class, the fields that are its arguments)
+_LAWS = {"deterministic": (Deterministic, ("value",)),
+         "uniform": (Uniform, ("low", "high"))}
 
 
 def _law(v: Any, path: str, to_radians: bool = False) -> Law:
-    kind = _get(v, "kind", path)
+    law, keys = _get(v, "kind", path, _choice, choices=_LAWS)
     scale = math.radians(1.0) if to_radians else 1.0
-    if kind == "deterministic":
-        return Deterministic(scale * _num(_get(v, "value", path), f"{path}.value"))
-    if kind == "uniform":
-        low = scale * _num(_get(v, "low", path), f"{path}.low")
-        high = scale * _num(_get(v, "high", path), f"{path}.high")
-        try:
-            return Uniform(low, high)
-        except ValueError as exc:
-            _fail(path, str(exc))
-    _fail(f"{path}.kind", f"must be 'deterministic' or 'uniform', got {kind!r}")
-    raise AssertionError
+    args = [scale * _get(v, key, path, _num) for key in keys]
+    with _checked(path):
+        return law(*args)
 
 
 def _point(v: Any, path: str) -> Point2D:
@@ -98,23 +118,16 @@ def _point(v: Any, path: str) -> Point2D:
 def _segment(v: Any, path: str) -> SegmentObstacle:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         _fail(path, "expected [[ax, ay], [bx, by]]")
-    try:
+    with _checked(path):
         return SegmentObstacle(_point(v[0], f"{path}[0]"),
                                _point(v[1], f"{path}[1]"))
-    except ValueError as exc:
-        _fail(path, str(exc))
-    raise AssertionError
 
 
 def _mobility(v: Any, path: str) -> MobilitySpec:
-    speed = _law(_get(v, "speed", path), f"{path}.speed")
-    angle = _law(_get(v, "angle_deg", path), f"{path}.angle_deg",
-                 to_radians=True)
-    try:
+    speed = _get(v, "speed", path, _law)
+    angle = _get(v, "angle_deg", path, _law, to_radians=True)
+    with _checked(path):
         return MobilitySpec(speed_law=speed, angle_law=angle)
-    except ValueError as exc:
-        _fail(path, str(exc))
-    raise AssertionError
 
 
 def _signaling(v: Any, path: str) -> SignalingConfig:
@@ -123,44 +136,33 @@ def _signaling(v: Any, path: str) -> SignalingConfig:
     for name, rates in (("sgw_rates", sgw), ("rism_rates", rism)):
         if not isinstance(rates, list):
             _fail(f"{path}.{name}", "expected a list of rates")
-    try:
+    with _checked(path):
         return SignalingConfig(
             sgw_rates=tuple(_num(x, f"{path}.sgw_rates[{i}]")
                             for i, x in enumerate(sgw)),
             rism_rates=tuple(_num(x, f"{path}.rism_rates[{i}]")
                              for i, x in enumerate(rism)),
-            p_a=_num(_get(v, "p_a", path), f"{path}.p_a"),
+            p_a=_get(v, "p_a", path, _num),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
-    raise AssertionError
 
 
 def _self_block(v: Any, path: str) -> tuple[SelfBlockModel, Optional[float]]:
-    theta = math.radians(_num(_get(v, "theta_deg", path), f"{path}.theta_deg"))
+    theta = math.radians(_get(v, "theta_deg", path, _num))
     direction = None
     if isinstance(v, dict) and v.get("direction_deg") is not None:
         direction = math.radians(_num(v["direction_deg"],
                                       f"{path}.direction_deg"))
-    try:
+    with _checked(path):
         return SelfBlockModel(theta=theta), direction
-    except ValueError as exc:
-        _fail(path, str(exc))
-    raise AssertionError
 
 
 def parse_config(raw: dict, name: str = "<memory>") -> LoadedConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
     kind = _get(raw, "kind", "")
-    if kind == "known":
-        scenario = _parse_known(raw)
-    elif kind == "unknown":
-        scenario = _parse_unknown(raw)
-    else:
-        _fail("kind", f"must be 'known' or 'unknown', got {kind!r}")
+    parse = _choice(kind, "kind", {"known": _parse_known,
+                                   "unknown": _parse_unknown})
+    scenario = parse(raw)
     signaling = None
     if raw.get("signaling") is not None:
         signaling = _signaling(raw["signaling"], "signaling")
@@ -178,56 +180,39 @@ def _parse_known(raw: dict) -> ScenarioKnown:
                   for i, w in enumerate(raw.get("walls", [])))
     extra = tuple(_segment(w, f"extra_obstacles[{i}]")
                   for i, w in enumerate(raw.get("extra_obstacles", [])))
-    orientation_v = _get(raw, "orientation", "")
-    if orientation_v == "cw":
-        orientation = -1
-    elif orientation_v == "ccw":
-        orientation = 1
-    else:
-        _fail("orientation", f"must be 'cw' or 'ccw', got {orientation_v!r}")
+    orientation = _get(raw, "orientation", "", _choice,
+                       choices={"cw": -1, "ccw": 1})
     self_block = None
     self_block_direction = None
     if raw.get("self_block") is not None:
         self_block, self_block_direction = _self_block(raw["self_block"],
                                                        "self_block")
-    try:
+    with _checked(""):
         return ScenarioKnown(
             room=room,
-            enb=_point(_get(raw, "enb", ""), "enb"),
+            enb=_get(raw, "enb", "", _point),
             walls=walls,
             extra_obstacles=extra,
-            ue=_point(_get(raw, "ue", ""), "ue"),
-            serving_ris_distance=_num(_get(raw, "serving_ris_distance", ""),
-                                      "serving_ris_distance"),
-            ris_direction=math.radians(_num(_get(raw, "ris_direction_deg", ""),
-                                            "ris_direction_deg")),
+            ue=_get(raw, "ue", "", _point),
+            serving_ris_distance=_get(raw, "serving_ris_distance", "", _num),
+            ris_direction=math.radians(_get(raw, "ris_direction_deg", "",
+                                            _num)),
             orientation=orientation,
-            lambda_RIS=_density(_get(raw, "lambda_RIS", ""), "lambda_RIS"),
-            mobility=_mobility(_get(raw, "mobility", ""), "mobility"),
+            lambda_RIS=_get(raw, "lambda_RIS", "", _density),
+            mobility=_get(raw, "mobility", "", _mobility),
             self_block=self_block,
             self_block_direction=self_block_direction,
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _parse_unknown(raw: dict) -> ScenarioUnknown:
     obs = _get(raw, "obstacles", "")
-    try:
+    with _checked("obstacles"):
         model = RandomObstacleModel(
-            lambda_B=_density(_get(obs, "lambda_B", "obstacles"),
-                              "obstacles.lambda_B"),
-            mean_l=_num(_get(obs, "mean_length", "obstacles"),
-                        "obstacles.mean_length"),
-            mean_w=_num(_get(obs, "mean_width", "obstacles"),
-                        "obstacles.mean_width"),
+            lambda_B=_get(obs, "lambda_B", "obstacles", _density),
+            mean_l=_get(obs, "mean_length", "obstacles", _num),
+            mean_w=_get(obs, "mean_width", "obstacles", _num),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"obstacles: {exc}") from exc
     if raw.get("self_block") is not None:
         self_block, direction = _self_block(raw["self_block"], "self_block")
         if direction is not None:
@@ -235,21 +220,17 @@ def _parse_unknown(raw: dict) -> ScenarioUnknown:
                   "shadow has no direction; remove the field")
     else:
         self_block = SelfBlockModel(theta=0.0)
-    try:
+    with _checked(""):
         return ScenarioUnknown(
-            lambda_RIS=_density(_get(raw, "lambda_RIS", ""), "lambda_RIS"),
-            lambda_eNB=_density(_get(raw, "lambda_eNB", ""), "lambda_eNB"),
+            lambda_RIS=_get(raw, "lambda_RIS", "", _density),
+            lambda_eNB=_get(raw, "lambda_eNB", "", _density),
             obstacle_model=model,
             self_block=self_block,
-            R_LoS=_num(_get(raw, "R_LoS", ""), "R_LoS"),
-            r_RIS=_num(_get(raw, "r_RIS", ""), "r_RIS"),
-            r_eNB=_num(_get(raw, "r_eNB", ""), "r_eNB"),
-            mobility=_mobility(_get(raw, "mobility", ""), "mobility"),
+            R_LoS=_get(raw, "R_LoS", "", _num),
+            r_RIS=_get(raw, "r_RIS", "", _num),
+            r_eNB=_get(raw, "r_eNB", "", _num),
+            mobility=_get(raw, "mobility", "", _mobility),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: Union[str, Path]) -> LoadedConfig:

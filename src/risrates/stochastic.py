@@ -91,13 +91,15 @@ def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
     return counts
 
 
-# Inversion caps counts here, deep in a tail that the double-precision CDF
-# cannot resolve.
-_MAX_COUNT = 2001
+# Terms a table sums before it is cut: every term of a mean up to 60 has
+# underflowed to zero well before the last (at mean 60, after k = 555).
+_TERMS = 2002
 
 
 def _invert(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Smallest k with u <= CDF_k(m), entry by entry, at most _MAX_COUNT."""
+    """Smallest k with u <= CDF_k(m), entry by entry. The summed CDF can
+    stop short of the largest uniforms; a uniform above it gets the last k
+    whose term is nonzero."""
     c = np.zeros(m.shape, dtype=np.int64)
     pk = np.exp(-m)
     cdf = pk.copy()
@@ -106,13 +108,10 @@ def _invert(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     while remaining.any():
         k += 1
         pk = pk * (m / k)
+        remaining &= pk > 0.0
+        c += remaining
         cdf = cdf + pk
-        newly = remaining & (u <= cdf)
-        c[newly] = k
-        remaining &= ~newly
-        if k == _MAX_COUNT:
-            c[remaining] = k
-            break
+        remaining &= u > cdf
     return c
 
 
@@ -122,9 +121,9 @@ def _cdf_table(m: float) -> np.ndarray:
     accumulate runs it in order, so every entry has the loop's bits. The
     table ends where the sum stops growing: past the mode the terms only
     shrink, so every later entry would repeat the last one."""
-    pk = np.empty(_MAX_COUNT + 1)
+    pk = np.empty(_TERMS)
     pk[0] = np.exp(-m)
-    pk[1:] = m / np.arange(1, _MAX_COUNT + 1, dtype=float)
+    pk[1:] = m / np.arange(1, _TERMS, dtype=float)
     cdf = np.add.accumulate(np.multiply.accumulate(pk))
     flat = np.flatnonzero(cdf[1:] == cdf[:-1])
     if flat.size:
@@ -146,12 +145,14 @@ def _invert_drawn(m: np.float64, u: np.ndarray) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """_invert_one_mean over a flat u as (entries, counts) of the entries
     that count 1 or more: the table of the mean is searched for the
-    uniforms above CDF_0 only. A uniform above the whole table gets the
-    cap, as in the loop."""
+    uniforms above CDF_0 only. A uniform above the whole table is left to
+    the loop, which counts it as the last k whose term is nonzero."""
     cdf = _cdf_table(float(m))
     drew = np.flatnonzero(u > cdf[0])
     k = np.searchsorted(cdf, u[drew], side="left")
-    k[k == cdf.size] = _MAX_COUNT
+    over = np.flatnonzero(k == cdf.size)
+    if over.size:
+        k[over] = _invert(np.full(over.size, m), u[drew[over]])
     return drew, k
 
 

@@ -1,5 +1,7 @@
 """Config parsing, packaged scenario files, and the command-line surface."""
 
+import csv
+import importlib
 import json
 import math
 import os
@@ -20,7 +22,7 @@ from risrates import (
     packaged_config_path,
 )
 from risrates import montecarlo
-from risrates.cli import fmt9, main, read_csv, render_csv, write_csv
+from risrates.cli import fmt9, main, render_csv
 from risrates.scenarios import Deterministic, Uniform
 
 KNOWN_CONFIGS = [
@@ -169,6 +171,62 @@ def test_invalid_json_reports_file(tmp_path):
         load_config(p)
 
 
+def _packaged_raw(name: str) -> dict:
+    return json.loads(packaged_config_path(name).read_text(encoding="utf-8"))
+
+
+def _edited(name: str, path: tuple, value) -> dict:
+    """The packaged config `name` with the entry at `path` set to `value`."""
+    raw = _packaged_raw(name)
+    *parents, last = path
+    node = raw
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return raw
+
+
+KNOWN = "table3-static-obstacle"
+UNKNOWN = "table4-unknown"
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    # a model constructor's ValueError, prefixed with the field it came from
+    (KNOWN, ("mobility", "speed"),
+     {"kind": "uniform", "low": 3.0, "high": 1.0},
+     "mobility.speed: uniform law requires low <= high"),
+    (KNOWN, ("walls", 0), [[4.0, 2.8], [4.0, 2.8]],
+     "walls[0]: obstacle endpoints must be distinct"),
+    (KNOWN, ("mobility", "speed"), {"kind": "deterministic", "value": -1.0},
+     "mobility: speeds must be nonnegative"),
+    (UNKNOWN, ("signaling", "p_a"), 2.0,
+     "signaling: p_a must lie in [0, 1]"),
+    (UNKNOWN, ("self_block", "theta_deg"), 400.0,
+     "self_block: theta must lie in [0, 2*pi]"),
+    (KNOWN, ("serving_ris_distance",), 0.0,
+     "serving_ris_distance must be positive"),
+    (UNKNOWN, ("obstacles", "mean_width"), -1.0,
+     "obstacles: mean obstacle dimensions must be nonnegative"),
+    (UNKNOWN, ("R_LoS",), -5.0, "R_LoS must be positive"),
+    # a field error raised while a constructor's arguments are parsed keeps
+    # its own field name and gets no second prefix
+    (UNKNOWN, ("signaling", "p_a"), "x",
+     "signaling.p_a: expected a number, got str"),
+    (KNOWN, ("ue",), [1.0], "ue: expected [x, y]"),
+    (KNOWN, ("walls", 0, 1), [4.0], "walls[0][1]: expected [x, y]"),
+    (UNKNOWN, ("obstacles", "lambda_B", "unit"), "per-acre",
+     "obstacles.lambda_B.unit: must be 'per-m2' or 'per-km2', "
+     "got 'per-acre'"),
+], ids=["uniform-law", "segment", "mobility", "signaling", "self-block",
+        "known-scenario", "obstacles", "unknown-scenario", "signaling-field",
+        "known-field", "segment-field", "obstacles-field"])
+def test_constructor_errors_name_their_field(name, path, value, message):
+    from risrates import parse_config
+    with pytest.raises(ConfigError) as info:
+        parse_config(_edited(name, path, value))
+    assert str(info.value) == message
+
+
 def test_config_digest_is_order_independent():
     a = {"x": 1, "y": [1, 2]}
     b = {"y": [1, 2], "x": 1}
@@ -187,11 +245,19 @@ def test_fmt9():
     assert fmt9(2.0) == "2"
 
 
+def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a data file the CLI wrote."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
 def test_csv_round_trip(tmp_path):
+    # quoting survives a file: reading back and re-rendering is byte-identical
     p = tmp_path / "data.csv"
     header = ["a", "b"]
     rows = [["1", "x,y"], ["2", 'quo"te']]
-    write_csv(p, header, rows)
+    p.write_bytes(render_csv(header, rows).encode("utf-8"))
     h2, r2 = read_csv(p)
     assert (h2, r2) == (header, rows)
     assert render_csv(h2, r2).encode() == p.read_bytes()
@@ -272,6 +338,58 @@ def test_simulate_kind_mismatch_is_config_error(capsys):
                "--kind", "ho", "--trials", "10"])
     assert rc == 2
     assert "known" in capsys.readouterr().err
+
+
+SWEEP = ["sweep", "--var", "lambda_RIS", "--values", "1e-05,2e-05"]
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ("known", ["simulate", "--duration", "10"],
+     "load simulation needs an 'unknown' config"),
+    ("no-signaling", ["simulate", "--duration", "10"],
+     "load simulation needs a 'signaling' section"),
+    ("known", ["dimension", "--threshold", "55"],
+     "dimensioning needs an 'unknown' config"),
+    ("no-signaling", ["dimension", "--threshold", "55"],
+     "dimensioning needs a 'signaling' section"),
+    ("known", SWEEP + ["--outputs", "p_ho"],
+     "output 'p_ho' needs an 'unknown' config"),
+    ("known", SWEEP + ["--outputs", "mc_ho"],
+     "output 'mc_ho' needs an 'unknown' config"),
+    # the config kind is checked before the signaling section
+    ("known", SWEEP + ["--outputs", "e_gamma"],
+     "output 'e_gamma' needs an 'unknown' config"),
+    ("no-signaling", SWEEP + ["--outputs", "e_rr"],
+     "output 'e_rr' needs a 'signaling' section"),
+    ("no-signaling", SWEEP + ["--outputs", "e_ho"],
+     "output 'e_ho' needs a 'signaling' section"),
+    ("no-signaling", SWEEP + ["--outputs", "e_gamma"],
+     "output 'e_gamma' needs a 'signaling' section"),
+    ("unknown", SWEEP + ["--outputs", "mc_rr"],
+     "output 'mc_rr' needs a 'known' config"),
+    # outputs are checked in the order given
+    ("no-signaling", SWEEP + ["--outputs", "p_rr,mc_rr,e_rr"],
+     "output 'mc_rr' needs a 'known' config"),
+    ("unknown", SWEEP + ["--outputs", "p_rr,bogus"],
+     "unknown output 'bogus'; choose from p_rr, p_ho, e_rr, e_ho, e_gamma, "
+     "mc_rr, mc_ho"),
+    ("known", ["simulate", "--kind", "ho", "--trials", "10"],
+     "a 'known' config only supports --kind rr"),
+    ("unknown", ["simulate", "--kind", "rr", "--trials", "10"],
+     "an 'unknown' config only supports --kind ho"),
+])
+def test_command_requirements_exit_2_with_one_line(tmp_path, capsys, config,
+                                                   argv, message):
+    paths = {"known": packaged_config_path("table3-static-noobstacle"),
+             "unknown": packaged_config_path(UNKNOWN)}
+    raw = _packaged_raw(UNKNOWN)
+    del raw["signaling"]
+    paths["no-signaling"] = _write(tmp_path, raw)
+    rc = main([argv[0], "--config", str(paths[config]), *argv[1:]])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_simulate_load_run(tmp_path):
@@ -386,6 +504,41 @@ def test_sweep_exits_3_when_every_row_fails(tmp_path, capsys):
     assert rc == 3
     assert "left the wall shadow" in capsys.readouterr().err
     assert not out.exists()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_MODULES = ("spans", "workloads", "check")
+
+
+@pytest.fixture
+def bench_spans():
+    """perfbench/spans.py, imported from its directory. Its sibling modules
+    have generic names, so sys.path and sys.modules are put back after."""
+    saved_path = list(sys.path)
+    saved = {name: sys.modules.pop(name) for name in BENCH_MODULES
+             if name in sys.modules}
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("spans")
+    finally:
+        sys.path[:] = saved_path
+        for name in BENCH_MODULES:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+
+
+def test_bench_hooks_resolve_and_see_sweep_marginals(bench_spans, tmp_path):
+    # entering instrument() looks up every name the benchmark wraps, and a
+    # sweep must call its marginals through the names risrates.cli imported
+    tracer = bench_spans.Tracer()
+    with bench_spans.instrument(tracer):
+        rc = main(["sweep", "--config",
+                   str(packaged_config_path("table4-unknown")),
+                   "--var", "lambda_RIS", "--values", "1e-05,2e-05,4e-05",
+                   "--outputs", "p_ho", "--out", str(tmp_path / "s.csv")])
+    assert rc == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count("analytic.marginal") == 3
 
 
 def test_sweep_server_split_preserves_totals(tmp_path):

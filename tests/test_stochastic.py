@@ -168,7 +168,8 @@ def test_poisson_count_scalar_mean_matches_length_one_vector():
 
 def _reference_inversion(rng, means):
     """poisson_counts below the mean-60 switch as one loop over k for every
-    entry, the form the one-mean table must reproduce."""
+    entry, the form the one-mean table must reproduce. A uniform above the
+    whole summed CDF counts the last k whose term is nonzero."""
     m = np.asarray(means, dtype=float)
     u = rng.random(m.shape)
     c = np.zeros(m.shape, dtype=np.int64)
@@ -183,9 +184,9 @@ def _reference_inversion(rng, means):
         newly = remaining & (u <= cdf)
         c[newly] = k
         remaining &= ~newly
-        if k > 2000:
-            c[remaining] = k
-            break
+        spent = remaining & (pk == 0.0)
+        c[spent] = k - 1
+        remaining &= ~spent
     return c
 
 
@@ -241,16 +242,35 @@ class _TopUniform:
         return np.full(shape, 1.0 - 2.0 ** -53)
 
 
-def test_inversion_cap_at_2001():
+def _last_nonzero_term(mean):
+    """Last k whose term p_k = p_(k-1) * (mean / k) has not underflowed."""
+    pk, k = np.exp(-mean), 0
+    while pk * (mean / (k + 1)) > 0.0:
+        k += 1
+        pk = pk * (mean / k)
+    return k
+
+
+def test_inversion_cap_is_the_last_nonzero_term():
     # for some means the summed CDF stops short of 1 - 2**-53 and the count
-    # is capped at 2001; for others it reaches it first
+    # is capped at the last k whose term is nonzero; for others it reaches
+    # that uniform first. The one-mean table and the loop over mixed means
+    # give the same count.
+    means = np.linspace(0.0, 60.0, 121)
+    expected = _reference_inversion(_TopUniform(), means)
+    assert np.array_equal(poisson_counts(_TopUniform(), means), expected)
     capped = 0
-    for mean in np.linspace(0.0, 60.0, 121):
-        expected = _reference_inversion(_TopUniform(), np.full(3, mean))
+    for mean, want in zip(means, expected):
         assert np.array_equal(poisson_counts(_TopUniform(), np.full(3, mean)),
-                              expected)
-        capped += int(expected[0] == 2001)
+                              np.full(3, want))
+        last = _last_nonzero_term(mean)
+        assert want <= last
+        capped += int(want == last)
     assert 0 < capped < 121
+    # mean 0.1 once counted 2001 on both paths
+    assert _last_nonzero_term(0.1) == 121
+    assert (poisson_counts(_TopUniform(), np.full(3, 0.1)) == 121).all()
+    assert poisson_counts(_TopUniform(), [0.1, 0.2])[0] == 121
 
 
 def test_mixed_means_go_through_the_inversion_loop(monkeypatch):
