@@ -15,11 +15,12 @@ same seed are byte-identical. `protocol` writes its trace alone. All files
 go through `_deliver`: when a write fails, it removes what it wrote.
 
 Exit codes: 0 on success, 1 when the reader of stdout stops early, 2 on
-config or argument errors, 3 on geometry failures. What a command or sweep
-output needs of a config (its kind, then a signaling section) is checked
-by `_require` before any work starts. A sweep cell whose value lies outside
-its formula's domain reads nan and is listed under "failed" in the
-manifest; the sweep exits 3 only when no cell has a value.
+config or argument errors (an --out that cannot be written is one), 3 on
+geometry failures. What a command or sweep output needs of a config (its
+kind, then a signaling section) is checked by `_require` before any work
+starts. A sweep cell whose value lies outside its formula's domain reads
+nan and is listed under "failed" in the manifest; the sweep exits 3 only
+when no cell has a value.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def _manifest(cfg: Optional[LoadedConfig], seed: Optional[int]) -> dict:
 def _deliver(text: str, out: Optional[str],
              manifest: Optional[dict] = None) -> int:
     """Write the data file plus its manifest sidecar, if any, or print both.
-    A failure while writing removes whatever was partially produced."""
+    A failure while writing removes whatever was partially produced; an
+    OSError then becomes a ConfigError naming --out."""
     meta = None if manifest is None else json.dumps(manifest, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text if meta is None
@@ -85,12 +87,17 @@ def _deliver(text: str, out: Optional[str],
     files = [(Path(out), text)]
     if meta is not None:
         files.append((Path(out + ".manifest.json"), meta))
+    opened: list[Path] = []  # what a failure removes: never a file not ours
     try:
         for path, content in files:
-            path.write_bytes(content.encode("utf-8"))
-    except BaseException:
-        for path, _ in reversed(files):
+            with path.open("wb") as fh:
+                opened.append(path)
+                fh.write(content.encode("utf-8"))
+    except BaseException as exc:
+        for path in reversed(opened):
             path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"--out: {exc}") from exc
         raise
     return 0
 

@@ -115,6 +115,14 @@ def _point(v: Any, path: str) -> Point2D:
     return Point2D(_num(v[0], f"{path}[0]"), _num(v[1], f"{path}[1]"))
 
 
+def _items(v: Any, path: str, item: Callable[[Any, str], Any],
+           what: str) -> tuple:
+    """The entries of the list v, each parsed by item(entry, its path)."""
+    if not isinstance(v, list):
+        _fail(path, f"expected a list of {what}")
+    return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
 def _segment(v: Any, path: str) -> SegmentObstacle:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         _fail(path, "expected [[ax, ay], [bx, by]]")
@@ -131,19 +139,11 @@ def _mobility(v: Any, path: str) -> MobilitySpec:
 
 
 def _signaling(v: Any, path: str) -> SignalingConfig:
-    sgw = _get(v, "sgw_rates", path)
-    rism = _get(v, "rism_rates", path)
-    for name, rates in (("sgw_rates", sgw), ("rism_rates", rism)):
-        if not isinstance(rates, list):
-            _fail(f"{path}.{name}", "expected a list of rates")
+    sgw = _get(v, "sgw_rates", path, _items, item=_num, what="rates")
+    rism = _get(v, "rism_rates", path, _items, item=_num, what="rates")
     with _checked(path):
-        return SignalingConfig(
-            sgw_rates=tuple(_num(x, f"{path}.sgw_rates[{i}]")
-                            for i, x in enumerate(sgw)),
-            rism_rates=tuple(_num(x, f"{path}.rism_rates[{i}]")
-                             for i, x in enumerate(rism)),
-            p_a=_get(v, "p_a", path, _num),
-        )
+        return SignalingConfig(sgw_rates=sgw, rism_rates=rism,
+                               p_a=_get(v, "p_a", path, _num))
 
 
 def _self_block(v: Any, path: str) -> tuple[SelfBlockModel, Optional[float]]:
@@ -176,10 +176,8 @@ def _parse_known(raw: dict) -> ScenarioKnown:
     if not isinstance(room_v, list) or len(room_v) != 4:
         _fail("room", "expected [x0, y0, x1, y1]")
     room = tuple(_num(x, f"room[{i}]") for i, x in enumerate(room_v))
-    walls = tuple(_segment(w, f"walls[{i}]")
-                  for i, w in enumerate(raw.get("walls", [])))
-    extra = tuple(_segment(w, f"extra_obstacles[{i}]")
-                  for i, w in enumerate(raw.get("extra_obstacles", [])))
+    walls, extra = (_items(raw.get(key, []), key, _segment, "segments")
+                    for key in ("walls", "extra_obstacles"))
     orientation = _get(raw, "orientation", "", _choice,
                        choices={"cw": -1, "ccw": 1})
     self_block = None

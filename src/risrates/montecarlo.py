@@ -4,8 +4,9 @@ Estimators draw trials in fixed-size shards, each shard seeded from
 (master seed, shard index) and returning an integer success count, so the
 estimate does not depend on which thread runs a shard or in what order:
 reassignment shards run on one thread per available CPU and give the same
-bits as one thread. A reassignment shard judges its nodes in fixed blocks,
-so its working set stays bounded whatever the node density.
+bits as one thread. A reassignment shard keeps one node-long array, the x
+positions, and judges its nodes in blocks in one block-sized scratch, so
+beyond 8 bytes a node its working set stays bounded whatever the density.
 
 Handover shards are handed out in runs of HO_RUN consecutive shards. Each
 shard keeps its own generator and draws, and only those generator calls run
@@ -87,8 +88,7 @@ def rr_candidate_count(scene: ScenarioKnown, points: np.ndarray,
     R = displaced_distance(MoveGeometry(scene.serving_ris_distance, d_U, xi))
     _, ok = _candidate_mask(scene, _wall_wedges(scene), pts[:, 0], pts[:, 1],
                             np.full(1, l2.x), np.full(1, l2.y), np.full(1, R),
-                            np.full(1, heading),
-                            np.zeros(len(pts), dtype=np.int64))
+                            np.full(1, heading))
     return int(np.count_nonzero(ok))
 
 
@@ -123,30 +123,33 @@ def _outside_wedge(vx, vy, u1x, u1y, u2x, u2y, width: float) -> np.ndarray:
 def _candidate_mask(scene: ScenarioKnown, walls: tuple[_Wedge, ...],
                     px: np.ndarray, py: np.ndarray,
                     l2x: np.ndarray, l2y: np.ndarray, R: np.ndarray,
-                    heading: np.ndarray, trial_idx: np.ndarray,
+                    heading: np.ndarray, trial_idx: np.ndarray | None = None,
+                    out: np.ndarray | None = None,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized candidate predicate over the points of several trials.
 
-    Each point is judged against the displacement (l2x, l2y, R, heading) of
-    its trial, trial_idx. Returns the indices of the points strictly inside
-    their coverage disk and, aligned with them, the candidate mask; the
-    other predicates run only on those points.
+    Without trial_idx, every point is judged against the one displacement
+    held in the one-element arrays (l2x, l2y, R, heading); with it, each
+    point against the displacement of its trial, trial_idx. Returns the
+    indices of the points strictly inside their coverage disk and, aligned
+    with them, the candidate mask; the other predicates run only on those
+    points. The squared-distance test writes into the two rows of `out`,
+    when given, instead of fresh arrays.
     """
     R2 = R ** 2
-    # one displacement for every trial (both mobility laws fixed): scalars
-    shared = all(a.min() == a.max() for a in (l2x, l2y, R2, heading))
-    if shared:
+    if trial_idx is None:
         tx, ty, r2, hd = l2x[0], l2y[0], R2[0], heading[0]
     else:
         tx, ty, r2 = l2x[trial_idx], l2y[trial_idx], R2[trial_idx]
-    dist2 = px - tx
+    dist2, dy = (None, None) if out is None else out[:, :len(px)]
+    dist2 = np.subtract(px, tx, out=dist2)
     dist2 *= dist2
-    dy = py - ty
+    dy = np.subtract(py, ty, out=dy)
     dy *= dy
     dist2 += dy
     idx = np.flatnonzero(dist2 < r2)  # strict: ties are no events
     px, py = px[idx], py[idx]
-    if not shared:
+    if trial_idx is not None:
         trial = trial_idx[idx]
         tx, ty, hd = l2x[trial], l2y[trial], heading[trial]
     dx = px - tx
@@ -182,22 +185,33 @@ def _rr_shard(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
 # Nodes judged per _candidate_mask call, and the nodes after which a run of
 # handover shards judges those gathered so far: temporaries stay about this
 # size however many nodes the trials draw.
-_BLOCK = 2 ** 15
+_BLOCK = 2 ** 16
 
 
 def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
                   rng: np.random.Generator, walls: tuple[_Wedge, ...]) -> int:
-    """_rr_shard with the scene's wall wedges computed by the caller."""
-    speeds = draw_law(rng, mobility.speed_law, n)
-    angles = draw_law(rng, mobility.angle_law, n)
+    """_rr_shard with the scene's wall wedges computed by the caller, judged
+    in blocks of _BLOCK nodes in one (3, _BLOCK) scratch: a block's y
+    positions and the two rows of its squared-distance test.
+
+    A point-mass law draws one value that holds for every trial, so both
+    laws fixed give one displacement, judged as scalars. The x positions of
+    all nodes go into one shard-long array; each block's y positions are
+    drawn into the scratch just before it is judged, which takes the same
+    values from the generator as drawing them all at once.
+    """
+    speeds, angles = (draw_law(rng, law, 1 if is_point_mass(law) else n)
+                      for law in (mobility.speed_law, mobility.angle_law))
     x0, y0, x1, y1 = scene.room
     mean = scene.lambda_RIS * (x1 - x0) * (y1 - y0)
     ends = np.cumsum(poisson_counts(rng, mean, n))
     total = int(ends[-1])
     if total == 0:
         return 0
-    px = rng.uniform(x0, x1, total)
-    py = rng.uniform(y0, y1, total)
+    px = rng.random(total)  # the bits of rng.uniform(x0, x1, total)
+    px *= x1 - x0
+    px += x0
+    scratch = np.empty((3, min(_BLOCK, total)))
 
     away = scene.ris_direction + math.pi
     heading = away + scene.orientation * angles
@@ -205,19 +219,33 @@ def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     l2y = scene.ue.y + speeds * np.sin(heading)
     R = np.sqrt(displaced_distance_sq(scene.serving_ris_distance, speeds,
                                       angles))
+    shared = l2x.size == 1
+    if not shared:
+        l2x, l2y, R, heading = np.broadcast_arrays(l2x, l2y, R, heading)
     hits = np.zeros(n, dtype=bool)
     for start in range(0, total, _BLOCK):
         stop = min(start + _BLOCK, total)
+        py = scratch[0, :stop - start]
+        rng.random(out=py)
+        py *= y1 - y0
+        py += y0
         # trials lo..hi own nodes start..stop-1; lo and hi may have nodes in
         # the blocks before and after
         lo, hi = np.searchsorted(ends, (start, stop - 1), side="right")
         own = slice(lo, hi + 1)
-        edges = np.concatenate(((start,), ends[lo:hi], (stop,)))
-        trial = np.repeat(np.arange(hi + 1 - lo), np.diff(edges))
-        idx, ok = _candidate_mask(scene, walls, px[start:stop],
-                                  py[start:stop], l2x[own], l2y[own], R[own],
-                                  heading[own], trial)
-        hits[own][trial[idx.compress(ok)]] = True
+        if shared:
+            idx, ok = _candidate_mask(scene, walls, px[start:stop], py, l2x,
+                                      l2y, R, heading, out=scratch[1:])
+        else:
+            edges = np.concatenate(((start,), ends[lo:hi], (stop,)))
+            trial = np.repeat(np.arange(hi + 1 - lo), np.diff(edges))
+            idx, ok = _candidate_mask(scene, walls, px[start:stop], py,
+                                      l2x[own], l2y[own], R[own],
+                                      heading[own], trial, out=scratch[1:])
+        # a trial has a candidate when more of the block's candidates lie
+        # before its end than before the previous trial's end
+        before = np.searchsorted(idx.compress(ok), ends[own] - start)
+        hits[own] |= np.diff(before, prepend=0) > 0
     hits &= speeds > 0.0
     return int(np.count_nonzero(hits))
 

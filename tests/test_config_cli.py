@@ -214,12 +214,18 @@ UNKNOWN = "table4-unknown"
      "signaling.p_a: expected a number, got str"),
     (KNOWN, ("ue",), [1.0], "ue: expected [x, y]"),
     (KNOWN, ("walls", 0, 1), [4.0], "walls[0][1]: expected [x, y]"),
+    (KNOWN, ("walls",), 5, "walls: expected a list of segments"),
+    (KNOWN, ("extra_obstacles",), {"a": 1},
+     "extra_obstacles: expected a list of segments"),
+    (UNKNOWN, ("signaling", "rism_rates"), 1.0,
+     "signaling.rism_rates: expected a list of rates"),
     (UNKNOWN, ("obstacles", "lambda_B", "unit"), "per-acre",
      "obstacles.lambda_B.unit: must be 'per-m2' or 'per-km2', "
      "got 'per-acre'"),
 ], ids=["uniform-law", "segment", "mobility", "signaling", "self-block",
         "known-scenario", "obstacles", "unknown-scenario", "signaling-field",
-        "known-field", "segment-field", "obstacles-field"])
+        "known-field", "segment-field", "walls-list", "obstacles-list",
+        "rates-list", "obstacles-field"])
 def test_constructor_errors_name_their_field(name, path, value, message):
     from risrates import parse_config
     with pytest.raises(ConfigError) as info:
@@ -594,6 +600,43 @@ def test_protocol_trace_file(tmp_path):
     assert main(["protocol", "--kind", "ho", "--mode", "s1",
                  "--out", str(out2)]) == 0
     assert len(out2.read_text().splitlines()) == 17
+
+
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--kind", "rr"],
+    ["analytic", "--config",
+     str(packaged_config_path("table3-static-noobstacle"))],
+])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.txt"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out: ")
+    assert captured.err.count("\n") == 1
+    assert str(out) in captured.err
+    assert captured.out == ""
+
+
+def test_out_that_fails_midway_leaves_no_file(tmp_path, capsys):
+    # the data file is written, then its manifest's path is a directory
+    out = tmp_path / "a.csv"
+    (tmp_path / "a.csv.manifest.json").mkdir()
+    rc = main(["analytic", "--config",
+               str(packaged_config_path("table3-static-noobstacle")),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("walls", 5),
+                                        ("extra_obstacles", {"a": 1})])
+def test_config_list_fields_exit_2(tmp_path, capsys, key, value):
+    raw = _edited(KNOWN, (key,), value)
+    rc = main(["analytic", "--config", str(_write(tmp_path, raw))])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: {key}: expected a list of segments\n"
 
 
 @pytest.mark.parametrize("argv", [

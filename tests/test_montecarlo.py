@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,26 +236,41 @@ def _node_total(scene, mobility, n, seed):
                               n).sum())
 
 
-# Blocks of 7 and 64 nodes make trials straddle block edges; a 4096-trial
-# shard runs at the default block only (at 7 nodes per block its 650,000
-# nodes at lambda_RIS = 1.6 take about 8 s), which holds a whole shard at
-# low density and is filled 10-20 times at 0.8 and 1.6. Each case also runs
-# with one block of exactly the shard's node total.
+# Blocks of 7 and 64 nodes make trials straddle block edges. A 4096-trial
+# shard runs only at blocks of 2^15 and of the default _BLOCK = 2^16 (at 7
+# nodes per block its 650,000 nodes at lambda_RIS = 1.6 take about 8 s):
+# about 1, 2, 10 and 20 blocks of 2^15 at 0.05, 0.1, 0.8 and 1.6, and 1, 1,
+# 5 and 10 of 2^16. Each case also runs with one block of exactly the
+# shard's node total. The shifted room, 12.5 m by 8 m and away from the
+# origin, scales and shifts the positions differently along x and y.
+_FIXED = MobilitySpec(Deterministic(2.0), Deterministic(XI45))
+_SPREAD = MobilitySpec(Uniform(0.5, 2.5), Uniform(0.0, math.pi))
+_SHIFTED = (-0.75, 1.25, 11.75, 9.25)
+
+
 @pytest.mark.parametrize("n, block", [
-    (1, 7), (1, 64), (1, montecarlo._BLOCK),
-    (7, 7), (7, 64), (7, montecarlo._BLOCK),
-    (4096, montecarlo._BLOCK),
+    (1, 7), (1, 64), (1, 2 ** 15),
+    (7, 7), (7, 64), (7, 2 ** 15),
+    (4096, 2 ** 15), (4096, montecarlo._BLOCK),
 ])
-@pytest.mark.parametrize("mobility", [
-    MobilitySpec(Deterministic(2.0), Deterministic(XI45)),
-    MobilitySpec(Uniform(0.5, 2.5), Uniform(0.0, math.pi)),
-], ids=["fixed", "spread"])
+@pytest.mark.parametrize("mobility, room", [
+    (_FIXED, None),
+    (_SPREAD, None),
+    # the table3-uniform-* shape, and its mirror
+    (MobilitySpec(Uniform(0.5, 2.5), Deterministic(XI45)), None),
+    (MobilitySpec(Deterministic(2.0), Uniform(0.0, math.pi)), None),
+    (_FIXED, _SHIFTED),
+    (_SPREAD, _SHIFTED),
+], ids=["fixed", "spread", "spread-speed", "spread-angle",
+        "fixed-shifted-room", "spread-shifted-room"])
 @pytest.mark.parametrize("lam", [0.05, 0.1, 0.8, 1.6])
-def test_blocked_rr_shard_matches_reference(monkeypatch, lam, mobility, n,
-                                            block):
+def test_blocked_rr_shard_matches_reference(monkeypatch, lam, mobility, room,
+                                            n, block):
     # room of 100 m^2: means 5, 10, 80 and 160 nodes per trial, across the
     # mean-60 branch of the Poisson sampler
     scene = dataclasses.replace(_static("selfblock"), lambda_RIS=lam)
+    if room is not None:
+        scene = dataclasses.replace(scene, room=room)
     walls = _wall_wedges(scene)
     for seed in range(5):
         b = np.random.default_rng(seed)
@@ -266,6 +282,28 @@ def test_blocked_rr_shard_matches_reference(monkeypatch, lam, mobility, n,
             assert _rr_successes(scene, mobility, n, a, walls) == expected, \
                 (seed, size)
             assert a.bit_generator.state == b.bit_generator.state
+
+
+# The shard keeps one shard-long array, its x positions, and judges blocks
+# in scratch: at lambda_RIS = 1.6 a 4096-trial shard (about 655,000 nodes)
+# must peak below 8 bytes per node plus 16 _BLOCK-long float arrays. The
+# bound was set before measuring; a shard that also holds its y positions
+# (16 bytes per node) exceeds it at _BLOCK = 2^15 or 2^16.
+@pytest.mark.parametrize("mobility", [_FIXED, _SPREAD],
+                         ids=["fixed", "spread"])
+def test_rr_shard_memory_is_one_array_per_node(mobility):
+    scene = dataclasses.replace(_static("selfblock"), lambda_RIS=1.6)
+    walls = _wall_wedges(scene)
+    total = _node_total(scene, mobility, 4096, 0)
+    bound = 8 * total + 16 * 8 * montecarlo._BLOCK
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _rr_successes(scene, mobility, 4096, np.random.default_rng(0), walls)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound, total)
 
 
 # ---------------------------------------------------------------------------
