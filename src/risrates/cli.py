@@ -29,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -183,10 +184,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_values(spec: str) -> list[float]:
+    tokens = [tok.strip() for tok in spec.split(",") if tok.strip() != ""]
     try:
-        values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in tokens]
     except ValueError:
         raise ConfigError(f"--values: not a number list: {spec!r}") from None
+    for tok, value in zip(tokens, values):
+        if not math.isfinite(value):
+            raise ConfigError(f"--values: not a finite number: {tok!r}")
     if len(values) < 2:
         raise ConfigError("--values: need at least two values")
     diffs = [b - a for a, b in zip(values, values[1:])]

@@ -1,19 +1,24 @@
 """Monte Carlo estimators for reassignment and handover probabilities.
 
-Estimators draw trials in fixed-size shards, each shard seeded from
-(master seed, shard index) and returning an integer success count, so the
-estimate does not depend on which thread runs a shard or in what order:
-reassignment shards run on one thread per available CPU and give the same
-bits as one thread. A reassignment shard keeps one node-long array, the x
-positions, and judges its nodes in blocks in one block-sized scratch, so
-beyond 8 bytes a node its working set stays bounded whatever the density.
+Estimators draw trials in fixed-size shards, shard k drawing the stream of
+PCG64(SeedSequence((master seed, k))) and returning an integer success
+count, so the estimate does not depend on which thread runs a shard or in
+what order: reassignment shards run on one thread per available CPU and
+give the same bits as one thread. No shard builds a SeedSequence or a
+generator: SeedSequence's hash runs as uint32 array operations over up to
+_KEY_CHUNK shards at once, and each thread loads a shard's PCG64 state into
+one of its own generators before the shard draws.
+
+A reassignment shard keeps one node-long array, the x positions, and judges
+its nodes in blocks in one block-sized scratch, so beyond 8 bytes a node its
+working set stays bounded whatever the density.
 
 Handover shards are handed out in runs of HO_RUN consecutive shards. Each
 shard keeps its own generator and draws, and only those generator calls run
 shard by shard: the table search for the counts, blockage and hit marking
 run once over the trials of the whole run that drew a base station, with
 the same results as one array per trial. A handover shard then costs about
-its seeding and its draws.
+its draws.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -267,23 +273,110 @@ def _shard_plan(Z: int, workers: int) -> tuple[int, int]:
     return shards, min(workers, shards)
 
 
+# SeedSequence's hash constants and PCG64's multiplier, as numpy's
+# bit_generator.pyx and pcg64.h define them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2 ** 32 - 1, 2 ** 128 - 1
+# Shards whose generator keys are derived together: 32 KiB of keys, so
+# memory stays bounded whatever Z is.
+_KEY_CHUNK = 1024
+
+
+def _shard_keys(seed: int, first: int, count: int) -> np.ndarray:
+    """SeedSequence((seed, k)).generate_state(4, np.uint64) for the shards
+    k = first .. first + count - 1, as the rows of a (count, 4) array.
+
+    SeedSequence hashes its entropy words with constants that do not depend
+    on the words, so every shard whose index is one 32-bit word is hashed
+    in one pass of uint32 array operations. Shards from 2^32 on, never
+    reached below 2^44 trials, take SeedSequence itself.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")  # as SeedSequence
+    n = max(0, min(count, 2 ** 32 - first))
+    # the entropy words: the seed's, least significant first, then k's
+    entropy = [np.full(n, seed >> shift & _M32, np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(first, first + n).astype(np.uint32))
+    h = _INIT_A
+
+    def hashmix(v: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * mult & _M32
+        v *= np.uint32(h)
+        v ^= v >> 16
+        return v
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        r ^= r >> 16
+        return r
+
+    # the pool of 4 words, then generate_state's 8 words from it
+    pool = [hashmix(v) for v in (entropy + [np.zeros(n, np.uint32)] * 3)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    keys = np.empty((count, 4), np.uint64)
+    keys[:n] = state.astype("<u4").view("<u8")
+    for i in range(n, count):
+        keys[i] = np.random.SeedSequence((seed, first + i)).generate_state(
+            4, np.uint64)
+    return keys
+
+
+def _pcg64_state(key: list[int]) -> dict:
+    """The state of PCG64(seq) for a seed sequence whose
+    generate_state(4, np.uint64) gives key: PCG's seeding step, with the
+    first two words as the starting state and the last two as the stream."""
+    s0, s1, i0, i1 = key
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _keyed_runs(seed: int, shards: int,
+                run: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first shard, keys) of each run of up to `run` consecutive shards in
+    turn, keys being the run's rows of _shard_keys, derived a chunk at a
+    time; a run ends at the end of its chunk."""
+    for start in range(0, shards, _KEY_CHUNK):
+        keys = _shard_keys(seed, start, min(_KEY_CHUNK, shards - start))
+        for i in range(0, len(keys), run):
+            yield start + i, keys[i:i + run]
+
+
 def _estimate(run_fn: Callable[..., int],
               scene: ScenarioKnown | ScenarioUnknown, mobility: MobilitySpec,
               Z: int, seed: int, workers: int = 1, run: int = 1) -> Estimate:
-    """Mean of Z trials run in shards of SHARD_SIZE, shard k drawing from
-    SeedSequence((seed, k)), handed out in runs of `run` consecutive
-    shards; run_fn(scene, mobility, sizes, rngs) returns the number of
-    successes in one run, whose shard i draws sizes[i] trials from rngs[i].
+    """Mean of Z trials run in shards of SHARD_SIZE, shard k drawing the
+    stream of PCG64(SeedSequence((seed, k))), handed out in runs of `run`
+    consecutive shards; run_fn(scene, mobility, sizes, rngs) returns the
+    number of successes in one run, whose shard i draws sizes[i] trials
+    from rngs[i].
 
     The calling thread and up to workers - 1 helper threads each take the
-    next run from a shared counter until none is left. Counts are
+    next run from a shared iterator until none is left, and load each
+    shard's state into one of their own `run` generators. Counts are
     integers, so their sum, and the estimate, does not depend on which
     thread ran which run. After a run raises, or an interrupt reaches the
     calling thread, no thread starts another run; the first such exception
     propagates once every thread has stopped.
     """
     shards, workers = _shard_plan(Z, workers)
-    claim = itertools.count(0, run)
+    runs = _keyed_runs(seed, shards, run)
     lock = threading.Lock()
     stop = threading.Event()
     errors: list[BaseException] = []
@@ -291,17 +384,21 @@ def _estimate(run_fn: Callable[..., int],
 
     def work(slot: int) -> None:
         try:
+            # each shard's state is loaded before it draws
+            rngs = [np.random.Generator(np.random.PCG64(0))
+                    for _ in range(min(run, shards))]
             while not stop.is_set():
                 with lock:
-                    first = next(claim)
+                    first, keys = next(runs, (shards, None))
                 if first >= shards:
                     break
-                ks = range(first, min(first + run, shards))
+                for rng, key in zip(rngs, keys.tolist()):
+                    rng.bit_generator.state = _pcg64_state(key)
                 successes[slot] += run_fn(
                     scene, mobility,
-                    [min(SHARD_SIZE, Z - k * SHARD_SIZE) for k in ks],
-                    [np.random.default_rng(np.random.SeedSequence((seed, k)))
-                     for k in ks])
+                    [min(SHARD_SIZE, Z - k * SHARD_SIZE)
+                     for k in range(first, first + len(keys))],
+                    rngs[:len(keys)])
         except BaseException as exc:  # re-raised once every thread stopped
             errors.append(exc)
             stop.set()
@@ -426,12 +523,12 @@ def estimate_ho(s: ScenarioUnknown, mobility: MobilitySpec,
     """Mean of Z independent handover trials with per-trial mobility, on
     the calling thread alone, HO_RUN shards at a time.
 
-    A fixed-law shard takes about 60-80 us of a run on a 2-core Xeon:
-    seeding its generator about 19, its 4096 count uniforms 16-17, its node
-    uniforms 4, and its share of the run's search and marking about 19.
-    Seeding holds the interpreter lock, so two threads ran the
-    unknown-rates benchmark's 16 handover estimates no faster (0.26-0.29 s
-    either way).
+    A fixed-law shard takes about 40-60 us of a run on a 2-core Xeon:
+    loading its generator's state 3-4 (building a SeedSequence and a
+    generator took about 19), its 4096 count uniforms 10-20, and the rest
+    its node uniforms and its share of the run's search and marking. These
+    are short calls that hold the interpreter lock, so two threads ran a
+    977-shard estimate no faster (58 against 57 us a shard).
     """
     return _estimate(_ho_run, s, mobility, Z, seed, run=HO_RUN)
 

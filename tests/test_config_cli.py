@@ -432,6 +432,26 @@ def test_sweep_requires_monotone_values(capsys):
     assert "monotone" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", ["table4-unknown",
+                                    "table3-static-obstacle"])
+def test_simulate_negative_seed_exits_2(capsys, config):
+    rc = main(["simulate", "--config", str(packaged_config_path(config)),
+               "--trials", "1000", "--seed", "-1"])
+    assert rc == 2
+    assert "expected non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_sweep_rejects_non_finite_values(capsys, token):
+    rc = main(["sweep", "--config",
+               str(packaged_config_path("table4-unknown")),
+               "--var", "lambda_RIS", "--values", f"{token},0.1",
+               "--outputs", "p_rr"])
+    assert rc == 2
+    assert (f"--values: not a finite number: '{token}'"
+            in capsys.readouterr().err)
+
+
 def test_sweep_output_kind_validation(capsys):
     rc = main(["sweep", "--config",
                str(packaged_config_path("table3-static-noobstacle")),

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risrates import (
     Estimate,
@@ -505,8 +507,15 @@ def test_estimate_independent_of_workers(laws, Z):
                              run=run) == one, (run_fn, workers)
 
 
+# shard k of a seed-0 estimate starts in the state of
+# PCG64(SeedSequence((0, k))), for the first 200 shards
+_SHARD_OF_STATE = {
+    np.random.PCG64(np.random.SeedSequence((0, k))).state["state"]["state"]: k
+    for k in range(200)}
+
+
 def _shard_index(rng) -> int:
-    return rng.bit_generator.seed_seq.entropy[1]
+    return _SHARD_OF_STATE[rng.bit_generator.state["state"]["state"]]
 
 
 def test_estimate_runs_every_shard_once_under_thread_switching():
@@ -564,6 +573,126 @@ def test_estimate_stops_and_reraises_the_first_failure(error):
     assert len(raised) == 2
     assert info.value is raised[0]
     assert len(calls) < shards
+
+
+# ---------------------------------------------------------------------------
+# shard generators derived in bulk
+
+
+def _seeded_state(seed: int, k: int) -> dict:
+    return np.random.PCG64(np.random.SeedSequence((seed, k))).state
+
+
+# seeds of one to seven 32-bit words: with k's word, up to 8 entropy words,
+# more than SeedSequence's pool of 4
+KEY_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**200 + 12345]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS, ids=[
+    "0", "1", "7", "2^32-1", "2^32", "2^64+5", "2^96", "2^200+12345"])
+def test_shard_keys_give_the_seed_sequence_state(seed):
+    keys = montecarlo._shard_keys(seed, 0, 5000)
+    assert keys.shape == (5000, 4) and keys.dtype == np.uint64
+    for k, key in enumerate(keys.tolist()):
+        assert montecarlo._pcg64_state(key) == _seeded_state(seed, k), k
+    # indices of two words take SeedSequence itself, also within a chunk
+    for first in (2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**32 - 2):
+        for i, key in enumerate(montecarlo._shard_keys(seed, first,
+                                                       3).tolist()):
+            assert (montecarlo._pcg64_state(key)
+                    == _seeded_state(seed, first + i)), (first, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**160), first=st.integers(0, 2**33),
+       count=st.integers(1, 40))
+def test_shard_keys_give_the_seed_sequence_state_anywhere(seed, first, count):
+    keys = montecarlo._shard_keys(seed, first, count).tolist()
+    assert [montecarlo._pcg64_state(key) for key in keys] == [
+        _seeded_state(seed, first + i) for i in range(count)]
+
+
+def test_negative_seed_raises_what_seed_sequence_raises():
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.SeedSequence((-1, 0))
+    with pytest.raises(ValueError) as keys_error:
+        montecarlo._shard_keys(-1, 0, 1)
+    s = load_packaged("table4-unknown").scenario
+    with pytest.raises(ValueError) as estimate_error:
+        estimate_ho(s, s.mobility, Z=100, seed=-1)
+    assert (str(keys_error.value) == str(estimate_error.value)
+            == str(numpy_error.value) == "expected non-negative integer")
+
+
+def test_estimate_derives_keys_one_chunk_at_a_time(monkeypatch):
+    # 2^28 shards: keys for all of them up front would take 8 GiB
+    shard_keys = montecarlo._shard_keys
+    asked = []
+
+    def one_chunk(seed, first, count):
+        assert not asked and count <= montecarlo._KEY_CHUNK, (first, count)
+        asked.append((first, count))
+        return shard_keys(seed, first, count)
+
+    runs = []
+
+    def run_fn(scene, mobility, sizes, rngs):
+        runs.append(len(sizes))
+        if len(runs) == 3:
+            raise RuntimeError("third run")
+        return sum(sizes)
+
+    monkeypatch.setattr(montecarlo, "_shard_keys", one_chunk)
+    with pytest.raises(RuntimeError, match="third run"):
+        _estimate(run_fn, None, None, 2**40, 0, run=HO_RUN)
+    assert asked == [(0, montecarlo._KEY_CHUNK)]
+    assert runs == [HO_RUN] * 3
+
+
+# Peak traced memory of a 4e6-trial HO estimate at seed 0, after a warm-up
+# estimate, while every shard built its own SeedSequence and generator; a
+# chunk of keys may add at most 64 KiB to it.
+HO_PEAK_PER_SHARD_SEEDING = 814_494
+
+
+def test_ho_estimate_memory_with_chunked_keys():
+    s = load_packaged("table4-unknown").scenario
+    estimate_ho(s, s.mobility, Z=50_000, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        estimate_ho(s, s.mobility, Z=4_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= HO_PEAK_PER_SHARD_SEEDING + 64 * 1024, peak
+
+
+def test_estimates_share_no_generator_state():
+    s = load_packaged("table4-unknown").scenario
+    room = _static("obstacle")
+    spread = MobilitySpec(Uniform(0.5, 15.0), Uniform(0.0, math.pi))
+    rr = functools.partial(_rr_run, walls=_wall_wedges(room))
+    ho_a = estimate_ho(s, s.mobility, Z=50_000, seed=3)
+    rr_a = _estimate(rr, room, room.mobility, 30_000, 3, workers=2)
+    estimate_ho(s, spread, Z=30_000, seed=4)
+    _estimate(rr, room, room.mobility, 20_000, 4, workers=2)
+    assert estimate_ho(s, s.mobility, Z=50_000, seed=3) == ho_a
+    assert _estimate(rr, room, room.mobility, 30_000, 3, workers=2) == rr_a
+
+    def broken(scene, mobility, sizes, rngs):
+        # draws part of a run and raises, leaving the generators mid-stream
+        for rng in rngs:
+            rng.random(100)
+        raise RuntimeError("mid-run")
+
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError):
+            _estimate(broken, s, s.mobility, 50_000, 3, workers=workers,
+                      run=HO_RUN)
+        assert estimate_ho(s, s.mobility, Z=50_000, seed=3) == ho_a
+        assert _estimate(rr, room, room.mobility, 30_000, 3,
+                         workers=2) == rr_a
 
 
 # estimate_rr(..., Z=20_000, seed=0).mean of the bearing-based kernel. The
