@@ -9,10 +9,11 @@ Subcommands:
 
 Data files are CSV: comma separator, one header line, LF endings, UTF-8,
 numbers at 9 significant digits. Run metadata (config digest, seed, version,
-timestamp; for Monte Carlo runs the threads and shards used) goes to a
-sidecar <out>.manifest.json, never into the data file, so reruns with the
-same seed are byte-identical. `protocol` writes its trace alone. All files
-go through `_deliver`: when a write fails, it removes what it wrote.
+timestamp; for Monte Carlo runs the threads and shards used, for load runs
+the sessions drawn per server kind) goes to a sidecar <out>.manifest.json,
+never into the data file, so reruns with the same seed are byte-identical.
+`protocol` writes its trace alone. All files go through `_deliver`: when a
+write fails, it removes what it wrote.
 
 Exit codes: 0 on success, 1 when the reader of stdout stops early, 2 on
 config or argument errors (an --out that cannot be written is one), 3 on
@@ -152,30 +153,40 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    load = args.duration is not None
+    for flag, value, applies in (("--trials", args.trials, not load),
+                                 ("--kind", args.kind, not load),
+                                 ("--mode", args.mode, load)):
+        if value is not None and not applies:
+            verb = "does not apply" if load else "only applies"
+            raise ConfigError(f"{flag} {verb} with --duration")
     cfg = load_config(args.config)
-    if args.duration is not None:
+    if load:
         _require(cfg, "load simulation", kind="unknown", signaling=True)
         result = simulate_load(cfg.scenario, cfg.signaling, args.duration,
-                               seed=args.seed, ho_mode=args.mode)
+                               seed=args.seed, ho_mode=args.mode or "x2")
         rows = [("duration", fmt9(result.duration)),
                 ("rr_initiations", str(result.rr_initiations)),
                 ("ho_initiations", str(result.ho_initiations))]
         rows += [(f"rate_{kind}", fmt9(rate))
                  for kind, rate in result.entity_rates.items()]
         text = render_csv(("quantity", "value"), rows)
-        return _deliver(text, args.out, _manifest(cfg, args.seed))
+        manifest = _manifest(cfg, args.seed)
+        manifest["load_sessions"] = result.sessions
+        return _deliver(text, args.out, manifest)
 
     label = "rr" if cfg.kind == "known" else "ho"
     if args.kind not in (None, label):
         raise ConfigError(f"{_config_of(cfg.kind)} only supports "
                           f"--kind {label}")
-    est = _mc(cfg, args.seed, args.trials)
+    trials = 100_000 if args.trials is None else args.trials
+    est = _mc(cfg, args.seed, trials)
     text = render_csv(("quantity", "value"),
                       [(f"mc_{label}", fmt9(est.mean)),
                        ("stderr", fmt9(est.stderr)),
                        ("trials", str(est.trials))])
     manifest = _manifest(cfg, args.seed)
-    manifest.update(run_record(label, args.trials))
+    manifest.update(run_record(label, trials))
     return _deliver(text, args.out, manifest)
 
 
@@ -352,13 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int, default=None,
+                   help="Monte Carlo trials (default 100000)")
     p.add_argument("--kind", choices=("rr", "ho"), default=None,
                    help="defaults to rr for known rooms, ho otherwise")
     p.add_argument("--duration", type=float, default=None,
                    help="run the event-driven load simulation instead")
-    p.add_argument("--mode", choices=("x2", "s1"), default="x2",
-                   help="handover variant for the load simulation")
+    p.add_argument("--mode", choices=("x2", "s1"), default=None,
+                   help="handover variant for the load simulation "
+                        "(default x2)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="sweep one variable, CSV output")

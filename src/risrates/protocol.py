@@ -176,12 +176,14 @@ class LoadResult:
 
     entity_rates counts participations per second by entity kind: each wire
     message adds one to its sender and one to its receiver, each internal
-    step adds one to the acting entity.
+    step adds one to the acting entity. sessions counts the sessions drawn
+    per server kind, "sgw" and "rism".
     """
 
     entity_rates: dict[str, float]
     rr_initiations: int
     ho_initiations: int
+    sessions: dict[str, int]
     duration: float
     seed: int
 
@@ -197,7 +199,7 @@ def _tally(counter: Counter, template: SequenceTemplate, times: int) -> None:
 
 # Sessions are streamed in chunks of this many, which bounds the memory of a
 # long run without changing a draw.
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 
 
 def _ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
@@ -214,8 +216,10 @@ def _count_events(s: ScenarioUnknown, rng: np.random.Generator, n: int,
 
     rng gives, in order, n speeds, n angles and n uniforms (a point-mass law
     gives none). Three copies of the stream, started at each block, read
-    them a chunk at a time, so no array holds more than _CHUNK sessions;
-    rng itself is moved past all three blocks.
+    them a chunk at a time: the uniforms and their comparison go into one
+    buffer each, made once per call, and a spread law's draws are _CHUNK
+    long, so memory stays a few chunks whatever n is. rng itself is moved
+    past all three blocks.
     """
     speed_law, angle_law = s.mobility.speed_law, s.mobility.angle_law
     n_speed = 0 if is_point_mass(speed_law) else n
@@ -234,11 +238,14 @@ def _count_events(s: ScenarioUnknown, rng: np.random.Generator, n: int,
     # with both laws fixed every session shares one threshold; computing it
     # on a one-element array runs the same numpy loops as the full array
     fixed = threshold(1) if n_speed == n_angle == 0 else None
+    u = np.empty(min(_CHUNK, n))
+    below = np.empty(u.size, dtype=bool)
     events = 0
     for start in range(0, n, _CHUNK):
         m = min(_CHUNK, n - start)
         q = threshold(m) if fixed is None else fixed
-        events += int(np.count_nonzero(uniform_rng.random(m) < q))
+        uniform_rng.random(out=u[:m])
+        events += int(np.count_nonzero(np.less(u[:m], q, out=below[:m])))
     return events
 
 
@@ -257,15 +264,22 @@ def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
     rng = np.random.default_rng(seed)
     tallies: Counter = Counter()
     initiations = {}
+    sessions = {}
     for kind, template, rates, radius, density in (
             ("sgw", ho_sequence(ho_mode), sig.sgw_rates, s.r_eNB,
              s.lambda_eNB),
             ("rism", rr_sequence(), sig.rism_rates, s.r_RIS, s.lambda_RIS)):
-        initiations[kind] = 0
+        initiations[kind] = sessions[kind] = 0
         for rate in rates:
             mean = rate * duration
-            # an idle server takes no uniform from the stream
-            n = int(poisson_counts(rng, mean)) if mean else 0
+            try:
+                # an idle server takes no uniform from the stream
+                n = int(poisson_counts(rng, mean)) if mean else 0
+            except ValueError:  # numpy's Poisson sampler stops near 9.2e18
+                raise ValueError(
+                    f"duration {duration:g} s at rate {rate:g}/s expects "
+                    f"{mean:g} sessions, too many to draw") from None
+            sessions[kind] += n
             _tally(tallies, basic_sequence(kind), n)
             if n:
                 events = _count_events(s, rng, n, radius, density, sig.p_a)
@@ -274,5 +288,5 @@ def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
 
     rates = {kind: count / duration for kind, count in sorted(tallies.items())}
     return LoadResult(entity_rates=rates, rr_initiations=initiations["rism"],
-                      ho_initiations=initiations["sgw"], duration=duration,
-                      seed=seed)
+                      ho_initiations=initiations["sgw"], sessions=sessions,
+                      duration=duration, seed=seed)

@@ -20,6 +20,7 @@ from risrates import (
     load_config,
     load_packaged,
     packaged_config_path,
+    simulate_load,
 )
 from risrates import montecarlo
 from risrates.cli import fmt9, main, render_csv
@@ -383,6 +384,13 @@ SWEEP = ["sweep", "--var", "lambda_RIS", "--values", "1e-05,2e-05"]
      "a 'known' config only supports --kind rr"),
     ("unknown", ["simulate", "--kind", "rr", "--trials", "10"],
      "an 'unknown' config only supports --kind ho"),
+    # a flag of the other simulate mode is refused, not ignored
+    ("unknown", ["simulate", "--trials", "10", "--duration", "5"],
+     "--trials does not apply with --duration"),
+    ("unknown", ["simulate", "--duration", "10", "--kind", "rr"],
+     "--kind does not apply with --duration"),
+    ("unknown", ["simulate", "--trials", "5000", "--mode", "s1"],
+     "--mode only applies with --duration"),
 ])
 def test_command_requirements_exit_2_with_one_line(tmp_path, capsys, config,
                                                    argv, message):
@@ -408,6 +416,21 @@ def test_simulate_load_run(tmp_path):
     assert got["duration"] == "20"
     assert int(got["rr_initiations"]) > 0
     assert "rate_UE" in got
+    manifest = json.loads((tmp_path / "load.csv.manifest.json").read_text())
+    cfg = load_packaged("table4-unknown")
+    assert manifest["load_sessions"] == simulate_load(
+        cfg.scenario, cfg.signaling, 20.0, seed=2).sessions
+
+
+def test_simulate_duration_too_long_to_draw_exits_2(capsys):
+    rc = main(["simulate", "--config",
+               str(packaged_config_path("table4-unknown")),
+               "--duration", "1e300"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: duration 1e+300 s at rate 100/s expects "
+                            "1e+302 sessions, too many to draw\n")
+    assert captured.out == ""
 
 
 def test_missing_config_file_exits_2(capsys):

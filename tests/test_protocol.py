@@ -199,14 +199,16 @@ def _reference_simulate_load(s, sig, duration, seed=0, ho_mode="x2"):
     rng = np.random.default_rng(seed)
     tallies = Counter()
     initiations = {}
+    sessions = {}
     for kind, template, rates, radius, density in (
             ("sgw", ho_sequence(ho_mode), sig.sgw_rates, s.r_eNB,
              s.lambda_eNB),
             ("rism", rr_sequence(), sig.rism_rates, s.r_RIS, s.lambda_RIS)):
-        initiations[kind] = 0
+        initiations[kind] = sessions[kind] = 0
         for rate in rates:
             mean = rate * duration
             n = int(poisson_counts(rng, mean)) if mean else 0
+            sessions[kind] += n
             _tally(tallies, basic_sequence(kind), n)
             if n:
                 speeds = draw_law(rng, s.mobility.speed_law, n)
@@ -218,8 +220,8 @@ def _reference_simulate_load(s, sig, duration, seed=0, ho_mode="x2"):
                 _tally(tallies, template, events)
     rates = {kind: count / duration for kind, count in sorted(tallies.items())}
     return LoadResult(entity_rates=rates, rr_initiations=initiations["rism"],
-                      ho_initiations=initiations["sgw"], duration=duration,
-                      seed=seed)
+                      ho_initiations=initiations["sgw"], sessions=sessions,
+                      duration=duration, seed=seed)
 
 
 UNKNOWN_CONFIGS = ["table4-unknown", "mobility-dip", "obstacle-density",
@@ -228,14 +230,18 @@ UNKNOWN_CONFIGS = ["table4-unknown", "mobility-dip", "obstacle-density",
 
 def _load_case(variant):
     """Scenario and signaling of a packaged config, or of table4-unknown with
-    spread laws: both (the random-direction mode) or the angle alone."""
+    spread laws: both (the random-direction mode), the speed alone or the
+    angle alone."""
     if variant in UNKNOWN_CONFIGS:
         cfg = load_packaged(variant)
         return cfg.scenario, cfg.signaling
     cfg = load_packaged("table4-unknown")
-    speed = (Uniform(0.5, 15.0) if variant == "spread"
-             else cfg.scenario.mobility.speed_law)
-    mobility = MobilitySpec(speed_law=speed, angle_law=Uniform(0.0, math.pi))
+    fixed = cfg.scenario.mobility
+    speed = (Uniform(0.5, 15.0) if variant in ("spread", "speed")
+             else fixed.speed_law)
+    angle = (Uniform(0.0, math.pi) if variant in ("spread", "angle")
+             else fixed.angle_law)
+    mobility = MobilitySpec(speed_law=speed, angle_law=angle)
     # two classes per server, one of them small, so the stream runs on
     # across classes
     sig = SignalingConfig(sgw_rates=(100.0, 3.0), rism_rates=(2.0, 100.0),
@@ -243,14 +249,18 @@ def _load_case(variant):
     return dataclasses.replace(cfg.scenario, mobility=mobility), sig
 
 
-@pytest.mark.parametrize("chunk,duration", [(7, 1.3), (4096, 170.0)])
-@pytest.mark.parametrize("variant", UNKNOWN_CONFIGS + ["spread", "angle"])
+@pytest.mark.parametrize("chunk,duration",
+                         [(7, 1.3), (4096, 170.0), (None, 1400.0)])
+@pytest.mark.parametrize("variant",
+                         UNKNOWN_CONFIGS + ["spread", "angle", "speed"])
 def test_streamed_load_matches_whole_array_reference(monkeypatch, variant,
                                                      chunk, duration):
     # about 130 or 17,000 sessions per class of rate 100/s: many chunk
-    # boundaries at either chunk size
+    # boundaries at either chunk size; about 140,000 at the default chunk
+    # (None): two full chunks and a partial one through the reused buffers
     s, sig = _load_case(variant)
-    monkeypatch.setattr(protocol, "_CHUNK", chunk)
+    if chunk is not None:
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
     for seed in range(3):
         for mode in ("x2", "s1"):
             expected = _reference_simulate_load(s, sig, duration, seed, mode)
@@ -258,14 +268,39 @@ def test_streamed_load_matches_whole_array_reference(monkeypatch, variant,
             assert simulate_load(s, sig, duration, seed, mode) == expected
 
 
-def test_streamed_load_memory_is_bounded():
-    # 2·10^6 sessions per server; the whole-array simulator traced about
-    # 107 MiB here, the streamed one about 10 MiB
-    cfg = load_packaged("table4-unknown")
+@pytest.mark.parametrize("variant", ["fixed", "spread"])
+def test_streamed_load_memory_is_bounded(variant):
+    # about 2·10^6 sessions per server; the bound, 16 float64 arrays of 2^16
+    # entries, is a few chunks whatever the session count
+    s, sig = _load_case("table4-unknown" if variant == "fixed" else variant)
     tracemalloc.start()
     try:
-        simulate_load(cfg.scenario, cfg.signaling, duration=20_000.0, seed=0)
+        simulate_load(s, sig, duration=20_000.0, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20, peak / 2**20
+    assert peak < 16 * 8 * 2**16, peak / 2**20
+
+
+@pytest.mark.parametrize("variant", ["table4-unknown", "spread", "idle"])
+def test_load_sessions_replay_the_seeded_poisson_draws(variant):
+    if variant == "idle":
+        s = load_packaged("dimensioning-speed15").scenario
+        sig = SignalingConfig(sgw_rates=(0.0, 0.4), rism_rates=(0.5, 0.0),
+                              p_a=0.99)
+    else:
+        s, sig = _load_case(variant)
+    rng = np.random.default_rng(4)
+    expected = {}
+    for kind, rates in (("sgw", sig.sgw_rates), ("rism", sig.rism_rates)):
+        expected[kind] = 0
+        for rate in rates:
+            n = int(poisson_counts(rng, rate * 50.0)) if rate else 0
+            expected[kind] += n
+            # then the class's speeds, angles and uniforms
+            draw_law(rng, s.mobility.speed_law, n)
+            draw_law(rng, s.mobility.angle_law, n)
+            rng.random(n)
+    assert min(expected.values()) > 0
+    assert simulate_load(s, sig, 50.0, seed=4).sessions == expected
+
