@@ -407,6 +407,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "trials", None) is not None and args.trials < 1:
+            # before any work: a sweep would run its closed forms first
+            raise ConfigError(f"--trials: must be at least 1, "
+                              f"got {args.trials}")
         code = args.func(args)
         # a reader that stopped early (`| head`) shows up here at the latest
         sys.stdout.flush()

@@ -578,20 +578,40 @@ def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
 # Sight-line test and numeric (rejection-sampling) areas
 
 
-def segment_crosses(ox, oy, px, py, seg: SegmentObstacle) -> np.ndarray:
+def segment_crosses(ox, oy, px, py, seg: SegmentObstacle,
+                    work=None) -> np.ndarray:
     """Does the segment from (ox, oy) to (px, py) meet seg? Broadcasts over
     arrays of either end.
 
     Inclusive test by orientation signs: touching counts as crossing, and the
     collinear-overlap corner cases resolve to True, which is the conservative
     choice for a blockage test.
+
+    work, when given, is (four float rows, two bool rows), each of the
+    result's shape: every array step writes into a float row, and the
+    result is the first bool row. The values are the same either way.
     """
     ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
-    d1 = (bx - ax) * (oy - ay) - (by - ay) * (ox - ax)
-    d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    d3 = (px - ox) * (ay - oy) - (py - oy) * (ax - ox)
-    d4 = (px - ox) * (by - oy) - (py - oy) * (bx - ox)
-    return (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
+    (w1, w2, w3, w4), (hit, side) = work or ((None,) * 4, (None,) * 2)
+
+    def sub(a, b, row):  # a - b, into row unless both are scalars
+        return np.subtract(a, b, out=row) if np.ndim(a) + np.ndim(b) else a - b
+
+    def mul(a, b, row):  # a * b, likewise
+        return np.multiply(a, b, out=row) if np.ndim(a) + np.ndim(b) else a * b
+
+    # d1, d2: the sides of seg's line the two ends lie on
+    d2 = sub(mul(bx - ax, sub(py, ay, w1), w1),
+             mul(by - ay, sub(px, ax, w2), w2), w1)
+    d1 = sub(mul(bx - ax, sub(oy, ay, w2), w2),
+             mul(by - ay, sub(ox, ax, w3), w3), w2)
+    hit = np.less_equal(mul(d1, d2, w1), 0.0, out=hit)
+    # d3, d4: the sides of the segment's line seg's two ends lie on
+    ux, uy = sub(px, ox, w1), sub(py, oy, w2)
+    d3 = sub(mul(ux, sub(ay, oy, w3), w3), mul(uy, sub(ax, ox, w4), w4), w3)
+    d4 = sub(mul(ux, sub(by, oy, w4), w4), mul(uy, sub(bx, ox, w1), w1), w4)
+    hit &= np.less_equal(mul(d3, d4, w3), 0.0, out=side)
+    return hit
 
 
 @dataclass(frozen=True)

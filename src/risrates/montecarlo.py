@@ -9,9 +9,11 @@ generator: SeedSequence's hash runs as uint32 array operations over up to
 _KEY_CHUNK shards at once, and each thread loads a shard's PCG64 state into
 one of its own generators before the shard draws.
 
-A reassignment shard keeps one node-long array, the x positions, and judges
-its nodes in blocks in one block-sized scratch, so beyond 8 bytes a node its
-working set stays bounded whatever the density.
+A reassignment shard holds no array longer than one block of _BLOCK nodes.
+Each block's x positions come from the shard's generator and its y
+positions from a copy of the stream started past all x positions, and
+every predicate writes into one workspace made per shard, so its working
+set stays bounded whatever the density.
 
 Handover shards are handed out in runs of HO_RUN consecutive shards. Each
 shard keeps its own generator and draws, and only those generator calls run
@@ -39,7 +41,8 @@ from .geometry import (TWO_PI, MoveGeometry, displaced_distance,
                        segment_crosses, wall_shadow_interval)
 from .scenarios import (MobilitySpec, ScenarioKnown, ScenarioUnknown,
                         draw_law, is_point_mass, law_bounds)
-from .stochastic import _invert_drawn, p_self_blocked, poisson_counts
+from .stochastic import (_ahead, _invert_drawn, p_self_blocked,
+                         poisson_counts)
 
 SHARD_SIZE = 4096
 # Shards per unit of handover work: each keeps its own generator, and the
@@ -112,25 +115,44 @@ def _wall_wedges(scene: ScenarioKnown) -> tuple[_Wedge, ...]:
     return tuple(wedges)
 
 
-def _outside_wedge(vx, vy, u1x, u1y, u2x, u2y, width: float) -> np.ndarray:
-    """True where vector v lies outside the closed wedge swept
-    counterclockwise from ray u1 to ray u2, by cross-product signs."""
-    c1 = u1x * vy - u1y * vx  # >= 0: v at or counterclockwise of u1
-    c2 = vx * u2y - vy * u2x  # >= 0: v at or clockwise of u2
+def _clear_of_wedge(ok: np.ndarray, vx, vy, u1x, u1y, u2x, u2y,
+                    width: float, c: np.ndarray, below: np.ndarray) -> None:
+    """ok &= vector v lies outside the closed wedge swept counterclockwise
+    from ray u1 to ray u2, by cross-product signs; c is two float rows and
+    below two bool rows of ok's length."""
+    if width >= TWO_PI:
+        ok[:] = False
+        return
+    c1 = np.multiply(u1x, vy, out=c[0])
+    c1 -= np.multiply(u1y, vx, out=c[1])  # >= 0: v at or ccw of u1
+    np.less(c1, 0.0, out=below[0])
+    c2 = np.multiply(vx, u2y, out=c[0])
+    c2 -= np.multiply(vy, u2x, out=c[1])  # >= 0: v at or cw of u2
+    np.less(c2, 0.0, out=below[1])
     if width < math.pi:
-        return (c1 < 0.0) | (c2 < 0.0)
-    if width < TWO_PI:
+        below[0] |= below[1]
+    else:
         # outside a reflex wedge = strictly inside the open convex
         # complement swept counterclockwise from u2 to u1
-        return (c1 < 0.0) & (c2 < 0.0)
-    return np.zeros(np.shape(vx), dtype=bool)
+        below[0] &= below[1]
+    ok &= below[0]
+
+
+def _workspace(size: int, per_trial: bool) -> tuple:
+    """Scratch for _candidate_mask over up to `size` points: three bool
+    rows and six float rows, or, for points judged against their own
+    trials, eight float rows and two trial-index rows."""
+    if not per_trial:
+        return np.empty((6, size)), None, np.empty((3, size), bool)
+    return (np.empty((8, size)), np.empty((2, size), np.intp),
+            np.empty((3, size), bool))
 
 
 def _candidate_mask(scene: ScenarioKnown, walls: tuple[_Wedge, ...],
                     px: np.ndarray, py: np.ndarray,
                     l2x: np.ndarray, l2y: np.ndarray, R: np.ndarray,
                     heading: np.ndarray, trial_idx: np.ndarray | None = None,
-                    out: np.ndarray | None = None,
+                    work: tuple | None = None,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized candidate predicate over the points of several trials.
 
@@ -139,45 +161,72 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[_Wedge, ...],
     point against the displacement of its trial, trial_idx. Returns the
     indices of the points strictly inside their coverage disk and, aligned
     with them, the candidate mask; the other predicates run only on those
-    points. The squared-distance test writes into the two rows of `out`,
-    when given, instead of fresh arrays.
+    points.
+
+    Every point-long step writes into `work` (from _workspace, at least
+    len(px) long), made here when not given: the disk test into two float
+    rows, which then take the inside points, and each later predicate into
+    the rows left. Each predicate is the plain expression evaluated in the
+    same order, so writing in place changes no verdict. px and py are read
+    only before the first write to work's first two rows, so they may be
+    those rows.
     """
+    m = len(px)
+    f, t, b = _workspace(m, trial_idx is not None) if work is None else work
     R2 = R ** 2
-    if trial_idx is None:
-        tx, ty, r2, hd = l2x[0], l2y[0], R2[0], heading[0]
-    else:
-        tx, ty, r2 = l2x[trial_idx], l2y[trial_idx], R2[trial_idx]
-    dist2, dy = (None, None) if out is None else out[:, :len(px)]
-    dist2 = np.subtract(px, tx, out=dist2)
+
+    def at(v, row, index):  # v at each point's trial; one value if shared
+        if trial_idx is None:
+            return v[0]
+        return np.take(v, index, out=row[:len(index)], mode="clip")
+
+    dist2 = np.subtract(px, at(l2x, f[2], trial_idx), out=f[2, :m])
     dist2 *= dist2
-    dy = np.subtract(py, ty, out=dy)
+    dy = np.subtract(py, at(l2y, f[3], trial_idx), out=f[3, :m])
     dy *= dy
     dist2 += dy
-    idx = np.flatnonzero(dist2 < r2)  # strict: ties are no events
-    px, py = px[idx], py[idx]
-    if trial_idx is not None:
-        trial = trial_idx[idx]
-        tx, ty, hd = l2x[trial], l2y[trial], heading[trial]
-    dx = px - tx
-    dy = py - ty
+    inside = np.less(dist2, at(R2, f[3], trial_idx), out=b[1, :m])
+    idx = np.flatnonzero(inside)  # strict: ties are no events
+    k = idx.size
+    f, b = f[:, :k], b[:, :k]
+    px = np.take(px, idx, out=f[2], mode="clip")
+    py = np.take(py, idx, out=f[3], mode="clip")
+    if trial_idx is None:  # the rows of the draws are free once gathered
+        trial, spare = None, (f[4], f[5], f[0], f[1])
+    else:
+        trial = np.take(trial_idx, idx, out=t[1, :k], mode="clip")
+        spare = f[4:]
+    tx, ty = at(l2x, f[0], trial), at(l2y, f[1], trial)
     r = scene.serving_ris_distance
-    ex = px - scene.ue.x
-    ey = py - scene.ue.y
-    ok = ex * ex + ey * ey >= r * r
+    ex = np.subtract(px, scene.ue.x, out=spare[0])
+    ex *= ex
+    ey = np.subtract(py, scene.ue.y, out=spare[1])
+    ey *= ey
+    ex += ey
+    ok = np.greater_equal(ex, r * r, out=b[0])
     if walls:
-        vx = px - scene.enb.x
-        vy = py - scene.enb.y
+        vx = np.subtract(px, scene.enb.x, out=spare[0])
+        vy = np.subtract(py, scene.enb.y, out=spare[1])
         for wedge in walls:
-            ok &= _outside_wedge(vx, vy, *wedge)
+            _clear_of_wedge(ok, vx, vy, *wedge, spare[2:], b[1:])
     for obs in scene.extra_obstacles:
-        ok &= ~segment_crosses(tx, ty, px, py, obs)
+        crosses = segment_crosses(tx, ty, px, py, obs, (spare, b[1:]))
+        ok &= np.invert(crosses, out=crosses)
     if scene.self_block is not None and scene.self_block.theta > 0.0:
         theta = scene.self_block.theta
+        dx = np.subtract(px, tx, out=spare[0])
+        dy = np.subtract(py, ty, out=spare[1])
+        hd = heading if trial_idx is not None else heading[0]
         if scene.self_block_direction is not None:
             hd = scene.self_block_direction
         lo = hd - 0.5 * theta
-        ok &= _outside_wedge(dx, dy, np.cos(lo), np.sin(lo),
-                             np.cos(lo + theta), np.sin(lo + theta), theta)
+        # rays of each trial, read at its points; cos and sin are the same
+        # bits on a gathered array
+        rays = (np.cos(lo), np.sin(lo), np.cos(lo + theta),
+                np.sin(lo + theta))
+        if np.ndim(lo):
+            rays = [at(u, row, trial) for u, row in zip(rays, f[:4])]
+        _clear_of_wedge(ok, dx, dy, *rays, theta, spare[2:], b[1:])
     return idx, ok
 
 
@@ -197,14 +246,16 @@ _BLOCK = 2 ** 16
 def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
                   rng: np.random.Generator, walls: tuple[_Wedge, ...]) -> int:
     """_rr_shard with the scene's wall wedges computed by the caller, judged
-    in blocks of _BLOCK nodes in one (3, _BLOCK) scratch: a block's y
-    positions and the two rows of its squared-distance test.
+    in blocks of _BLOCK nodes in one _workspace made per shard: no array of
+    the shard is longer than a block.
 
     A point-mass law draws one value that holds for every trial, so both
-    laws fixed give one displacement, judged as scalars. The x positions of
-    all nodes go into one shard-long array; each block's y positions are
-    drawn into the scratch just before it is judged, which takes the same
-    values from the generator as drawing them all at once.
+    laws fixed give one displacement, judged as scalars; otherwise each
+    block's trial index is built in a workspace row. The stream holds all x
+    positions, then all y positions: each block draws its x from rng into
+    the workspace and its y from a copy of the stream started past all x,
+    and rng ends where that copy does. That takes the same values from the
+    generator as drawing them all at once.
     """
     speeds, angles = (draw_law(rng, law, 1 if is_point_mass(law) else n)
                       for law in (mobility.speed_law, mobility.angle_law))
@@ -214,10 +265,7 @@ def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     total = int(ends[-1])
     if total == 0:
         return 0
-    px = rng.random(total)  # the bits of rng.uniform(x0, x1, total)
-    px *= x1 - x0
-    px += x0
-    scratch = np.empty((3, min(_BLOCK, total)))
+    y_rng = _ahead(rng, total)
 
     away = scene.ris_direction + math.pi
     heading = away + scene.orientation * angles
@@ -228,11 +276,16 @@ def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     shared = l2x.size == 1
     if not shared:
         l2x, l2y, R, heading = np.broadcast_arrays(l2x, l2y, R, heading)
+    work = _workspace(min(_BLOCK, total), not shared)
+    f, t, _ = work
     hits = np.zeros(n, dtype=bool)
     for start in range(0, total, _BLOCK):
         stop = min(start + _BLOCK, total)
-        py = scratch[0, :stop - start]
-        rng.random(out=py)
+        px, py = f[0, :stop - start], f[1, :stop - start]
+        rng.random(out=px)  # the bits of rng.uniform(x0, x1, total)
+        px *= x1 - x0
+        px += x0
+        y_rng.random(out=py)
         py *= y1 - y0
         py += y0
         # trials lo..hi own nodes start..stop-1; lo and hi may have nodes in
@@ -240,18 +293,22 @@ def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
         lo, hi = np.searchsorted(ends, (start, stop - 1), side="right")
         own = slice(lo, hi + 1)
         if shared:
-            idx, ok = _candidate_mask(scene, walls, px[start:stop], py, l2x,
-                                      l2y, R, heading, out=scratch[1:])
+            idx, ok = _candidate_mask(scene, walls, px, py, l2x, l2y, R,
+                                      heading, work=work)
         else:
-            edges = np.concatenate(((start,), ends[lo:hi], (stop,)))
-            trial = np.repeat(np.arange(hi + 1 - lo), np.diff(edges))
-            idx, ok = _candidate_mask(scene, walls, px[start:stop], py,
-                                      l2x[own], l2y[own], R[own],
-                                      heading[own], trial, out=scratch[1:])
+            # each node's trial: a step of one at each trial end
+            trial = t[0, :stop - start]
+            trial[:] = 0
+            np.add.at(trial, ends[lo:hi] - start, 1)
+            np.cumsum(trial, out=trial)
+            idx, ok = _candidate_mask(scene, walls, px, py, l2x[own],
+                                      l2y[own], R[own], heading[own], trial,
+                                      work)
         # a trial has a candidate when more of the block's candidates lie
         # before its end than before the previous trial's end
         before = np.searchsorted(idx.compress(ok), ends[own] - start)
         hits[own] |= np.diff(before, prepend=0) > 0
+    rng.bit_generator.state = y_rng.bit_generator.state
     hits &= speeds > 0.0
     return int(np.count_nonzero(hits))
 

@@ -9,7 +9,6 @@ internal and excluded from wire-message counts.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -18,7 +17,8 @@ import numpy as np
 
 from .scenarios import (ScenarioUnknown, SignalingConfig, draw_law,
                         is_point_mass)
-from .stochastic import event_probability, p_not_blocked_Z, poisson_counts
+from .stochastic import (_ahead, event_probability, p_not_blocked_Z,
+                         poisson_counts)
 
 ENTITY_KINDS = frozenset({
     "UE", "serving-RIS", "target-RIS", "serving-eNB", "target-eNB",
@@ -197,15 +197,13 @@ def _tally(counter: Counter, template: SequenceTemplate, times: int) -> None:
             counter[m.receiver.kind] += times
 
 
+# Expected sessions one server may draw in a load run: at about 2e8
+# sessions a second, more would run for hours.
+MAX_SESSIONS = 1e12
+
 # Sessions are streamed in chunks of this many, which bounds the memory of a
 # long run without changing a draw.
 _CHUNK = 1 << 16
-
-
-def _ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
-    """A copy of rng's PCG64 stream, k doubles further on."""
-    bg = copy.deepcopy(rng.bit_generator)
-    return np.random.Generator(bg.advance(k))
 
 
 def _count_events(s: ScenarioUnknown, rng: np.random.Generator, n: int,
@@ -257,10 +255,16 @@ def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
     Every session sends one basic message to its owning server; with
     probability p_a times the per-session event probability it additionally
     runs the full handover (SGW classes) or reassignment (RIS-M classes)
-    procedure under a fresh mobility draw.
+    procedure under a fresh mobility draw. A server expecting more than
+    MAX_SESSIONS sessions is refused before anything is drawn.
     """
     if duration <= 0.0 or not math.isfinite(duration):
         raise ValueError("duration must be positive and finite")
+    for rate in sig.sgw_rates + sig.rism_rates:
+        if rate * duration > MAX_SESSIONS:
+            raise ValueError(
+                f"duration {duration:g} s at rate {rate:g}/s expects "
+                f"{rate * duration:g} sessions, too many to draw")
     rng = np.random.default_rng(seed)
     tallies: Counter = Counter()
     initiations = {}
@@ -272,13 +276,8 @@ def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
         initiations[kind] = sessions[kind] = 0
         for rate in rates:
             mean = rate * duration
-            try:
-                # an idle server takes no uniform from the stream
-                n = int(poisson_counts(rng, mean)) if mean else 0
-            except ValueError:  # numpy's Poisson sampler stops near 9.2e18
-                raise ValueError(
-                    f"duration {duration:g} s at rate {rate:g}/s expects "
-                    f"{mean:g} sessions, too many to draw") from None
+            # an idle server takes no uniform from the stream
+            n = int(poisson_counts(rng, mean)) if mean else 0
             sessions[kind] += n
             _tally(tallies, basic_sequence(kind), n)
             if n:

@@ -58,6 +58,13 @@ class SelfBlockModel:
             raise ValueError("theta must lie in [0, 2*pi]")
 
 
+def _ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
+    """A copy of rng's PCG64 stream, k doubles further on."""
+    bg = np.random.PCG64(0)  # a fixed seed skips the entropy read
+    bg.state = rng.bit_generator.state
+    return np.random.Generator(bg.advance(k))
+
+
 def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
     """Poisson counts, one per entry of `means` broadcast to `size` (by
     default the shape of `means`): inversion from one uniform per entry up

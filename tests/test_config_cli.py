@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -430,6 +431,45 @@ def test_simulate_duration_too_long_to_draw_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.err == ("error: duration 1e+300 s at rate 100/s expects "
                             "1e+302 sessions, too many to draw\n")
+    assert captured.out == ""
+
+
+def test_simulate_duration_beyond_session_limit_exits_2_at_once(capsys):
+    # 1e17 sessions a server: numpy could draw the count, but the run
+    # would take years; it is refused before any draw
+    t0 = time.perf_counter()
+    rc = main(["simulate", "--config",
+               str(packaged_config_path("table4-unknown")),
+               "--duration", "1e15"])
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: duration 1e+15 s at rate 100/s expects "
+                            "1e+17 sessions, too many to draw\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", "table3-static-obstacle"],
+    ["simulate", "--config", "table4-unknown"],
+    ["sweep", "--config", "table3-static-obstacle", "--var", "lambda_RIS",
+     "--values", "0.1,0.2", "--outputs", "p_rr,mc_rr"],
+], ids=["simulate-known", "simulate-unknown", "sweep"])
+def test_trials_below_one_exit_2_before_any_work(monkeypatch, capsys,
+                                                 command, trials):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --trials was checked")
+
+    # a sweep used to compute its closed-form column first
+    monkeypatch.setattr("risrates.cli.load_config", no_work)
+    argv = [str(packaged_config_path(a)) if prev == "--config" else a
+            for prev, a in zip([""] + command, command)]
+    rc = main(argv + ["--trials", trials])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --trials: must be at least 1, "
+                            f"got {trials}\n")
     assert captured.out == ""
 
 

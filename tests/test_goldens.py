@@ -144,6 +144,18 @@ def test_rr_goldens_at_forced_worker_counts(workers, tmp_path, monkeypatch):
     assert not mismatched, mismatched
 
 
+def test_rr_goldens_at_forced_block_size(tmp_path, monkeypatch):
+    # 1,000 divides no shard's node total: trials straddle many block edges,
+    # and each block's x and y come from two places in the stream
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
+    goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
+    cases = _cases()
+    rr = [f"simulate/{name}" for name in KNOWN + ["spread-room"]]
+    mismatched = [case for case in rr
+                  if _run(cases[case], tmp_path) != goldens[case]]
+    assert not mismatched, mismatched
+
+
 if __name__ == "__main__":
     _record()
     sys.exit(0)

@@ -308,6 +308,29 @@ def test_rr_shard_memory_is_one_array_per_node(mobility):
     assert peak < bound, (peak, bound, total)
 
 
+# No array of the shard is longer than a block: at lambda_RIS = 0.1 and 1.6
+# (about 41,000 and 655,000 nodes) a 4096-trial shard must peak below 12
+# _BLOCK-long float arrays, with no per-node term. The bound was set before
+# measuring; a shard that holds its x positions (8 bytes per node) exceeds
+# it at 1.6.
+@pytest.mark.parametrize("mobility", [_FIXED, _SPREAD],
+                         ids=["fixed", "spread"])
+def test_rr_shard_memory_is_independent_of_node_count(mobility):
+    bound = 12 * 8 * montecarlo._BLOCK
+    for lam in (0.1, 1.6):
+        scene = dataclasses.replace(_static("selfblock"), lambda_RIS=lam)
+        walls = _wall_wedges(scene)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _rr_successes(scene, mobility, 4096, np.random.default_rng(0),
+                          walls)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (lam, peak, bound)
+
+
 # ---------------------------------------------------------------------------
 # pathwise monotonicity under a shared seed
 

@@ -136,6 +136,24 @@ def test_simulate_load_rejects_bad_duration():
         simulate_load(cfg.scenario, cfg.signaling, duration=math.inf)
 
 
+@pytest.mark.parametrize("rates", [((1.0,), (5.0, 2e5)), ((2e5, 1.0), (5.0,))])
+def test_simulate_load_refuses_a_server_beyond_the_session_limit(monkeypatch,
+                                                                 rates):
+    # 2e5/s over 1e7 s expects 2e12 sessions; the other servers' 1e7 to 5e7
+    # are drawable, and nothing at all is drawn before the refusal
+    s = load_packaged("table4-unknown").scenario
+    sig = SignalingConfig(sgw_rates=rates[0], rism_rates=rates[1], p_a=0.5)
+
+    def no_draws(*args):
+        raise AssertionError("sessions drawn before the refusal")
+
+    monkeypatch.setattr(protocol, "poisson_counts", no_draws)
+    with pytest.raises(ValueError, match="^duration 1e[+]07 s at rate "
+                                         "200000/s expects 2e[+]12 sessions"):
+        simulate_load(s, sig, duration=1e7)
+    assert 2e5 * 1e7 > protocol.MAX_SESSIONS >= 5.0 * 1e7
+
+
 def test_simulate_load_blocked_sessions_only_send_basic():
     cfg = load_packaged("table4-unknown")
     sig = type(cfg.signaling)(sgw_rates=cfg.signaling.sgw_rates,
