@@ -45,15 +45,18 @@ class RateReport:
 # ---------------------------------------------------------------------------
 # Quadrature
 
+_SIMPSON_DEPTH = 50  # bisections adaptive Simpson makes at most
+_PROBES = 9  # evenly spaced points _NearestValid evaluates first
+
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-6, max_depth: int = 50) -> float:
+                     tol: float = 1e-6) -> float:
     """Adaptive Simpson integral of f on [a, b] to absolute tolerance tol."""
     if a == b:
         return 0.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, _SIMPSON_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -75,20 +78,19 @@ class _NearestValid:
     """Integrand wrapper that replaces domain-failing nodes with the value at
     the nearest valid abscissa, counting the substitutions."""
 
-    def __init__(self, f: Callable[[float], float], a: float, b: float,
-                 probes: int = 9):
+    def __init__(self, f: Callable[[float], float], a: float, b: float):
         self._f = f
         self._cache: list[tuple[float, float]] = []
         self.failures = 0
-        first_error: GeometryDomainError | None = None
-        for i in range(probes):
-            t = a + (b - a) * i / (probes - 1)
+        errors: list[GeometryDomainError] = []
+        for i in range(_PROBES):
+            t = a + (b - a) * i / (_PROBES - 1)
             try:
                 self._cache.append((t, f(t)))
             except GeometryDomainError as exc:
-                first_error = exc
+                errors.append(exc)
         if not self._cache:
-            raise first_error  # nothing valid anywhere on the interval
+            raise errors[0]  # nothing valid anywhere on the interval
 
     def __call__(self, t: float) -> float:
         for tc, vc in self._cache:

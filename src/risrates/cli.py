@@ -336,7 +336,10 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 
 
 def cmd_protocol(args: argparse.Namespace) -> int:
-    template = rr_sequence() if args.kind == "rr" else ho_sequence(args.mode)
+    if args.kind == "rr" and args.mode is not None:
+        raise ConfigError("--mode does not apply with --kind rr")
+    template = (rr_sequence() if args.kind == "rr"
+                else ho_sequence(args.mode or "x2"))
     return _deliver(export_trace(template), args.out)
 
 
@@ -396,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protocol", help="export a signaling sequence trace")
     p.add_argument("--kind", choices=("rr", "ho"), required=True)
-    p.add_argument("--mode", choices=("x2", "s1"), default="x2")
+    p.add_argument("--mode", choices=("x2", "s1"), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_protocol)
 

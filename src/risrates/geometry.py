@@ -315,11 +315,14 @@ def wedge_from_wall(apex: Point2D, wall: SegmentObstacle,
                          d_BU2=apex.distance_to(l2))
 
 
+_CIRCLE_POINTS = 2048  # exclusion-circle points _check_subtraction_valid tests
+
+
 def _check_subtraction_valid(apex: Point2D, start: float, width: float,
                              l1: Point2D, l2: Point2D,
-                             r: float, R: float, n: int = 2048) -> None:
+                             r: float, R: float) -> None:
     """The in-shadow part of circle(L1, r) must sit inside disk(L2, R)."""
-    t = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    t = np.linspace(0.0, TWO_PI, _CIRCLE_POINTS, endpoint=False)
     px = l1.x + r * np.cos(t)
     py = l1.y + r * np.sin(t)
     ang = np.arctan2(py - apex.y, px - apex.x)

@@ -1,9 +1,11 @@
 """Monte Carlo estimators for reassignment and handover probabilities.
 
-Estimators draw trials in fixed-size shards, shard k drawing the stream of
-PCG64(SeedSequence((master seed, k))) and returning an integer success
-count, so the estimate does not depend on which thread runs a shard or in
-what order: reassignment shards run on one thread per available CPU and
+Both estimators go through one driver, _estimate, that draws trials in
+fixed-size shards, shard k drawing the stream of PCG64(SeedSequence((master
+seed, k))), and hands runs of consecutive shards to one run function
+(_rr_run or _ho_run, scene and mobility bound in) that returns an integer
+success count. So the estimate does not depend on which thread runs a
+shard or in what order: reassignment shards run on one thread per CPU and
 give the same bits as one thread. No shard builds a SeedSequence or a
 generator: SeedSequence's hash runs as uint32 array operations over up to
 _KEY_CHUNK shards at once, and each thread loads a shard's PCG64 state into
@@ -36,9 +38,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import (TWO_PI, MoveGeometry, displaced_distance,
-                       displaced_distance_sq, displaced_position,
-                       segment_crosses, wall_shadow_interval)
+from .geometry import (TWO_PI, displaced_distance_sq, segment_crosses,
+                       wall_shadow_interval)
 from .scenarios import (MobilitySpec, ScenarioKnown, ScenarioUnknown,
                         draw_law, is_point_mass, law_bounds)
 from .stochastic import (_ahead, _invert_drawn, p_self_blocked,
@@ -78,27 +79,6 @@ class Estimate:
 
 # ---------------------------------------------------------------------------
 # Known-room reassignment trials
-
-
-def rr_candidate_count(scene: ScenarioKnown, points: np.ndarray,
-                       d_U: float, xi: float) -> int:
-    """Number of viable new serving candidates in an explicit node field at
-    one displacement.
-
-    A node is a viable new serving candidate when it is strictly closer to
-    the displaced position than the serving node will be, not inside the
-    serving exclusion circle, not inside any wall's shadow as seen from the
-    base station, has a sight line to the displaced position clear of the
-    extra obstacles, and is outside the body-shadow sector.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    l2, heading = displaced_position(scene.ue, scene.ris_direction,
-                                     scene.orientation, d_U, xi)
-    R = displaced_distance(MoveGeometry(scene.serving_ris_distance, d_U, xi))
-    _, ok = _candidate_mask(scene, _wall_wedges(scene), pts[:, 0], pts[:, 1],
-                            np.full(1, l2.x), np.full(1, l2.y), np.full(1, R),
-                            np.full(1, heading))
-    return int(np.count_nonzero(ok))
 
 
 _Wedge = tuple[float, float, float, float, float]
@@ -230,13 +210,6 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[_Wedge, ...],
     return idx, ok
 
 
-def _rr_shard(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
-              rng: np.random.Generator) -> int:
-    """Number of successful trials in one shard. Draw order: speeds, angles,
-    count uniforms, then all x positions, then all y positions."""
-    return _rr_successes(scene, mobility, n, rng, _wall_wedges(scene))
-
-
 # Nodes judged per _candidate_mask call, and the nodes after which a run of
 # handover shards judges those gathered so far: temporaries stay about this
 # size however many nodes the trials draw.
@@ -245,9 +218,10 @@ _BLOCK = 2 ** 16
 
 def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
                   rng: np.random.Generator, walls: tuple[_Wedge, ...]) -> int:
-    """_rr_shard with the scene's wall wedges computed by the caller, judged
-    in blocks of _BLOCK nodes in one _workspace made per shard: no array of
-    the shard is longer than a block.
+    """Successful trials in a shard of n (walls: the scene's _wall_wedges),
+    drawing speeds, angles, count uniforms, all x, then all y positions;
+    judged in blocks of _BLOCK nodes in one _workspace made per shard: no
+    array of the shard is longer than a block.
 
     A point-mass law draws one value that holds for every trial, so both
     laws fixed give one displacement, judged as scalars; otherwise each
@@ -415,14 +389,12 @@ def _keyed_runs(seed: int, shards: int,
             yield start + i, keys[i:i + run]
 
 
-def _estimate(run_fn: Callable[..., int],
-              scene: ScenarioKnown | ScenarioUnknown, mobility: MobilitySpec,
+def _estimate(run_fn: Callable[[list[int], list[np.random.Generator]], int],
               Z: int, seed: int, workers: int = 1, run: int = 1) -> Estimate:
     """Mean of Z trials run in shards of SHARD_SIZE, shard k drawing the
     stream of PCG64(SeedSequence((seed, k))), handed out in runs of `run`
-    consecutive shards; run_fn(scene, mobility, sizes, rngs) returns the
-    number of successes in one run, whose shard i draws sizes[i] trials
-    from rngs[i].
+    consecutive shards; run_fn(sizes, rngs) returns the number of successes
+    in one run, whose shard i draws sizes[i] trials from rngs[i].
 
     The calling thread and up to workers - 1 helper threads each take the
     next run from a shared iterator until none is left, and load each
@@ -452,7 +424,6 @@ def _estimate(run_fn: Callable[..., int],
                 for rng, key in zip(rngs, keys.tolist()):
                     rng.bit_generator.state = _pcg64_state(key)
                 successes[slot] += run_fn(
-                    scene, mobility,
                     [min(SHARD_SIZE, Z - k * SHARD_SIZE)
                      for k in range(first, first + len(keys))],
                     rngs[:len(keys)])
@@ -478,19 +449,13 @@ def estimate_rr(scene: ScenarioKnown, mobility: MobilitySpec,
                 Z: int = 100_000, seed: int = 0) -> Estimate:
     """Mean of Z independent reassignment trials with per-trial mobility,
     on WORKERS threads, one shard at a time."""
-    walls = _wall_wedges(scene)
-    return _estimate(functools.partial(_rr_run, walls=walls), scene,
-                     mobility, Z, seed, workers=WORKERS)
+    return _estimate(functools.partial(_rr_run, scene, mobility,
+                                       walls=_wall_wedges(scene)),
+                     Z, seed, workers=WORKERS)
 
 
 # ---------------------------------------------------------------------------
 # Unknown-obstacle handover trials
-
-
-def _ho_shard(s: ScenarioUnknown, mobility: MobilitySpec, n: int,
-              rng: np.random.Generator) -> int:
-    """Number of handovers in one shard: _ho_run over a run of one."""
-    return _ho_run(s, mobility, [n], [rng])
 
 
 def _ho_run(s: ScenarioUnknown, mobility: MobilitySpec, sizes: list[int],
@@ -587,7 +552,8 @@ def estimate_ho(s: ScenarioUnknown, mobility: MobilitySpec,
     are short calls that hold the interpreter lock, so two threads ran a
     977-shard estimate no faster (58 against 57 us a shard).
     """
-    return _estimate(_ho_run, s, mobility, Z, seed, run=HO_RUN)
+    return _estimate(functools.partial(_ho_run, s, mobility), Z, seed,
+                     run=HO_RUN)
 
 
 def run_record(kind: str, Z: int, estimates: int = 1) -> dict:

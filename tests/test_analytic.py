@@ -68,6 +68,15 @@ def test_nearest_valid_raises_when_nothing_works():
         _NearestValid(broken, 0.0, 1.0)
 
 
+def test_nearest_valid_raises_the_first_probe_error():
+    def bad_at(t: float) -> float:
+        raise GeometryDomainError(f"bad at {t}")
+
+    # probes run from t = 0 to t = 1; the error of the first one propagates
+    with pytest.raises(GeometryDomainError, match=r"^bad at 0\.0$"):
+        _NearestValid(bad_at, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # point probabilities
 

@@ -685,6 +685,21 @@ def test_protocol_trace_file(tmp_path):
     assert len(out2.read_text().splitlines()) == 17
 
 
+def test_protocol_mode_is_refused_for_rr_and_defaults_to_x2(capsys):
+    # the RR trace has no variants: --mode is refused, not ignored
+    for mode in ("x2", "s1"):
+        assert main(["protocol", "--kind", "rr", "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --mode does not apply with --kind rr\n"
+        assert captured.out == ""
+    assert main(["protocol", "--kind", "ho"]) == 0
+    default = capsys.readouterr().out
+    assert main(["protocol", "--kind", "ho", "--mode", "x2"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["protocol", "--kind", "ho", "--mode", "s1"]) == 0
+    assert capsys.readouterr().out != default
+
+
 @pytest.mark.parametrize("argv", [
     ["protocol", "--kind", "rr"],
     ["analytic", "--config",

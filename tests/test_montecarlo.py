@@ -29,9 +29,8 @@ from risrates import montecarlo
 from risrates.geometry import (TWO_PI, Point2D, SegmentObstacle,
                                displaced_distance_sq, wall_shadow_interval)
 from risrates.montecarlo import (HO_RUN, SHARD_SIZE, _candidate_mask,
-                                 _estimate, _ho_run, _ho_shard, _rr_run,
-                                 _rr_shard, _rr_successes, _wall_wedges,
-                                 rr_candidate_count)
+                                 _estimate, _ho_run, _rr_run, _rr_successes,
+                                 _wall_wedges)
 from risrates.scenarios import Deterministic, MobilitySpec, Uniform, draw_law
 from risrates.stochastic import (RandomObstacleModel, SelfBlockModel, _invert,
                                  p_self_blocked, poisson_counts)
@@ -52,6 +51,19 @@ def test_outcome_and_estimate_validation():
 
 # ---------------------------------------------------------------------------
 # explicit-field candidate predicate, one scene per blocking mechanism
+
+
+def rr_candidate_count(scene, points, d_U, xi):
+    """Viable new serving candidates among explicit points at one
+    displacement: _candidate_mask with the displacement as scalars."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    l2, heading = displaced_position(scene.ue, scene.ris_direction,
+                                     scene.orientation, d_U, xi)
+    R = displaced_distance(MoveGeometry(scene.serving_ris_distance, d_U, xi))
+    _, ok = _candidate_mask(scene, _wall_wedges(scene), pts[:, 0], pts[:, 1],
+                            np.full(1, l2.x), np.full(1, l2.y), np.full(1, R),
+                            np.full(1, heading))
+    return int(np.count_nonzero(ok))
 
 
 def test_field_predicate_blocking_mechanisms():
@@ -101,7 +113,8 @@ def test_zero_displacement_trial_has_no_event():
     field = np.random.default_rng(9).uniform((x0, y0), (x1, y1), (5000, 2))
     assert rr_candidate_count(scene, field, 0.0, XI45) == 0
     still = MobilitySpec(Deterministic(0.0), Deterministic(XI45))
-    assert _rr_shard(scene, still, 200, np.random.default_rng(9)) == 0
+    assert _rr_successes(scene, still, 200, np.random.default_rng(9),
+                         _wall_wedges(scene)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +360,8 @@ def test_ho_trials_monotone_in_density():
     mobility = MobilitySpec(Deterministic(2.0), Deterministic(XI45))
     differ = 0
     for seed in range(40):
-        low = _ho_shard(small, mobility, 1, np.random.default_rng(seed))
-        high = _ho_shard(denser, mobility, 1, np.random.default_rng(seed))
+        low = _ho_run(small, mobility, [1], [np.random.default_rng(seed)])
+        high = _ho_run(denser, mobility, [1], [np.random.default_rng(seed)])
         assert high >= low
         differ += high != low
     assert differ > 0
@@ -431,7 +444,7 @@ def _ho_cases():
 def test_ho_shard_matches_reference(label, s, mobility, n):
     for seed in range(5):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _ho_shard(s, mobility, n, a) == _reference_ho_shard(
+        assert _ho_run(s, mobility, [n], [a]) == _reference_ho_shard(
             s, mobility, n, b), seed
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -507,7 +520,7 @@ def test_estimate_rr_deterministic_and_sharded():
     successes = 0
     for shard_idx, n in enumerate((SHARD_SIZE, 6000 - SHARD_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence((3, shard_idx)))
-        successes += _rr_shard(scene, mob, n, rng)
+        successes += _rr_successes(scene, mob, n, rng, _wall_wedges(scene))
     assert a.mean == successes / 6000
 
 
@@ -521,12 +534,12 @@ def test_estimate_independent_of_workers(laws, Z):
     else:
         room_mob = MobilitySpec(Uniform(0.5, 2.5), Uniform(0.0, math.pi))
         ho_mob = MobilitySpec(Uniform(0.5, 15.0), Uniform(0.0, math.pi))
-    rr = functools.partial(_rr_run, walls=_wall_wedges(room))
-    for run_fn, run, scene, mob in ((rr, 1, room, room_mob),
-                                    (_ho_run, HO_RUN, s, ho_mob)):
-        one = _estimate(run_fn, scene, mob, Z, 5, workers=1, run=run)
+    rr = functools.partial(_rr_run, room, room_mob, walls=_wall_wedges(room))
+    ho = functools.partial(_ho_run, s, ho_mob)
+    for run_fn, run in ((rr, 1), (ho, HO_RUN)):
+        one = _estimate(run_fn, Z, 5, workers=1, run=run)
         for workers in (2, 3, 8):
-            assert _estimate(run_fn, scene, mob, Z, 5, workers=workers,
+            assert _estimate(run_fn, Z, 5, workers=workers,
                              run=run) == one, (run_fn, workers)
 
 
@@ -547,7 +560,7 @@ def test_estimate_runs_every_shard_once_under_thread_switching():
     shards = 200
     ran = []
 
-    def shard(scene, mobility, sizes, rngs):
+    def shard(sizes, rngs):
         (n,), (rng,) = sizes, rngs
         ran.append(_shard_index(rng))
         return n
@@ -555,8 +568,7 @@ def test_estimate_runs_every_shard_once_under_thread_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        est = _estimate(shard, None, None, shards * SHARD_SIZE - 3, 0,
-                        workers=8)
+        est = _estimate(shard, shards * SHARD_SIZE - 3, 0, workers=8)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(ran) == list(range(shards))
@@ -573,7 +585,7 @@ def test_estimate_stops_and_reraises_the_first_failure(error):
     entered_3 = threading.Event()
     raised_2 = threading.Event()
 
-    def shard(scene, mobility, sizes, rngs):
+    def shard(sizes, rngs):
         (n,), (rng,) = sizes, rngs
         k = _shard_index(rng)
         calls.append(k)
@@ -592,7 +604,7 @@ def test_estimate_stops_and_reraises_the_first_failure(error):
         return n
 
     with pytest.raises(error) as info:
-        _estimate(shard, None, None, shards * SHARD_SIZE, 0, workers=3)
+        _estimate(shard, shards * SHARD_SIZE, 0, workers=3)
     assert len(raised) == 2
     assert info.value is raised[0]
     assert len(calls) < shards
@@ -659,7 +671,7 @@ def test_estimate_derives_keys_one_chunk_at_a_time(monkeypatch):
 
     runs = []
 
-    def run_fn(scene, mobility, sizes, rngs):
+    def run_fn(sizes, rngs):
         runs.append(len(sizes))
         if len(runs) == 3:
             raise RuntimeError("third run")
@@ -667,7 +679,7 @@ def test_estimate_derives_keys_one_chunk_at_a_time(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_shard_keys", one_chunk)
     with pytest.raises(RuntimeError, match="third run"):
-        _estimate(run_fn, None, None, 2**40, 0, run=HO_RUN)
+        _estimate(run_fn, 2**40, 0, run=HO_RUN)
     assert asked == [(0, montecarlo._KEY_CHUNK)]
     assert runs == [HO_RUN] * 3
 
@@ -695,15 +707,16 @@ def test_estimates_share_no_generator_state():
     s = load_packaged("table4-unknown").scenario
     room = _static("obstacle")
     spread = MobilitySpec(Uniform(0.5, 15.0), Uniform(0.0, math.pi))
-    rr = functools.partial(_rr_run, walls=_wall_wedges(room))
+    rr = functools.partial(_rr_run, room, room.mobility,
+                           walls=_wall_wedges(room))
     ho_a = estimate_ho(s, s.mobility, Z=50_000, seed=3)
-    rr_a = _estimate(rr, room, room.mobility, 30_000, 3, workers=2)
+    rr_a = _estimate(rr, 30_000, 3, workers=2)
     estimate_ho(s, spread, Z=30_000, seed=4)
-    _estimate(rr, room, room.mobility, 20_000, 4, workers=2)
+    _estimate(rr, 20_000, 4, workers=2)
     assert estimate_ho(s, s.mobility, Z=50_000, seed=3) == ho_a
-    assert _estimate(rr, room, room.mobility, 30_000, 3, workers=2) == rr_a
+    assert _estimate(rr, 30_000, 3, workers=2) == rr_a
 
-    def broken(scene, mobility, sizes, rngs):
+    def broken(sizes, rngs):
         # draws part of a run and raises, leaving the generators mid-stream
         for rng in rngs:
             rng.random(100)
@@ -711,11 +724,9 @@ def test_estimates_share_no_generator_state():
 
     for workers in (1, 2):
         with pytest.raises(RuntimeError):
-            _estimate(broken, s, s.mobility, 50_000, 3, workers=workers,
-                      run=HO_RUN)
+            _estimate(broken, 50_000, 3, workers=workers, run=HO_RUN)
         assert estimate_ho(s, s.mobility, Z=50_000, seed=3) == ho_a
-        assert _estimate(rr, room, room.mobility, 30_000, 3,
-                         workers=2) == rr_a
+        assert _estimate(rr, 30_000, 3, workers=2) == rr_a
 
 
 # estimate_rr(..., Z=20_000, seed=0).mean of the bearing-based kernel. The
