@@ -305,9 +305,8 @@ def dimension_servers(target_capacity: float, s: ScenarioUnknown,
     if not (target_capacity > 0.0) or not math.isfinite(target_capacity):
         raise ValueError(f"target capacity must be a positive finite number, "
                          f"got {target_capacity!r}")
-    total = class_load(s, sig, kind)
-    if not math.isfinite(total):
-        raise ValueError("class load is not finite; no server count suffices")
-    if total == 0.0:
-        return 1
-    return max(1, math.ceil(total / target_capacity - 1e-12))
+    ratio = class_load(s, sig, kind) / target_capacity
+    if not math.isfinite(ratio):
+        raise ValueError(f"class load / target capacity is {ratio!r}; no "
+                         f"server count suffices")
+    return max(1, math.ceil(ratio - 1e-12))

@@ -8,7 +8,6 @@ directly toward it.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -366,64 +365,6 @@ def visible_excess_area_A1(scene, g: MoveGeometry) -> float:
 # ---------------------------------------------------------------------------
 # Exact shadowed areas (polar sweep)
 
-# Gauss-Legendre nodes per sweep piece. The integrand is analytic inside each
-# piece and breakpoints are graded towards every near-real singularity, so
-# this many nodes reach roundoff.
-_SWEEP_NODES = 24
-# Graded breakpoints stop at pieces this wide (radians).
-_GRADE_TO = 0.5
-
-
-@functools.cache
-def _sweep_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], plain and mapped through
-    s -> 3s^2 - 2s^3. The map's derivative vanishes at both ends, which
-    absorbs the square-root behaviour of the exclusion-circle radii next to
-    a tangent angle. numpy.polynomial is imported here, not at module level,
-    to keep the package import fast."""
-    from numpy.polynomial.legendre import leggauss
-    s, w = leggauss(_SWEEP_NODES)
-    s, w = 0.5 * (s + 1.0), 0.5 * w
-    return s, w, s * s * (3.0 - 2.0 * s), 6.0 * w * s * (1.0 - s)
-
-
-def _sweep_nodes(start: float, span: float, breaks: list[float],
-                 tangents: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights over the angles [start, start + span]:
-    Gauss-Legendre on each piece between the breakpoints, with the mapped
-    rule on the pieces that end at one of the tangent angles."""
-    cuts = {0.0, span}
-    cuts.update(o for o in ((a - start) % TWO_PI for a in breaks + tangents)
-                if 0.0 < o < span)
-    tangent = [(a - start) % TWO_PI for a in tangents]
-    for tau in tangent:
-        # a cut near a tangent leaves the next piece close to a square-root
-        # branch point: grade the pieces down to that distance
-        if 0.0 < tau < span:
-            gap = min(abs(c - tau) for c in cuts if c != tau)
-            cuts.update(o for o in _graded(tau, gap) if 0.0 < o < span)
-    cuts = np.array(sorted(cuts))
-    at_tangent = np.isin(cuts, tangent)
-    mapped = (at_tangent[:-1] | at_tangent[1:])[:, None]
-    width = np.diff(cuts)[:, None]
-    s, w, s_mapped, w_mapped = _sweep_rules()
-    phi = start + cuts[:-1, None] + width * np.where(mapped, s_mapped, s)
-    return phi.ravel(), (width * np.where(mapped, w_mapped, w)).ravel()
-
-
-def _graded(center: float, scale: float) -> list[float]:
-    """Breakpoints at center and at center +/- scale * 2^k for k = 0, 1, ...
-    up to _GRADE_TO. Placed around a singularity `scale` away from `center`,
-    they keep every piece near it no wider than its distance to the
-    singularity."""
-    out = [center]
-    if scale > 0.0:
-        out += [center - scale, center + scale]
-        while scale < _GRADE_TO:
-            scale *= 2.0
-            out += [center - scale, center + scale]
-    return out
-
 
 def _line_line(p, d, q, e) -> list[tuple[float, float]]:
     """Crossing of the lines p + s*d and q + t*e (none when parallel)."""
@@ -472,13 +413,19 @@ def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
     at `displaced` (its radius is honoured).
 
     Polar sweep around L2 = displaced: every boundary cuts the ray at angle
-    phi at radii in closed form (coverage and exclusion circles, each wall
-    wedge's two border lines through the base station, the obstacle's
-    line), so the area is the integral over phi of the sum of (b^2 - a^2)/2
-    over the ray's in-region intervals [a, b]. Gauss-Legendre runs on each
-    piece between the directions of the region's vertices: segment
-    endpoints, the base station, tangents to the exclusion circle and every
-    pairwise crossing of the boundary lines and circles.
+    phi at one radius in closed form (the coverage circle, the exclusion
+    circle's two roots, each wall wedge's two border lines through the base
+    station, the obstacle's line), so the area is the integral over phi of
+    the sum of (b^2 - a^2)/2 over the ray's in-region intervals [a, b]. The
+    sweep is cut at the directions of the region's vertices (segment
+    endpoints, the base station, every pairwise crossing of the boundary
+    lines and circles), of each line's two parallel directions, and of the
+    exclusion circle's tangents and centre. Between two cuts every boundary
+    keeps its rank along the ray, so one ray through the piece's middle
+    classifies the intervals, and each kept interval adds the difference of
+    its two boundaries' antiderivatives of rho^2/2 across the piece. A
+    boundary behind L2 (or missing the ray) counts as radius 0, and one at
+    or past the coverage circle as that circle.
     """
     if R <= 0.0:
         return 0.0
@@ -518,50 +465,63 @@ def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
         for c, rho in circles:
             points += _line_circle(p, d, c, rho)
     breaks = [bearing(displaced, Point2D(*pt)) for pt in points]
-    for p, d in lines:
-        # A line at distance h from L2 cuts the ray at h / |sin(phi - along)|,
-        # whose poles lie asin(h / cap) past the directions in which the
-        # line leaves disk(L2, cap).
-        h = abs(d[0] * (l2[1] - p[1]) - d[1] * (l2[0] - p[0])) / math.hypot(*d)
-        if h < cap:
-            along = math.atan2(d[1], d[0])
-            breaks += (_graded(along, math.asin(h / cap))
-                       + _graded(along + math.pi, math.asin(h / cap)))
-    d_u = math.hypot(l2[0] - l1[0], l2[1] - l1[1])
-    tangents = []
+    along = [math.atan2(d[1], d[0]) for _, d in lines]
+    breaks += along + [a + math.pi for a in along]
+    wx, wy = l2[0] - l1[0], l2[1] - l1[1]
+    d_u = math.hypot(wx, wy)
     if d_u > 0.0:
-        # The exclusion radii branch where disc(phi) = 0: seen from outside
-        # circle(L1, r), at the two tangents and at their mirror images
-        # behind L2; seen from inside, acosh(q) off the real axis at
-        # toward +/- pi/2.
-        q = r / d_u
+        # toward L1 the coverage circle can touch circle(L1, r) without
+        # crossing it, where a middle ray would see the two tied; and from
+        # outside circle(L1, r) only the rays between its tangents meet it
         toward = bearing(displaced, ue)
-        if q < 1.0:
-            half = math.asin(q)
-            tangents = [toward - half, toward + half]
-            breaks += [toward + math.pi - half, toward + math.pi + half]
-        else:
-            for a in (toward - 0.5 * math.pi, toward + 0.5 * math.pi):
-                breaks += _graded(a, math.acosh(q))
-    phi, weights = _sweep_nodes(span_start, span, breaks, tangents)
+        breaks.append(toward)
+        if r <= d_u:
+            half = math.asin(r / d_u)
+            breaks += [toward - half, toward + half]
+    cuts = {0.0, span}
+    cuts.update(o for o in ((a - span_start) % TWO_PI for a in breaks)
+                if 0.0 < o < span)
+    ends = span_start + np.array(sorted(cuts))
+    phi = 0.5 * (ends[1:] + ends[:-1])
     ux, uy = np.cos(phi), np.sin(phi)
 
-    # Candidate radii along each ray; the pieces between consecutive sorted
-    # radii are classified at their midpoints.
-    wx, wy = l2[0] - l1[0], l2[1] - l1[1]
+    # Every boundary's radius along the middle ray of each piece, and its
+    # antiderivative of rho^2/2 at the piece ends: 0 for the origin, the
+    # cap circle's sector, the exclusion circle's roots -proj -/+ sqrt(disc)
+    # with r*sin(theta) = d_u*sin(psi), and each line's -h^2*cot/2.
     proj = wx * ux + wy * uy
     disc = proj * proj - (wx * wx + wy * wy - r * r)
     root = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
     radii = [np.zeros_like(phi), np.full_like(phi, cap),
              -proj - root, -proj + root]
+    psi = ends - bearing(ue, displaced)
+    theta = np.arcsin(np.clip(d_u * np.sin(psi) / r, -1.0, 1.0))
+    common = 0.5 * r * r * psi + 0.25 * d_u * d_u * np.sin(2.0 * psi)
+    split = 0.5 * r * r * (theta + 0.5 * np.sin(2.0 * theta))
+    prims = [np.zeros_like(ends), 0.5 * cap * cap * ends,
+             common + split, common - split]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p, d in lines:
+        for (p, d), alpha in zip(lines, along):
             # cross(d, l2 - p + t u) = 0
             c0 = d[0] * (l2[1] - p[1]) - d[1] * (l2[0] - p[0])
             radii.append(-c0 / (d[0] * uy - d[1] * ux))
-    t = np.sort(np.clip(np.nan_to_num(np.stack(radii, axis=1), nan=0.0,
-                                      posinf=cap, neginf=0.0), 0.0, cap),
-                axis=1)
+            # the antiderivative stays within |h|*cap/2 while the line is
+            # inside the cap circle; a line through L2 meets that circle
+            # within roundoff of its pole
+            h = c0 / math.hypot(*d)
+            top = 0.5 * abs(h) * cap
+            prims.append(np.clip(-0.5 * h * h / np.tan(ends - alpha),
+                                 -top, top))
+        rise = np.diff(np.stack(prims, axis=1), axis=0)
+    v = np.stack(radii, axis=1)
+    # column 1 is the cap circle
+    rise = np.where((v > 0.0) & (v < cap), rise,
+                    np.where(v >= cap, rise[:, 1:2], 0.0))
+    t = np.clip(np.nan_to_num(v, nan=0.0, posinf=cap, neginf=0.0), 0.0, cap)
+    order = np.argsort(t, axis=1)
+    t = np.take_along_axis(t, order, axis=1)
+    rise = np.take_along_axis(rise, order, axis=1)
+
     mid = 0.5 * (t[:, 1:] + t[:, :-1])
     px = l2[0] + mid * ux[:, None]
     py = l2[1] + mid * uy[:, None]
@@ -573,8 +533,7 @@ def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
     if isinstance(extra, SegmentObstacle):
         # the sight line from L2 meets the obstacle at radii[-1]
         keep &= mid >= radii[-1][:, None]
-    f = 0.5 * np.where(keep, t[:, 1:] ** 2 - t[:, :-1] ** 2, 0.0).sum(axis=1)
-    return float(weights @ f)
+    return float(np.where(keep, rise[:, 1:] - rise[:, :-1], 0.0).sum())
 
 
 # ---------------------------------------------------------------------------

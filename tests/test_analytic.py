@@ -232,6 +232,10 @@ def test_dimension_servers_edge_cases():
         class_load(cfg.scenario, cfg.signaling, "mme")
     silent = SignalingConfig(sgw_rates=(0.0,), rism_rates=(0.0,), p_a=1.0)
     assert dimension_servers(55.0, cfg.scenario, silent, "SGW") == 1
+    # a subnormal capacity overflows the load/capacity ratio
+    with pytest.raises(ValueError, match="no server count suffices"):
+        dimension_servers(1e-310, cfg.scenario, cfg.signaling, "SGW")
+    assert dimension_servers(1e-310, cfg.scenario, silent, "SGW") == 1
 
 
 def test_dimension_servers_exact_multiple_boundary():

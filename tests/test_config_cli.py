@@ -672,6 +672,16 @@ def test_dimension_rejects_non_finite_threshold(threshold, capsys):
     assert "positive finite number" in capsys.readouterr().err
 
 
+def test_dimension_refuses_a_threshold_that_overflows_the_ratio(capsys):
+    rc = main(["dimension", "--config",
+               str(packaged_config_path("table4-unknown")),
+               "--threshold", "1e-310"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "no server count suffices" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_protocol_trace_file(tmp_path):
     out = tmp_path / "rr.txt"
     assert main(["protocol", "--kind", "rr", "--out", str(out)]) == 0

@@ -389,6 +389,25 @@ def test_shadowed_area_full_turn_equals_closed_form_A1(name):
     assert checked >= 12
 
 
+@pytest.mark.parametrize("name", ["noobstacle", "obstacle", "selfblock"])
+def test_shadowed_area_is_additive_over_sectors(name):
+    # seven equal sectors tile the full turn, so their areas must sum to it
+    # up to roundoff, wherever the sector borders fall among the tangents,
+    # poles and crossings of the boundaries
+    scene = load_packaged(f"table3-static-{name}").scenario
+    parts = [2.0 * math.pi * k / 7.0 for k in range(8)]
+    for d_U in (0.25 * k for k in range(1, 15)):
+        for xi_deg in range(0, 181, 15):
+            g, R, l2, _ = _displaced(scene, d_U, math.radians(xi_deg))
+            args = (scene.enb, scene.walls, scene.ue, l2, g.r, R)
+            full = shadowed_visible_area(
+                *args, CircularSector(l2, math.inf, 0.0, 2.0 * math.pi))
+            pieces = sum(shadowed_visible_area(
+                *args, CircularSector(l2, math.inf, a, b - a))
+                for a, b in zip(parts, parts[1:]))
+            assert abs(full - pieces) <= 1e-12 * R * R, (d_U, xi_deg)
+
+
 @pytest.mark.parametrize("d_U, xi_deg", [(2.0, 45.0), (1.4, 60.0),
                                           (1.8, 65.0), (3.0, 30.0)])
 def test_shadowed_area_matches_rejection_oracle(d_U, xi_deg):

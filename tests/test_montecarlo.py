@@ -299,11 +299,13 @@ def test_blocked_rr_shard_matches_reference(monkeypatch, lam, mobility, room,
             assert a.bit_generator.state == b.bit_generator.state
 
 
-# The shard keeps one shard-long array, its x positions, and judges blocks
-# in scratch: at lambda_RIS = 1.6 a 4096-trial shard (about 655,000 nodes)
-# must peak below 8 bytes per node plus 16 _BLOCK-long float arrays. The
-# bound was set before measuring; a shard that also holds its y positions
-# (16 bytes per node) exceeds it at _BLOCK = 2^15 or 2^16.
+# The shard streams its x and y positions block by block and judges each
+# block in scratch, so it holds no node-long array. This older, looser
+# bound allows one: at lambda_RIS = 1.6 a 4096-trial shard (about 655,000
+# nodes) must peak below 8 bytes per node plus 16 _BLOCK-long float arrays.
+# It was set before measuring; a shard that holds both its x and its y
+# positions (16 bytes per node) exceeds it at _BLOCK = 2^15 or 2^16. The
+# next test pins the tighter bound with no per-node term.
 @pytest.mark.parametrize("mobility", [_FIXED, _SPREAD],
                          ids=["fixed", "spread"])
 def test_rr_shard_memory_is_one_array_per_node(mobility):

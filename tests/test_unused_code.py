@@ -1,5 +1,6 @@
-"""Every top-level function and class of the package is used by the package
-itself or exported: code that only tests call belongs in the tests."""
+"""Every top-level function, class and constant of the package is used by
+the package itself or exported: code that only tests call belongs in the
+tests."""
 
 import ast
 from pathlib import Path
@@ -14,25 +15,36 @@ def _trees() -> dict[str, ast.Module]:
             for path in sorted(SRC.glob("*.py"))}
 
 
+def _top_level_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a def or class, or the names an
+    assignment binds (tuple targets unpacked), dunders left out."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            and not (n.id.startswith("__") and n.id.endswith("__"))]
+
+
 def unused_definitions(trees: dict[str, ast.Module],
                        exported: set[str]) -> list[str]:
-    """'module.py:name' of each top-level def or class whose name appears
-    nowhere in the trees as a name, an attribute or an imported name, and
-    is not in `exported`."""
+    """'module.py:name' of each top-level def, class or assigned name that
+    the trees never load as a name or an attribute nor import, and that is
+    not in `exported`."""
     used = set(exported)
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return [f"{module}:{node.name}"
+    return [f"{module}:{name}"
             for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and node.name not in used]
+            for name in _top_level_names(node) if name not in used]
 
 
 def test_no_top_level_definition_is_unused():
@@ -42,10 +54,14 @@ def test_no_top_level_definition_is_unused():
 def test_unused_definition_is_named():
     trees = {"a.py": ast.parse(
         "from .b import g\n"
-        "def f(): return h.attr\n"
-        "def dead(): return f()\n"
+        "__all__ = ['Shown']\n"
+        "USED, (DEAD, _dead) = 1, (2, 3)\n"
+        "LIMIT: int = USED\n"
+        "STORED = 0\n"
+        "def f(): return h.attr + b.SHARED + LIMIT\n"
+        "def dead(): STORED = 1; return f()\n"
         "class Shown: pass\n"
         "class Hidden: pass\n"),
-        "b.py": ast.parse("def g(): pass\ndef attr(): pass\n")}
-    assert unused_definitions(trees, {"Shown"}) == ["a.py:dead",
-                                                    "a.py:Hidden"]
+        "b.py": ast.parse("SHARED = 1\ndef g(): pass\ndef attr(): pass\n")}
+    assert unused_definitions(trees, {"Shown"}) == [
+        "a.py:DEAD", "a.py:_dead", "a.py:STORED", "a.py:dead", "a.py:Hidden"]
