@@ -314,27 +314,40 @@ def wedge_from_wall(apex: Point2D, wall: SegmentObstacle,
                          d_BU2=apex.distance_to(l2))
 
 
-_CIRCLE_POINTS = 2048  # exclusion-circle points _check_subtraction_valid tests
-
-
 def _check_subtraction_valid(apex: Point2D, start: float, width: float,
                              l1: Point2D, l2: Point2D,
-                             r: float, R: float) -> None:
-    """The in-shadow part of circle(L1, r) must sit inside disk(L2, R)."""
-    t = np.linspace(0.0, TWO_PI, _CIRCLE_POINTS, endpoint=False)
-    px = l1.x + r * np.cos(t)
-    py = l1.y + r * np.sin(t)
-    ang = np.arctan2(py - apex.y, px - apex.x)
-    inside = (ang - start) % TWO_PI <= width
-    if not inside.any():
-        return
-    d2 = (px - l2.x) ** 2 + (py - l2.y) ** 2
-    worst = float(d2[inside].max())
+                             r: float, R: float) -> float | None:
+    """The in-shadow part of circle(L1, r) must sit inside disk(L2, R).
+
+    That part is the set of circle points whose bearing from the apex lies
+    in the wedge [start, start + width]. The squared distance to L2 is a
+    cosine of the angle around the circle, so its maximum over the
+    in-shadow arcs is exact: the circle point facing away from L2 when that
+    point is in the wedge, else an arc end, where a border ray crosses the
+    circle. No candidate means the circle has no in-shadow part. Returns
+    that maximum, or None when there is no such part.
+    """
+    wx, wy = l1.x - l2.x, l1.y - l2.y
+    d_u = math.hypot(wx, wy)
+    ux, uy = (wx / d_u, wy / d_u) if d_u > 0.0 else (1.0, 0.0)
+    far = (l1.x + r * ux, l1.y + r * uy)
+    candidates = []
+    if (math.atan2(far[1] - apex.y, far[0] - apex.x) - start) % TWO_PI <= width:
+        candidates.append(far)
+    a = (apex.x, apex.y)
+    for ang in (start, start + width):
+        d = (math.cos(ang), math.sin(ang))
+        candidates += [p for p in _line_circle(a, d, (l1.x, l1.y), r)
+                       if (p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1] >= 0.0]
+    if not candidates:
+        return None
+    worst = max((x - l2.x) ** 2 + (y - l2.y) ** 2 for x, y in candidates)
     if worst > R * R * (1.0 + 1e-9):
         raise GeometryDomainError(
             "exclusion circle leaves the displaced coverage disk inside the "
             "wall shadow; the area subtraction does not apply "
             f"(worst distance {math.sqrt(worst):.6g} > R {R:.6g})")
+    return worst
 
 
 def visible_excess_area_A1(scene, g: MoveGeometry) -> float:
@@ -426,12 +439,19 @@ def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
     its two boundaries' antiderivatives of rho^2/2 across the piece. A
     boundary behind L2 (or missing the ray) counts as radius 0, and one at
     or past the coverage circle as that circle.
+
+    The pieces run in plain floats, and each piece end's antiderivatives
+    serve both pieces that meet there. Where Python would raise, the
+    arithmetic keeps IEEE results: x/0 is +-inf and 0/0 NaN (a ray parallel
+    to a line, or a line through L2 at its pole), a NaN radius counts as 0,
+    and a NaN compares False.
     """
     if R <= 0.0:
         return 0.0
     l2 = (displaced.x, displaced.y)
     l1 = (ue.x, ue.y)
-    b = (enb.x, enb.y)
+    bx, by = enb.x, enb.y
+    b = (bx, by)
     lines = []  # (point, direction) of every straight boundary
     borders = []  # per wall: the wedge's start and end border directions
     for wall in walls:
@@ -464,7 +484,7 @@ def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
             points += _line_line(p, d, q, e)
         for c, rho in circles:
             points += _line_circle(p, d, c, rho)
-    breaks = [bearing(displaced, Point2D(*pt)) for pt in points]
+    breaks = [math.atan2(y - l2[1], x - l2[0]) for x, y in points]
     along = [math.atan2(d[1], d[0]) for _, d in lines]
     breaks += along + [a + math.pi for a in along]
     wx, wy = l2[0] - l1[0], l2[1] - l1[1]
@@ -481,59 +501,79 @@ def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
     cuts = {0.0, span}
     cuts.update(o for o in ((a - span_start) % TWO_PI for a in breaks)
                 if 0.0 < o < span)
-    ends = span_start + np.array(sorted(cuts))
-    phi = 0.5 * (ends[1:] + ends[:-1])
-    ux, uy = np.cos(phi), np.sin(phi)
+    ends = [span_start + o for o in sorted(cuts)]
+    away = bearing(ue, displaced)
+    segment = isinstance(extra, SegmentObstacle)
+    heads = []  # per line: direction, c0, -h^2/2, the bound |h|*cap/2, alpha
+    for (p, d), alpha in zip(lines, along):
+        # cross(d, l2 - p + t u) = 0
+        c0 = d[0] * (l2[1] - p[1]) - d[1] * (l2[0] - p[0])
+        h = c0 / math.hypot(*d)
+        heads.append((d, c0, -0.5 * h * h, 0.5 * abs(h) * cap, alpha))
 
-    # Every boundary's radius along the middle ray of each piece, and its
-    # antiderivative of rho^2/2 at the piece ends: 0 for the origin, the
-    # cap circle's sector, the exclusion circle's roots -proj -/+ sqrt(disc)
-    # with r*sin(theta) = d_u*sin(psi), and each line's -h^2*cot/2.
-    proj = wx * ux + wy * uy
-    disc = proj * proj - (wx * wx + wy * wy - r * r)
-    root = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-    radii = [np.zeros_like(phi), np.full_like(phi, cap),
-             -proj - root, -proj + root]
-    psi = ends - bearing(ue, displaced)
-    theta = np.arcsin(np.clip(d_u * np.sin(psi) / r, -1.0, 1.0))
-    common = 0.5 * r * r * psi + 0.25 * d_u * d_u * np.sin(2.0 * psi)
-    split = 0.5 * r * r * (theta + 0.5 * np.sin(2.0 * theta))
-    prims = [np.zeros_like(ends), 0.5 * cap * cap * ends,
-             common + split, common - split]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for (p, d), alpha in zip(lines, along):
-            # cross(d, l2 - p + t u) = 0
-            c0 = d[0] * (l2[1] - p[1]) - d[1] * (l2[0] - p[0])
-            radii.append(-c0 / (d[0] * uy - d[1] * ux))
-            # the antiderivative stays within |h|*cap/2 while the line is
-            # inside the cap circle; a line through L2 meets that circle
-            # within roundoff of its pole
-            h = c0 / math.hypot(*d)
-            top = 0.5 * abs(h) * cap
-            prims.append(np.clip(-0.5 * h * h / np.tan(ends - alpha),
-                                 -top, top))
-        rise = np.diff(np.stack(prims, axis=1), axis=0)
-    v = np.stack(radii, axis=1)
-    # column 1 is the cap circle
-    rise = np.where((v > 0.0) & (v < cap), rise,
-                    np.where(v >= cap, rise[:, 1:2], 0.0))
-    t = np.clip(np.nan_to_num(v, nan=0.0, posinf=cap, neginf=0.0), 0.0, cap)
-    order = np.argsort(t, axis=1)
-    t = np.take_along_axis(t, order, axis=1)
-    rise = np.take_along_axis(rise, order, axis=1)
+    def prims(e):
+        # each boundary's antiderivative of rho^2/2 at the piece end e: the
+        # cap circle's sector, the exclusion circle's roots -proj -/+
+        # sqrt(disc) with r*sin(theta) = d_u*sin(psi), and each line's
+        # -h^2*cot/2, held within |h|*cap/2 while the line is inside the cap
+        # circle (a line through L2 meets that circle within roundoff of its
+        # pole). The origin's is 0.
+        psi = e - away
+        theta = math.asin(_clip(_div(d_u * math.sin(psi), r), 1.0))
+        common = 0.5 * r * r * psi + 0.25 * d_u * d_u * math.sin(2.0 * psi)
+        split = 0.5 * r * r * (theta + 0.5 * math.sin(2.0 * theta))
+        return [0.5 * cap * cap * e, common + split, common - split] + [
+            _clip(_div(q, math.tan(e - alpha)), top)
+            for _, _, q, top, alpha in heads]
 
-    mid = 0.5 * (t[:, 1:] + t[:, :-1])
-    px = l2[0] + mid * ux[:, None]
-    py = l2[1] + mid * uy[:, None]
-    keep = (px - l1[0]) ** 2 + (py - l1[1]) ** 2 >= r * r
-    vx, vy = px - b[0], py - b[1]
-    for ds, de in borders:
-        keep &= ~((ds[0] * vy - ds[1] * vx >= 0.0)
-                  & (vx * de[1] - vy * de[0] >= 0.0))
-    if isinstance(extra, SegmentObstacle):
-        # the sight line from L2 meets the obstacle at radii[-1]
-        keep &= mid >= radii[-1][:, None]
-    return float(np.where(keep, rise[:, 1:] - rise[:, :-1], 0.0).sum())
+    total = 0.0
+    lo = prims(ends[0])
+    for e0, e1 in zip(ends, ends[1:]):
+        hi = prims(e1)
+        rise = [y - x for x, y in zip(lo, hi)]
+        lo = hi
+        phi = 0.5 * (e1 + e0)
+        ux, uy = math.cos(phi), math.sin(phi)
+        # every boundary's radius along the middle ray: the exclusion
+        # circle's roots (NaN where the ray misses it), then each line's
+        proj = wx * ux + wy * uy
+        disc = proj * proj - (wx * wx + wy * wy - r * r)
+        root = math.sqrt(disc) if disc >= 0.0 else math.nan
+        radii = [-proj - root, -proj + root] + [
+            _div(-c0, d[0] * uy - d[1] * ux) for d, c0, _, _, _ in heads]
+        # a boundary behind L2 (or missing the ray) sits at 0 and adds 0;
+        # one at or past the cap circle merges with it
+        bounds = sorted(((v, dv) for v, dv in zip(radii, rise[1:])
+                         if 0.0 < v < cap), key=lambda vd: vd[0])
+        bounds = [(0.0, 0.0)] + bounds + [(cap, rise[0])]
+        for (t0, r0), (t1, r1) in zip(bounds, bounds[1:]):
+            mid = 0.5 * (t1 + t0)
+            px, py = l2[0] + mid * ux, l2[1] + mid * uy
+            ex, ey = px - l1[0], py - l1[1]
+            vx, vy = px - bx, py - by
+            if (ex * ex + ey * ey >= r * r
+                    and not any(ds[0] * vy - ds[1] * vx >= 0.0
+                                and vx * de[1] - vy * de[0] >= 0.0
+                                for ds, de in borders)
+                    # the sight line from L2 meets the obstacle at radii[-1]
+                    and (not segment or mid >= radii[-1])):
+                total += r1 - r0
+    return total
+
+
+def _div(a: float, b: float) -> float:
+    """a / b with IEEE results where Python raises: x/0 is +-inf, 0/0 NaN."""
+    if b:
+        return a / b
+    if a != a or a == 0.0:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _clip(x: float, top: float) -> float:
+    """x held to [-top, top]. NaN stays NaN: max and min return their first
+    argument when no comparison holds."""
+    return min(max(x, -top), top)
 
 
 # ---------------------------------------------------------------------------

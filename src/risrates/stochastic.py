@@ -101,6 +101,8 @@ def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
 # Terms a table sums before it is cut: every term of a mean up to 60 has
 # underflowed to zero well before the last (at mean 60, after k = 555).
 _TERMS = 2002
+# Bins of a mean's guide table: a power of two, so u * _GUIDE is exact.
+_GUIDE = 4096
 
 
 def _invert(m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -148,15 +150,36 @@ def _invert_one_mean(m: np.float64, u: np.ndarray) -> np.ndarray:
     return counts
 
 
+@functools.lru_cache(maxsize=64)
+def _guide_table(m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Guide to the table of one mean, read-only: guide[j] counts the CDF
+    entries below j / _GUIDE, so a uniform in [j, j + 1) / _GUIDE counts
+    between guide[j] and guide[j + 1], and split[j] marks the bins where
+    those differ, the only ones that hold a CDF entry. uint16 holds every
+    count up to _TERMS."""
+    cdf = _cdf_table.__wrapped__(m)  # leaves a draw one _cdf_table lookup
+    guide = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE,
+                            side="left").astype(np.uint16)
+    guide, split = guide[:-1], guide[1:] != guide[:-1]
+    guide.flags.writeable = split.flags.writeable = False
+    return guide, split
+
+
 def _invert_drawn(m: np.float64, u: np.ndarray) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """_invert_one_mean over a flat u as (entries, counts) of the entries
-    that count 1 or more: the table of the mean is searched for the
-    uniforms above CDF_0 only. A uniform above the whole table is left to
-    the loop, which counts it as the last k whose term is nonzero."""
-    cdf = _cdf_table(float(m))
+    that count 1 or more. The guide gives the count of every uniform above
+    CDF_0 whose bin holds no CDF entry; the table of the mean is searched
+    for the rest. A uniform above the whole table is left to the loop,
+    which counts it as the last k whose term is nonzero."""
+    key = float(m)
+    cdf = _cdf_table(key)
+    guide, split = _guide_table(key)
     drew = np.flatnonzero(u > cdf[0])
-    k = np.searchsorted(cdf, u[drew], side="left")
+    k = (u[drew] * _GUIDE).astype(np.int64)  # each uniform's bin, then count
+    search = np.flatnonzero(split.take(k))
+    k[...] = guide.take(k)
+    k[search] = np.searchsorted(cdf, u[drew[search]], side="left")
     over = np.flatnonzero(k == cdf.size)
     if over.size:
         k[over] = _invert(np.full(over.size, m), u[drew[over]])

@@ -1,5 +1,6 @@
 """Geometry kernel tests: frozen reference values, oracles, error contracts."""
 
+import dataclasses
 import logging
 import math
 
@@ -30,8 +31,10 @@ from risrates import (
     wall_shadow_interval,
     wedge_from_wall,
 )
-from risrates.geometry import (_sector_contains_many, segment_crosses,
-                               wedge_circle_area)
+from risrates.geometry import (TWO_PI, _check_subtraction_valid,
+                               _circle_circle, _clip, _div, _line_circle,
+                               _line_line, _sector_contains_many,
+                               segment_crosses, wedge_circle_area)
 
 XI45 = math.radians(45.0)
 
@@ -246,6 +249,136 @@ def test_subtraction_validity_guard_raises():
         visible_excess_area_A1(bad, MoveGeometry(2.0, 0.5, math.radians(90.0)))
 
 
+def _sampled_check_refuses(apex, start, width, l1, l2, r, R):
+    """The earlier domain check, kept as a reference: it tests 2,048 equally
+    spaced points of circle(L1, r) and refuses when an in-shadow one lies
+    beyond R (with the same 1e-9 slack)."""
+    t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+    px = l1.x + r * np.cos(t)
+    py = l1.y + r * np.sin(t)
+    ang = np.arctan2(py - apex.y, px - apex.x)
+    inside = (ang - start) % (2.0 * math.pi) <= width
+    if not inside.any():
+        return False
+    d2 = (px - l2.x) ** 2 + (py - l2.y) ** 2
+    return float(d2[inside].max()) > R * R * (1.0 + 1e-9)
+
+
+def _dense_worst_sq(apex, start, width, l1, l2, r):
+    """Worst squared distance from L2 over the in-shadow part of circle(L1,
+    r), by brute force: 2^16 circle points, the border rays' crossings with
+    the circle, and a golden-section refinement around the best point."""
+    def at(t):
+        return l1.x + r * math.cos(t), l1.y + r * math.sin(t)
+
+    def inside(x, y):
+        ang = math.atan2(y - apex.y, x - apex.x)
+        return (ang - start) % (2.0 * math.pi) <= width
+
+    def d2(x, y):
+        return (x - l2.x) ** 2 + (y - l2.y) ** 2
+
+    n = 2 ** 16
+    t = np.arange(n) * (2.0 * math.pi / n)
+    px, py = l1.x + r * np.cos(t), l1.y + r * np.sin(t)
+    ang = np.arctan2(py - apex.y, px - apex.x)
+    ins = (ang - start) % (2.0 * math.pi) <= width
+    points = []
+    if ins.any():
+        dd = np.where(ins, (px - l2.x) ** 2 + (py - l2.y) ** 2, -np.inf)
+        best = float(t[int(np.argmax(dd))])
+        points.append(at(best))
+        lo, hi = best - 2.0 * math.pi / n, best + 2.0 * math.pi / n
+        g = (math.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(80):
+            a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+            if d2(*at(a)) < d2(*at(b)):
+                lo = a
+            else:
+                hi = b
+        points.append(at(0.5 * (lo + hi)))
+    kept = [d2(x, y) for x, y in points if inside(x, y)]
+    for ang in (start, start + width):
+        # a crossing of a border ray is in the wedge's closure
+        ux, uy = math.cos(ang), math.sin(ang)
+        fx, fy = apex.x - l1.x, apex.y - l1.y
+        half = fx * ux + fy * uy
+        disc = half * half - (fx * fx + fy * fy - r * r)
+        if disc >= 0.0:
+            kept += [d2(apex.x + s * ux, apex.y + s * uy)
+                     for s in (-half - math.sqrt(disc), -half + math.sqrt(disc))
+                     if s >= 0.0]
+    return max(kept) if kept else None
+
+
+def _check_battery(n=200, seed=2027):
+    """Seeded wall / user / move scenes: a wall seen from the base station at
+    the origin, a user inside its shadow, and one displacement step."""
+    rng = np.random.default_rng(seed)
+    apex = Point2D(0.0, 0.0)
+    for _ in range(n):
+        centre, half = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.05, 0.4)
+        reach = rng.uniform(1.0, 3.0)
+        wall = SegmentObstacle(
+            Point2D(reach * math.cos(centre - half), reach * math.sin(centre - half)),
+            Point2D(reach * math.cos(centre + half), reach * math.sin(centre + half)))
+        start, width = wall_shadow_interval(apex, wall)
+        at, far = centre + 0.9 * rng.uniform(-half, half), reach + rng.uniform(1.0, 6.0)
+        l1 = Point2D(far * math.cos(at), far * math.sin(at))
+        g = MoveGeometry(rng.uniform(0.5, 3.0), rng.uniform(0.1, 3.0),
+                         rng.uniform(0.0, 0.6))
+        # the serving node off to one side, where it is often in sight
+        side = int(rng.choice([-1, 1]))
+        l2, _ = displaced_position(l1, at + side * rng.uniform(1.0, 2.1),
+                                   side, g.d_U, g.xi)
+        yield apex, start, width, l1, l2, g.r, displaced_distance(g)
+
+
+def test_subtraction_check_worst_distance_is_exact():
+    checked = 0
+    for apex, start, width, l1, l2, r, _ in _check_battery():
+        dense = _dense_worst_sq(apex, start, width, l1, l2, r)
+        exact = _check_subtraction_valid(apex, start, width, l1, l2, r,
+                                         math.inf)
+        assert abs(exact - dense) <= 1e-12 * dense, (exact, dense)
+        checked += 1
+    assert checked == 200
+
+
+def test_subtraction_check_refuses_what_sampling_refused():
+    refused = accepted = 0
+    for scene in _check_battery():
+        try:
+            _check_subtraction_valid(*scene)
+        except GeometryDomainError:
+            refused += 1
+            continue
+        assert not _sampled_check_refuses(*scene), scene
+        accepted += 1
+    assert refused >= 50 and accepted >= 50, (refused, accepted)
+
+
+def test_subtraction_check_sees_between_the_old_sample_points():
+    # a narrow wedge from an apex 3 away from L1 covers two short arcs of
+    # circle(L1, 1), each between two of the 2,048 points the earlier check
+    # tested; the near arc lies beyond R from L2, the far one within it
+    l1 = Point2D(0.0, 0.0)
+    mid = 100.5 * 2.0 * math.pi / 2048
+    apex = Point2D(3.0 * math.cos(mid), 3.0 * math.sin(mid))
+    half = math.pi / 2048 / 20.0
+    start, width = mid + math.pi - half, 2.0 * half
+    l2 = Point2D(-0.5 * math.cos(mid), -0.5 * math.sin(mid))
+    args = (apex, start, width, l1, l2, 1.0, 1.2)
+    assert not _sampled_check_refuses(*args)
+    with pytest.raises(GeometryDomainError, match="exclusion circle"):
+        _check_subtraction_valid(*args)
+    assert _check_subtraction_valid(*args[:-1], 1.5) == pytest.approx(
+        _dense_worst_sq(*args[:-1]), rel=1e-12)
+    # turned a quarter, the wedge misses the circle: nothing to check
+    assert _check_subtraction_valid(apex, start + 0.5 * math.pi, width,
+                                    *args[3:]) is None
+
+
 # ---------------------------------------------------------------------------
 # wall shadows, displacement bookkeeping
 
@@ -369,6 +502,119 @@ def _displaced(scene, d_U, xi):
     return g, displaced_distance(g), l2, heading
 
 
+def _numpy_sweep(enb, walls, ue, displaced, r, R, extra):
+    """shadowed_visible_area as it was before its pieces ran in plain
+    floats, kept as a reference: the same cuts, then every piece evaluated
+    at once in numpy arrays."""
+    if R <= 0.0:
+        return 0.0
+    l2 = (displaced.x, displaced.y)
+    l1 = (ue.x, ue.y)
+    b = (enb.x, enb.y)
+    lines = []  # (point, direction) of every straight boundary
+    borders = []  # per wall: the wedge's start and end border directions
+    for wall in walls:
+        start, width = wall_shadow_interval(enb, wall)
+        ds = (math.cos(start), math.sin(start))
+        de = (math.cos(start + width), math.sin(start + width))
+        borders.append((ds, de))
+        lines += [(b, ds), (b, de)]
+    cap = R
+    points = [b]
+    if isinstance(extra, SegmentObstacle):
+        span_start, span = wall_shadow_interval(displaced, extra)
+        seg_a = (extra.a.x, extra.a.y)
+        seg_e = (extra.b.x - extra.a.x, extra.b.y - extra.a.y)
+        lines.append((seg_a, seg_e))
+        points += [seg_a, (extra.b.x, extra.b.y)]
+    elif isinstance(extra, CircularSector):
+        if extra.origin != displaced:
+            raise GeometryDomainError(
+                "a shadow sector must be anchored at the displaced position")
+        span_start, span = extra.start_angle, extra.sweep
+        cap = min(R, extra.radius)
+    else:
+        raise TypeError(f"unsupported shadow source: {type(extra).__name__}")
+
+    circles = ((l2, cap), (l1, r))
+    points += _circle_circle(l2, cap, l1, r)
+    for i, (p, d) in enumerate(lines):
+        for q, e in lines[i + 1:]:
+            points += _line_line(p, d, q, e)
+        for c, rho in circles:
+            points += _line_circle(p, d, c, rho)
+    breaks = [bearing(displaced, Point2D(*pt)) for pt in points]
+    along = [math.atan2(d[1], d[0]) for _, d in lines]
+    breaks += along + [a + math.pi for a in along]
+    wx, wy = l2[0] - l1[0], l2[1] - l1[1]
+    d_u = math.hypot(wx, wy)
+    if d_u > 0.0:
+        # toward L1 the coverage circle can touch circle(L1, r) without
+        # crossing it, where a middle ray would see the two tied; and from
+        # outside circle(L1, r) only the rays between its tangents meet it
+        toward = bearing(displaced, ue)
+        breaks.append(toward)
+        if r <= d_u:
+            half = math.asin(r / d_u)
+            breaks += [toward - half, toward + half]
+    cuts = {0.0, span}
+    cuts.update(o for o in ((a - span_start) % TWO_PI for a in breaks)
+                if 0.0 < o < span)
+    ends = span_start + np.array(sorted(cuts))
+    phi = 0.5 * (ends[1:] + ends[:-1])
+    ux, uy = np.cos(phi), np.sin(phi)
+
+    # Every boundary's radius along the middle ray of each piece, and its
+    # antiderivative of rho^2/2 at the piece ends: 0 for the origin, the
+    # cap circle's sector, the exclusion circle's roots -proj -/+ sqrt(disc)
+    # with r*sin(theta) = d_u*sin(psi), and each line's -h^2*cot/2.
+    proj = wx * ux + wy * uy
+    disc = proj * proj - (wx * wx + wy * wy - r * r)
+    root = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+    radii = [np.zeros_like(phi), np.full_like(phi, cap),
+             -proj - root, -proj + root]
+    psi = ends - bearing(ue, displaced)
+    theta = np.arcsin(np.clip(d_u * np.sin(psi) / r, -1.0, 1.0))
+    common = 0.5 * r * r * psi + 0.25 * d_u * d_u * np.sin(2.0 * psi)
+    split = 0.5 * r * r * (theta + 0.5 * np.sin(2.0 * theta))
+    prims = [np.zeros_like(ends), 0.5 * cap * cap * ends,
+             common + split, common - split]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (p, d), alpha in zip(lines, along):
+            # cross(d, l2 - p + t u) = 0
+            c0 = d[0] * (l2[1] - p[1]) - d[1] * (l2[0] - p[0])
+            radii.append(-c0 / (d[0] * uy - d[1] * ux))
+            # the antiderivative stays within |h|*cap/2 while the line is
+            # inside the cap circle; a line through L2 meets that circle
+            # within roundoff of its pole
+            h = c0 / math.hypot(*d)
+            top = 0.5 * abs(h) * cap
+            prims.append(np.clip(-0.5 * h * h / np.tan(ends - alpha),
+                                 -top, top))
+        rise = np.diff(np.stack(prims, axis=1), axis=0)
+    v = np.stack(radii, axis=1)
+    # column 1 is the cap circle
+    rise = np.where((v > 0.0) & (v < cap), rise,
+                    np.where(v >= cap, rise[:, 1:2], 0.0))
+    t = np.clip(np.nan_to_num(v, nan=0.0, posinf=cap, neginf=0.0), 0.0, cap)
+    order = np.argsort(t, axis=1)
+    t = np.take_along_axis(t, order, axis=1)
+    rise = np.take_along_axis(rise, order, axis=1)
+
+    mid = 0.5 * (t[:, 1:] + t[:, :-1])
+    px = l2[0] + mid * ux[:, None]
+    py = l2[1] + mid * uy[:, None]
+    keep = (px - l1[0]) ** 2 + (py - l1[1]) ** 2 >= r * r
+    vx, vy = px - b[0], py - b[1]
+    for ds, de in borders:
+        keep &= ~((ds[0] * vy - ds[1] * vx >= 0.0)
+                  & (vx * de[1] - vy * de[0] >= 0.0))
+    if isinstance(extra, SegmentObstacle):
+        # the sight line from L2 meets the obstacle at radii[-1]
+        keep &= mid >= radii[-1][:, None]
+    return float(np.where(keep, rise[:, 1:] - rise[:, :-1], 0.0).sum())
+
+
 @pytest.mark.parametrize("name", ["noobstacle", "obstacle", "selfblock"])
 def test_shadowed_area_full_turn_equals_closed_form_A1(name):
     # a full-turn sector shadows the whole visible excess region
@@ -428,6 +674,86 @@ def test_shadowed_area_matches_rejection_oracle(d_U, xi_deg):
                                    origin=l2, seed=2024)
         assert est.area > 0.0
         assert abs(exact - est.area) <= 4.0 * est.stderr, (extra, exact, est)
+
+
+@pytest.mark.parametrize("name", ["static-obstacle", "static-selfblock",
+                                  "uniform-obstacle", "uniform-selfblock"])
+def test_float_sweep_matches_numpy_reference(name):
+    # every bite shadow of the room, over its whole (d_U, xi) range
+    scene = load_packaged(f"table3-{name}").scenario
+    checked = 0
+    for d_U in np.linspace(0.1, 3.5, 18):
+        for xi_deg in range(0, 181, 10):
+            g, R, l2, heading = _displaced(scene, float(d_U),
+                                           math.radians(xi_deg))
+            args = (scene.enb, scene.walls, scene.ue, l2, g.r, R)
+            shadows = list(scene.extra_obstacles)
+            if scene.self_block is not None:
+                theta = scene.self_block.theta
+                shadows.append(CircularSector(l2, math.inf,
+                                              heading - 0.5 * theta, theta))
+            for extra in shadows:
+                new = shadowed_visible_area(*args, extra)
+                ref = _numpy_sweep(*args, extra)
+                assert abs(new - ref) <= 1e-12 * R * R, (d_U, xi_deg, extra)
+                checked += 1
+    assert checked >= 18 * 19
+
+
+def test_float_sweep_helpers_give_numpy_ieee_results():
+    # the sweep's plain-float division and clip stand in for numpy's, so
+    # they must give what numpy gives where Python would raise; repr tells
+    # NaN, the infinities and the signed zeros apart
+    values = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in values:
+            for b in values:
+                assert repr(_div(a, b)) == repr(float(np.divide(a, b)))
+            for top in (0.0, 1.0, math.inf):
+                assert repr(_clip(a, top)) == repr(float(np.clip(a, -top, top)))
+
+
+def _degenerate_scene(name):
+    """(scene, d_U, xi, sector start) on table3-static-noobstacle's room,
+    built so that two sweep boundaries meet where a middle ray could tie
+    them."""
+    base = load_packaged("table3-static-noobstacle").scenario
+    if name == "wall-border-through-L2":
+        # the wall starts at L2, so its shadow's first border ray holds L2
+        d_U, xi = 2.0, math.radians(30.0)
+        _, _, l2, _ = _displaced(base, d_U, xi)
+        top = bearing(base.enb, base.ue) + 0.2
+        far = Point2D(base.enb.x + 5.0 * math.cos(top),
+                      base.enb.y + 5.0 * math.sin(top))
+        walled = dataclasses.replace(base, walls=(SegmentObstacle(l2, far),))
+        return walled, d_U, xi, 0.3
+    if name == "sector-border-on-tangent":
+        # sectors start on a tangent from L2 to the exclusion circle
+        d_U, xi = 2.5, math.radians(30.0)
+        g, _, l2, _ = _displaced(base, d_U, xi)
+        tangent = (bearing(l2, base.ue)
+                   + math.asin(g.r / math.hypot(l2.x - base.ue.x,
+                                                l2.y - base.ue.y)))
+        return base, d_U, xi, tangent
+    # xi = 0: the coverage circle touches the exclusion circle, R = d_U + r
+    return base, 2.75, 0.0, 0.3
+
+
+@pytest.mark.parametrize("name", ["wall-border-through-L2",
+                                  "sector-border-on-tangent", "circles-touch"])
+def test_float_sweep_on_degenerate_scenes(name):
+    scene, d_U, xi, start = _degenerate_scene(name)
+    g, R, l2, _ = _displaced(scene, d_U, xi)
+    args = (scene.enb, scene.walls, scene.ue, l2, g.r, R)
+    turn = CircularSector(l2, math.inf, start, 2.0 * math.pi)
+    full = shadowed_visible_area(*args, turn)
+    parts = [start + 2.0 * math.pi * k / 7.0 for k in range(8)]
+    pieces = sum(shadowed_visible_area(
+        *args, CircularSector(l2, math.inf, a, b - a))
+        for a, b in zip(parts, parts[1:]))
+    assert abs(full - pieces) <= 1e-12 * R * R
+    assert full == pytest.approx(visible_excess_area_A1(scene, g), rel=1e-9)
+    assert abs(full - _numpy_sweep(*args, turn)) <= 1e-12 * R * R
 
 
 def test_shadowed_area_rejects_unsupported_shadows():

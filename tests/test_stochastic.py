@@ -224,6 +224,30 @@ def test_table_cache_keeps_means_apart():
     assert not np.array_equal(table, stochastic._cdf_table(np.nextafter(5.0, 6.0)))
 
 
+@pytest.mark.parametrize("mean", [0.043, 0.5, 10.0, 59.9, 60.0])
+def test_guide_table_counts_what_a_plain_search_counts(mean):
+    # the uniforms where a count can change: every CDF entry and its two
+    # float neighbours, every guide bin edge and its neighbours, and a
+    # random spread; all kept inside [0, 1) as a generator's would be
+    m = np.float64(mean)
+    cdf = stochastic._cdf_table(mean)
+    edges = np.arange(stochastic._GUIDE) / stochastic._GUIDE
+    probes = [cdf, edges, np.random.default_rng(8).random(100_000)]
+    probes += [np.nextafter(p, side) for p in probes[:2] for side in (0.0, 1.0)]
+    u = np.concatenate(probes)
+    u = u[(u >= 0.0) & (u < 1.0)]
+    drew, k = stochastic._invert_drawn(m, u)
+    assert k.dtype == np.int64
+    assert np.array_equal(drew, np.flatnonzero(u > cdf[0]))
+    plain = np.searchsorted(cdf, u[drew], side="left")
+    inside = plain < cdf.size
+    assert np.array_equal(k[inside], plain[inside])
+    # a uniform past the whole table goes to the loop, as before
+    assert np.array_equal(
+        k[~inside],
+        stochastic._invert(np.full((~inside).sum(), m), u[drew[~inside]]))
+
+
 def test_one_shared_mean_broadcasts_to_size():
     # a one-element mean with a size draws what the full array draws
     for mean in (0.0, 0.0429, 7.5, 60.0, 61.0):
