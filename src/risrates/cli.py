@@ -7,6 +7,14 @@ Subcommands:
   dimension  minimal server count for a load threshold
   protocol   export a signaling sequence as a text trace
 
+`python -m risrates` runs the same command line. Each subcommand declares
+its arguments once, in `_COMMANDS`. A call whose first argument names a
+subcommand is parsed by that subcommand's parser alone; anything else, and
+anything that parser does not accept, is parsed by the full tree from
+`build_parser`, so help, usage and error text are the full tree's. `--trials`
+must be at least 1 and `--seed` a non-negative integer; both are checked
+before any work starts.
+
 Data files are CSV: comma separator, one header line, LF endings, UTF-8,
 numbers at 9 significant digits. Run metadata (config digest, seed, version,
 timestamp; for Monte Carlo runs the threads and shards used, for load runs
@@ -346,15 +354,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="risrates",
-        description="Signaling-rate analysis for RIS-assisted networks.")
-    parser.add_argument("--version", action="version",
-                        version=f"risrates {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analytic", help="closed-form probabilities and rates")
+def _analytic_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0,
@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "depend on it")
     p.set_defaults(func=cmd_analytic)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimate or load run")
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -377,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default x2)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="sweep one variable, CSV output")
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--var", required=True, choices=SWEEP_VARS)
     p.add_argument("--values", required=True,
@@ -389,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("dimension", help="server count for a load threshold")
+
+def _dimension_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--threshold", type=float, required=True,
                    help="per-server capacity in requests per second")
@@ -397,23 +400,73 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dimension)
 
-    p = sub.add_parser("protocol", help="export a signaling sequence trace")
+
+def _protocol_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=("rr", "ho"), required=True)
     p.add_argument("--mode", choices=("x2", "s1"), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_protocol)
 
+
+# subcommand -> (its line in `risrates -h`, the function adding its arguments)
+_COMMANDS = {
+    "analytic": ("closed-form probabilities and rates", _analytic_arguments),
+    "simulate": ("Monte Carlo estimate or load run", _simulate_arguments),
+    "sweep": ("sweep one variable, CSV output", _sweep_arguments),
+    "dimension": ("server count for a load threshold", _dimension_arguments),
+    "protocol": ("export a signaling sequence trace", _protocol_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="risrates",
+        description="Signaling-rate analysis for RIS-assisted networks.")
+    parser.add_argument("--version", action="version",
+                        version=f"risrates {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """One subcommand's parser on its own. It raises its errors instead of
+    printing them, so that `_parse` can leave them to the full tree."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone: `build_parser` gives
+    that parser the same prog, usage and help. Whatever it does not accept
+    as it stands (no subcommand first, an argument it does not know, any
+    argument error) is parsed again by the full tree, so every message and
+    exit is the one the full tree gives."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _SubcommandParser(prog=f"risrates {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        try:
+            args, extra = parser.parse_known_args(argv[1:])
+        except argparse.ArgumentError:
+            extra = True
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if getattr(args, "trials", None) is not None and args.trials < 1:
             # before any work: a sweep would run its closed forms first
             raise ConfigError(f"--trials: must be at least 1, "
                               f"got {args.trials}")
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed: expected non-negative integer, "
+                              f"got {args.seed}")
         code = args.func(args)
         # a reader that stopped early (`| head`) shows up here at the latest
         sys.stdout.flush()

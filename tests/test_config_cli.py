@@ -1,10 +1,12 @@
 """Config parsing, packaged scenario files, and the command-line surface."""
 
+import argparse
 import csv
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -23,8 +25,8 @@ from risrates import (
     packaged_config_path,
     simulate_load,
 )
-from risrates import montecarlo
-from risrates.cli import fmt9, main, render_csv
+from risrates import cli, montecarlo
+from risrates.cli import build_parser, fmt9, main, render_csv
 from risrates.scenarios import Deterministic, Uniform
 
 KNOWN_CONFIGS = [
@@ -504,6 +506,27 @@ def test_simulate_negative_seed_exits_2(capsys, config):
     assert "expected non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["analytic", "--config", "table3-static-obstacle"],
+    ["sweep", "--config", "table4-unknown", "--var", "lambda_RIS",
+     "--values", "1e-05,2e-05", "--outputs", "p_ho,mc_ho"],
+], ids=["analytic", "sweep-mc_ho"])
+def test_negative_seed_exits_2_before_any_work(monkeypatch, capsys, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --seed was checked")
+
+    # analytic used to record the seed; a sweep ran its p_ho column first
+    monkeypatch.setattr("risrates.cli.load_config", no_work)
+    argv = [str(packaged_config_path(a)) if prev == "--config" else a
+            for prev, a in zip([""] + command, command)]
+    rc = main(argv + ["--seed", "-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --seed: expected non-negative integer, "
+                            "got -1\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("token", ["nan", "inf"])
 def test_sweep_rejects_non_finite_values(capsys, token):
     rc = main(["sweep", "--config",
@@ -764,3 +787,102 @@ def test_closed_stdout_exits_without_traceback(argv):
         stderr = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1, stderr
     assert stderr == ""
+
+
+def test_python_m_risrates_runs_the_cli():
+    src = Path(risrates.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "risrates", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, f"risrates {risrates.__version__}\n", "")
+
+
+# subcommand -> (a valid call, then a bad choice and a bad type to append to
+# it, None where the subcommand takes no such argument); the commands do not
+# run, so the config path need not exist
+PARSER_CASES = {
+    "analytic": (["--config", "c.json"], None, ["--seed", "x"]),
+    "simulate": (["--config", "c.json", "--trials", "10"], ["--kind", "zz"],
+                 ["--seed", "x"]),
+    "sweep": (["--config", "c.json", "--var", "theta", "--values", "1,2",
+               "--outputs", "p_rr"], ["--var", "zz"], ["--seed", "x"]),
+    "dimension": (["--config", "c.json", "--threshold", "55"],
+                  ["--kind", "zz"], ["--threshold", "x"]),
+    "protocol": (["--kind", "rr"], ["--mode", "zz"], None),
+}
+
+
+def _parser_argvs():
+    yield from ([], ["-h"], ["--version"], ["bogus"])
+    for name, (valid, bad_choice, bad_type) in PARSER_CASES.items():
+        yield [name, *valid]
+        yield [name, "-h"]
+        yield [name, *valid[2:]]  # its first required flag left out
+        # "--=x" could match more than one option of either parser
+        for extra in (bad_choice, bad_type, ["--bogus"], ["--=x"]):
+            if extra is not None:
+                yield [name, *valid, *extra]
+        yield [name, valid[0][:-2], *valid[1:]]  # --conf, --ki
+
+
+@pytest.mark.parametrize("argv", list(_parser_argvs()),
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_full_parser_tree(monkeypatch, capsys, argv):
+    seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return 0
+
+    for name in PARSER_CASES:
+        monkeypatch.setattr(cli, f"cmd_{name}", record)
+
+    def full_tree(argv):
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    def outcome(call):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert outcome(main) == outcome(full_tree)
+    assert seen[:1] == seen[1:]
+
+
+def test_a_subcommand_call_builds_one_parser(monkeypatch, tmp_path, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["analytic", "--config",
+                 str(packaged_config_path("table3-static-noobstacle")),
+                 "--out", str(tmp_path / "a.csv")]) == 0
+    assert built == ["risrates analytic"]
+    built.clear()
+    assert main(["sweep", "--config",
+                 str(packaged_config_path("table4-unknown")),
+                 "--var", "lambda_RIS", "--values", "1e-05,2e-05",
+                 "--outputs", "p_ho", "--out", str(tmp_path / "s.csv")]) == 0
+    assert built == ["risrates sweep"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert len(built) == 6  # the full tree: top level and five subcommands
+    out = capsys.readouterr().out
+    for name, summary in [
+            ("analytic", "closed-form probabilities and rates"),
+            ("simulate", "Monte Carlo estimate or load run"),
+            ("sweep", "sweep one variable, CSV output"),
+            ("dimension", "server count for a load threshold"),
+            ("protocol", "export a signaling sequence trace")]:
+        assert re.search(rf"^ +{name} +{summary}$", out, re.M), name
