@@ -77,7 +77,10 @@ def _get(d: Any, key: str, path: str,
 def _num(v: Any, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
-    x = float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond float range
+        x = math.inf
     if not math.isfinite(x):
         _fail(path, "must be finite")
     return x
@@ -237,7 +240,9 @@ def load_config(path: Union[str, Path]) -> LoadedConfig:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{p}: cannot read ({exc.strerror or exc})") from exc
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints
         raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
     return parse_config(raw, name=p.stem)
 

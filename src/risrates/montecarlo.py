@@ -42,7 +42,7 @@ from .geometry import (TWO_PI, displaced_distance_sq, segment_crosses,
                        wall_shadow_interval)
 from .scenarios import (MobilitySpec, ScenarioKnown, ScenarioUnknown,
                         draw_law, is_point_mass, law_bounds)
-from .stochastic import (_ahead, _invert_drawn, p_self_blocked,
+from .stochastic import (SWITCH, _ahead, invert_drawn, p_self_blocked,
                          poisson_counts)
 
 SHARD_SIZE = 4096
@@ -468,9 +468,9 @@ def _ho_run(s: ScenarioUnknown, mobility: MobilitySpec, sizes: list[int],
     node.
 
     Only the draws run shard by shard. With both laws point masses every
-    trial shares one speed, angle and Poisson mean; up to mean 60 the count
-    uniforms of all shards go into one buffer, and one table search gives
-    the trials that drew a node and their counts. Otherwise each shard
+    trial shares one speed, angle and Poisson mean; up to mean SWITCH the
+    count uniforms of all shards go into one buffer, and one invert_drawn
+    gives the trials that drew a node and their counts. Otherwise each shard
     draws its counts with poisson_counts. Blockage and hit marking run over
     the drawing trials of consecutive shards together, gathered until they
     hold _BLOCK nodes or more.
@@ -482,11 +482,11 @@ def _ho_run(s: ScenarioUnknown, mobility: MobilitySpec, sizes: list[int],
         # numpy scalars take the same ufunc loops as one-element arrays
         speed, angle = (np.float64(law_bounds(law)[0]) for law in laws)
         mean = _ho_means(s, speed, angle)
-    if mean is not None and 0.0 <= mean <= 60.0:
+    if mean is not None and 0.0 <= mean <= SWITCH:
         u = np.empty(edges[-1])
         for rng, a, b in zip(rngs, edges, edges[1:]):
             rng.random(out=u[a:b])
-        drew, counts = _invert_drawn(mean, u)
+        drew, counts = invert_drawn(mean, u)
         moved = np.full(drew.size, speed > 0.0)
     else:
         counts = np.empty(edges[-1], dtype=np.int64)

@@ -18,6 +18,8 @@ from .geometry import TWO_PI, displaced_distance_sq
 # Dimensionless switch point for the series branch of the survival bracket.
 _SERIES_SWITCH = 0.05
 _SERIES_TERMS = 13
+# Largest Poisson mean drawn by inversion; above it, the generator's sampler.
+SWITCH = 60.0
 
 
 @dataclass(frozen=True)
@@ -68,27 +70,31 @@ def _ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
 def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
     """Poisson counts, one per entry of `means` broadcast to `size` (by
     default the shape of `means`): inversion from one uniform per entry up
-    to mean 60, the generator's own sampler above.
+    to mean SWITCH, the generator's own sampler above. A mean shared by
+    every entry is inverted by invert_drawn, mixed means by one loop over k.
 
     For a fixed uniform, inversion is monotone in the mean, which gives
-    common-random-number couplings: under a shared seed, means up to 60
+    common-random-number couplings: under a shared seed, means up to SWITCH
     give counts that never fall as a mean grows.
     """
     means = np.asarray(means, dtype=float)
     shape = means.shape if size is None else size
     if means.size and means.min() == means.max():
-        # one mean for every entry: no masks, and the CDF comes from a table
         m = means.flat[0]
         if m < 0.0:
             raise ValueError("Poisson means must be nonnegative")
-        if m > 60.0:
+        if m > SWITCH:
             return rng.poisson(m, shape)
-        return _invert_one_mean(m, rng.random(shape))
+        u = rng.random(shape)
+        counts = np.zeros(u.shape, dtype=np.int64)
+        drew, k = invert_drawn(m, u.reshape(-1))
+        counts.reshape(-1)[drew] = k
+        return counts
     means = np.broadcast_to(means, shape)
     if (means < 0.0).any():
         raise ValueError("Poisson means must be nonnegative")
     counts = np.zeros(means.shape, dtype=np.int64)
-    big = means > 60.0
+    big = means > SWITCH
     if big.any():
         counts[big] = rng.poisson(means[big])
     small = ~big
@@ -98,8 +104,8 @@ def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
     return counts
 
 
-# Terms a table sums before it is cut: every term of a mean up to 60 has
-# underflowed to zero well before the last (at mean 60, after k = 555).
+# Terms a table sums before it is cut: every term of a mean up to SWITCH
+# has underflowed to zero well before the last (at SWITCH, after k = 555).
 _TERMS = 2002
 # Bins of a mean's guide table: a power of two, so u * _GUIDE is exact.
 _GUIDE = 4096
@@ -125,64 +131,46 @@ def _invert(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _cdf_table(m: float) -> np.ndarray:
-    """CDF_0, CDF_1, ... of one mean by _invert's recurrence, read-only.
-    accumulate runs it in order, so every entry has the loop's bits. The
-    table ends where the sum stops growing: past the mode the terms only
-    shrink, so every later entry would repeat the last one."""
+def _table(m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(cdf, guide, split, last) of one mean, the arrays read-only. cdf is
+    CDF_0, CDF_1, ... by _invert's recurrence, which accumulate runs in
+    order, so every entry has the loop's bits; it ends where the sum stops
+    growing (past the mode the terms only shrink). last is the last k whose
+    term is nonzero: what _invert counts for a uniform above the table.
+    guide[j] counts the CDF entries below j / _GUIDE, so a uniform in
+    [j, j + 1) / _GUIDE counts between guide[j] and guide[j + 1]; split[j]
+    marks the bins where those differ, the only ones that hold a CDF entry
+    (Chen and Asau's guide table). uint16 holds every count up to _TERMS."""
     pk = np.empty(_TERMS)
     pk[0] = np.exp(-m)
     pk[1:] = m / np.arange(1, _TERMS, dtype=float)
-    cdf = np.add.accumulate(np.multiply.accumulate(pk))
+    terms = np.multiply.accumulate(pk)
+    last = int(np.count_nonzero(terms)) - 1  # a zero term stays zero
+    cdf = np.add.accumulate(terms)
     flat = np.flatnonzero(cdf[1:] == cdf[:-1])
     if flat.size:
         cdf = cdf[:flat[0] + 1]
-    cdf.flags.writeable = False
-    return cdf
-
-
-def _invert_one_mean(m: np.float64, u: np.ndarray) -> np.ndarray:
-    """_invert for a mean shared by every entry."""
-    u = np.asarray(u)
-    counts = np.zeros(u.shape, dtype=np.int64)
-    drew, k = _invert_drawn(m, u.reshape(-1))
-    counts.reshape(-1)[drew] = k
-    return counts
-
-
-@functools.lru_cache(maxsize=64)
-def _guide_table(m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Guide to the table of one mean, read-only: guide[j] counts the CDF
-    entries below j / _GUIDE, so a uniform in [j, j + 1) / _GUIDE counts
-    between guide[j] and guide[j + 1], and split[j] marks the bins where
-    those differ, the only ones that hold a CDF entry. uint16 holds every
-    count up to _TERMS."""
-    cdf = _cdf_table.__wrapped__(m)  # leaves a draw one _cdf_table lookup
     guide = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE,
                             side="left").astype(np.uint16)
     guide, split = guide[:-1], guide[1:] != guide[:-1]
-    guide.flags.writeable = split.flags.writeable = False
-    return guide, split
+    for a in (cdf, guide, split):
+        a.flags.writeable = False
+    return cdf, guide, split, last
 
 
-def _invert_drawn(m: np.float64, u: np.ndarray) -> tuple[np.ndarray,
-                                                          np.ndarray]:
-    """_invert_one_mean over a flat u as (entries, counts) of the entries
-    that count 1 or more. The guide gives the count of every uniform above
-    CDF_0 whose bin holds no CDF entry; the table of the mean is searched
-    for the rest. A uniform above the whole table is left to the loop,
-    which counts it as the last k whose term is nonzero."""
-    key = float(m)
-    cdf = _cdf_table(key)
-    guide, split = _guide_table(key)
+def invert_drawn(m: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(m) counts by inversion of a flat u, as (entries, counts) of
+    the entries that count 1 or more; m is at most SWITCH. Each count is
+    what _invert gives. The guide gives the count of every uniform above
+    CDF_0 whose bin holds no CDF entry, and the mean's table is searched
+    for the rest; a uniform above the whole table counts last."""
+    cdf, guide, split, last = _table(float(m))
     drew = np.flatnonzero(u > cdf[0])
     k = (u[drew] * _GUIDE).astype(np.int64)  # each uniform's bin, then count
     search = np.flatnonzero(split.take(k))
     k[...] = guide.take(k)
     k[search] = np.searchsorted(cdf, u[drew[search]], side="left")
-    over = np.flatnonzero(k == cdf.size)
-    if over.size:
-        k[over] = _invert(np.full(over.size, m), u[drew[over]])
+    k[k == cdf.size] = last
     return drew, k
 
 

@@ -770,6 +770,52 @@ def test_config_list_fields_exit_2(tmp_path, capsys, key, value):
         f"error: {key}: expected a list of segments\n"
 
 
+@pytest.mark.parametrize("path, field", [
+    (("R_LoS",), "R_LoS"),
+    (("signaling", "p_a"), "signaling.p_a"),
+    (("walls", 0, 1, 0), "walls[0][1][0]"),
+], ids=["top-level", "nested", "in-a-list"])
+def test_integer_literal_beyond_float_range_exits_2(tmp_path, capsys, path,
+                                                    field):
+    # a 401-digit integer parses as a Python int that no float holds
+    name = KNOWN if path[0] == "walls" else UNKNOWN
+    raw = _edited(name, path, 10 ** 400)
+    rc = main(["analytic", "--config", str(_write(tmp_path, raw))])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {field}: must be finite\n"
+    assert captured.out == ""
+
+
+def _config_directory(tmp_path):
+    (tmp_path / "cfg.json").mkdir()
+    return tmp_path / "cfg.json"
+
+
+def _config_nested_too_deep(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text("[" * 200_000, encoding="utf-8")
+    return p
+
+
+def _config_not_utf8(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(b"\xff\xfe{}")
+    return p
+
+
+@pytest.mark.parametrize("make", [_config_directory, _config_nested_too_deep,
+                                  _config_not_utf8],
+                         ids=["directory", "nested-too-deep", "not-utf-8"])
+def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, make):
+    path = make(tmp_path)
+    assert main(["analytic", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", "table4-unknown", "--duration", "100"],
     ["protocol", "--kind", "rr"],

@@ -451,6 +451,44 @@ def test_ho_shard_matches_reference(label, s, mobility, n):
         assert a.bit_generator.state == b.bit_generator.state
 
 
+def _at_mean(s, speed, angle, target):
+    """s with a base-station density whose HO mean at this fixed speed and
+    angle is exactly `target`, or None if no density within 64 ulps of
+    target / mean-at-density-1 gives it."""
+    unit = montecarlo._ho_means(dataclasses.replace(s, lambda_eNB=1.0),
+                                speed, angle)
+    lam = target / unit
+    for i in range(64):
+        for lam_i in (lam + i * np.spacing(lam), lam - i * np.spacing(lam)):
+            t = dataclasses.replace(s, lambda_eNB=lam_i)
+            if montecarlo._ho_means(t, speed, angle) == target:
+                return t
+    return None
+
+
+@pytest.mark.parametrize("target", [60.0, np.nextafter(60.0, np.inf)],
+                         ids=["at-switch", "one-ulp-above"])
+def test_ho_run_at_the_inversion_switch_matches_reference(target):
+    # _ho_run inverts a fixed mean up to the Poisson sampler's switch and
+    # leaves a larger one to poisson_counts; the reference switches above 60
+    # on its own, so a switch restated apart from the sampler's would show
+    base = load_packaged("table4-unknown").scenario
+    angle = base.mobility.angle_law
+    for v in (1.0, 1.5, 4.0, 7.5):
+        s = _at_mean(base, np.float64(v), np.float64(angle.value), target)
+        if s is not None:
+            break
+    assert s is not None
+    s = dataclasses.replace(s, self_block=SelfBlockModel(math.radians(358.0)))
+    mobility = MobilitySpec(Deterministic(v), angle)
+    for n in (1, 7, 4096):
+        for seed in range(5):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _ho_run(s, mobility, [n], [a]) == _reference_ho_shard(
+                s, mobility, n, b), (n, seed)
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 def _seeded(seed, shards):
     return [np.random.default_rng(np.random.SeedSequence((seed, k)))
             for k in range(shards)]

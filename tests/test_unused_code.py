@@ -1,6 +1,7 @@
 """Every top-level function, class and constant of the package is used by
 the package itself or exported: code that only tests call belongs in the
-tests."""
+tests. A module imports no underscore name from another module of the
+package: what another module needs is public."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,50 @@ def unused_definitions(trees: dict[str, ast.Module],
     return [f"{module}:{name}"
             for module, tree in trees.items() for node in tree.body
             for name in _top_level_names(node) if name not in used]
+
+
+def private_imports(trees: dict[str, ast.Module],
+                    allowed: set[str]) -> list[str]:
+    """'module.py:source.name' of each underscore-prefixed, non-dunder name
+    that a module imports from a module of the package, relatively or as
+    risrates.source, unless 'source.name' is in `allowed`."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module or ""
+            if node.level == 0:
+                if not source.startswith("risrates."):
+                    continue
+                source = source.removeprefix("risrates.")
+            found += [f"{module}:{source}.{alias.name}"
+                      for alias in node.names
+                      if alias.name.startswith("_")
+                      and not alias.name.startswith("__")
+                      and f"{source}.{alias.name}" not in allowed]
+    return found
+
+
+# ROADMAP item 10 deletes the one name still shared across modules.
+SHARED_PRIVATE = {"stochastic._ahead"}
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert private_imports(_trees(), SHARED_PRIVATE) == []
+
+
+def test_private_import_is_named():
+    trees = {"a.py": ast.parse(
+        "from .b import _hidden, shown\n"
+        "from .c import _ahead\n"
+        "from . import __version__\n"
+        "from risrates.b import _other\n"
+        "from numpy import _private\n"
+        "import numpy._core\n"),
+        "b.py": ast.parse("from .c import _ahead, _kept\n")}
+    assert private_imports(trees, {"c._ahead"}) == [
+        "a.py:b._hidden", "a.py:b._other", "b.py:c._kept"]
 
 
 def test_no_top_level_definition_is_unused():
