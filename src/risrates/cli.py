@@ -7,13 +7,10 @@ Subcommands:
   dimension  minimal server count for a load threshold
   protocol   export a signaling sequence as a text trace
 
-`python -m risrates` runs the same command line. Each subcommand declares
-its arguments once, in `_COMMANDS`. A call whose first argument names a
-subcommand is parsed by that subcommand's parser alone; anything else, and
-anything that parser does not accept, is parsed by the full tree from
-`build_parser`, so help, usage and error text are the full tree's. `--trials`
-must be at least 1 and `--seed` a non-negative integer; both are checked
-before any work starts.
+`python -m risrates` runs the same command line. Every call is parsed by
+one argparse tree from `build_parser`, built on a process's first call and
+kept for the rest. `--trials` must be at least 1 and `--seed` a
+non-negative integer; both are checked before any work starts.
 
 Data files are CSV: comma separator, one header line, LF endings, UTF-8,
 numbers at 9 significant digits. Run metadata (config digest, seed, version,
@@ -36,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -279,10 +277,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     outputs = [tok.strip() for tok in args.outputs.split(",") if tok.strip()]
     if not outputs:
         raise ConfigError("--outputs: need at least one output")
-    for out in outputs:
+    for i, out in enumerate(outputs):
         if out not in _SWEEP:
             raise ConfigError(f"unknown output {out!r}; choose from "
                               f"{', '.join(SWEEP_OUTPUTS)}")
+        if out in outputs[:i]:  # a reader keyed by column would keep one
+            raise ConfigError(f"--outputs: {out!r} listed twice")
         kind, signaling, _ = _SWEEP[out]
         _require(cfg, f"output {out!r}", kind=kind, signaling=signaling)
     header = [args.var]
@@ -354,16 +354,25 @@ def cmd_protocol(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _analytic_arguments(p: argparse.ArgumentParser) -> None:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command line's one parser tree, built on the first call and
+    shared by every later one."""
+    parser = argparse.ArgumentParser(
+        prog="risrates",
+        description="Signaling-rate analysis for RIS-assisted networks.")
+    parser.add_argument("--version", action="version",
+                        version=f"risrates {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analytic", help="closed-form probabilities and rates")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the manifest; the closed forms do not "
                         "depend on it")
-    p.set_defaults(func=cmd_analytic)
 
-
-def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("simulate", help="Monte Carlo estimate or load run")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -376,10 +385,8 @@ def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("x2", "s1"), default=None,
                    help="handover variant for the load simulation "
                         "(default x2)")
-    p.set_defaults(func=cmd_simulate)
 
-
-def _sweep_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("sweep", help="sweep one variable, CSV output")
     p.add_argument("--config", required=True)
     p.add_argument("--var", required=True, choices=SWEEP_VARS)
     p.add_argument("--values", required=True,
@@ -389,76 +396,23 @@ def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100_000)
-    p.set_defaults(func=cmd_sweep)
 
-
-def _dimension_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("dimension", help="server count for a load threshold")
     p.add_argument("--config", required=True)
     p.add_argument("--threshold", type=float, required=True,
                    help="per-server capacity in requests per second")
     p.add_argument("--kind", choices=("rism", "sgw"), default="rism")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_dimension)
 
-
-def _protocol_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("protocol", help="export a signaling sequence trace")
     p.add_argument("--kind", choices=("rr", "ho"), required=True)
     p.add_argument("--mode", choices=("x2", "s1"), default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_protocol)
-
-
-# subcommand -> (its line in `risrates -h`, the function adding its arguments)
-_COMMANDS = {
-    "analytic": ("closed-form probabilities and rates", _analytic_arguments),
-    "simulate": ("Monte Carlo estimate or load run", _simulate_arguments),
-    "sweep": ("sweep one variable, CSV output", _sweep_arguments),
-    "dimension": ("server count for a load threshold", _dimension_arguments),
-    "protocol": ("export a signaling sequence trace", _protocol_arguments),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="risrates",
-        description="Signaling-rate analysis for RIS-assisted networks.")
-    parser.add_argument("--version", action="version",
-                        version=f"risrates {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """One subcommand's parser on its own. It raises its errors instead of
-    printing them, so that `_parse` can leave them to the full tree."""
-
-    def error(self, message: str):
-        raise argparse.ArgumentError(None, message)
-
-
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse with the named subcommand's parser alone: `build_parser` gives
-    that parser the same prog, usage and help. Whatever it does not accept
-    as it stands (no subcommand first, an argument it does not know, any
-    argument error) is parsed again by the full tree, so every message and
-    exit is the one the full tree gives."""
-    if argv and argv[0] in _COMMANDS:
-        parser = _SubcommandParser(prog=f"risrates {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        try:
-            args, extra = parser.parse_known_args(argv[1:])
-        except argparse.ArgumentError:
-            extra = True
-        if not extra:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "trials", None) is not None and args.trials < 1:
             # before any work: a sweep would run its closed forms first
@@ -467,7 +421,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed: expected non-negative integer, "
                               f"got {args.seed}")
-        code = args.func(args)
+        # named when the call runs, not when the cached tree was built
+        command = {"analytic": cmd_analytic, "simulate": cmd_simulate,
+                   "sweep": cmd_sweep, "dimension": cmd_dimension,
+                   "protocol": cmd_protocol}[args.command]
+        code = command(args)
         # a reader that stopped early (`| head`) shows up here at the latest
         sys.stdout.flush()
         return code

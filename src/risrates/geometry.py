@@ -276,6 +276,22 @@ def wall_shadow_interval(apex: Point2D, wall: SegmentObstacle) -> tuple[float, f
     return tb, TWO_PI - width
 
 
+# a wall's shadow at an apex: unit border directions u1 and u2, then width
+WallWedge = tuple[float, float, float, float, float]
+
+
+def wall_shadow_wedges(apex: Point2D, walls: Sequence[SegmentObstacle]
+                       ) -> tuple[WallWedge, ...]:
+    """Each wall's shadow at apex as (u1x, u1y, u2x, u2y, width): the closed
+    wedge swept counterclockwise from border u1 to border u2."""
+    wedges = []
+    for wall in walls:
+        start, width = wall_shadow_interval(apex, wall)
+        wedges.append((math.cos(start), math.sin(start),
+                       math.cos(start + width), math.sin(start + width), width))
+    return tuple(wedges)
+
+
 def angular_offset(start: float, direction: float) -> float:
     """Counterclockwise offset of `direction` from `start`, in [0, 2*pi)."""
     return (direction - start) % TWO_PI
@@ -452,14 +468,10 @@ def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
     l1 = (ue.x, ue.y)
     bx, by = enb.x, enb.y
     b = (bx, by)
+    borders = wall_shadow_wedges(enb, walls)
     lines = []  # (point, direction) of every straight boundary
-    borders = []  # per wall: the wedge's start and end border directions
-    for wall in walls:
-        start, width = wall_shadow_interval(enb, wall)
-        ds = (math.cos(start), math.sin(start))
-        de = (math.cos(start + width), math.sin(start + width))
-        borders.append((ds, de))
-        lines += [(b, ds), (b, de)]
+    for u1x, u1y, u2x, u2y, _ in borders:
+        lines += [(b, (u1x, u1y)), (b, (u2x, u2y))]
     cap = R
     points = [b]
     if isinstance(extra, SegmentObstacle):
@@ -552,9 +564,9 @@ def shadowed_visible_area(enb: Point2D, walls: Sequence[SegmentObstacle],
             ex, ey = px - l1[0], py - l1[1]
             vx, vy = px - bx, py - by
             if (ex * ex + ey * ey >= r * r
-                    and not any(ds[0] * vy - ds[1] * vx >= 0.0
-                                and vx * de[1] - vy * de[0] >= 0.0
-                                for ds, de in borders)
+                    and not any(u1x * vy - u1y * vx >= 0.0
+                                and vx * u2y - vy * u2x >= 0.0
+                                for u1x, u1y, u2x, u2y, _ in borders)
                     # the sight line from L2 meets the obstacle at radii[-1]
                     and (not segment or mid >= radii[-1])):
                 total += r1 - r0

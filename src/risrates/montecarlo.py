@@ -38,8 +38,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import (TWO_PI, displaced_distance_sq, segment_crosses,
-                       wall_shadow_interval)
+from .geometry import (TWO_PI, WallWedge, displaced_distance_sq,
+                       segment_crosses, wall_shadow_wedges)
 from .scenarios import (MobilitySpec, ScenarioKnown, ScenarioUnknown,
                         draw_law, is_point_mass, law_bounds)
 from .stochastic import (SWITCH, _ahead, invert_drawn, p_self_blocked,
@@ -81,20 +81,6 @@ class Estimate:
 # Known-room reassignment trials
 
 
-_Wedge = tuple[float, float, float, float, float]
-
-
-def _wall_wedges(scene: ScenarioKnown) -> tuple[_Wedge, ...]:
-    """Each wall's shadow at the base station as (u1x, u1y, u2x, u2y,
-    width): the closed wedge swept counterclockwise from u1 to u2."""
-    wedges = []
-    for wall in scene.walls:
-        start, width = wall_shadow_interval(scene.enb, wall)
-        wedges.append((math.cos(start), math.sin(start),
-                       math.cos(start + width), math.sin(start + width), width))
-    return tuple(wedges)
-
-
 def _clear_of_wedge(ok: np.ndarray, vx, vy, u1x, u1y, u2x, u2y,
                     width: float, c: np.ndarray, below: np.ndarray) -> None:
     """ok &= vector v lies outside the closed wedge swept counterclockwise
@@ -128,7 +114,7 @@ def _workspace(size: int, per_trial: bool) -> tuple:
             np.empty((3, size), bool))
 
 
-def _candidate_mask(scene: ScenarioKnown, walls: tuple[_Wedge, ...],
+def _candidate_mask(scene: ScenarioKnown, walls: tuple[WallWedge, ...],
                     px: np.ndarray, py: np.ndarray,
                     l2x: np.ndarray, l2y: np.ndarray, R: np.ndarray,
                     heading: np.ndarray, trial_idx: np.ndarray | None = None,
@@ -217,11 +203,13 @@ _BLOCK = 2 ** 16
 
 
 def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
-                  rng: np.random.Generator, walls: tuple[_Wedge, ...]) -> int:
-    """Successful trials in a shard of n (walls: the scene's _wall_wedges),
-    drawing speeds, angles, count uniforms, all x, then all y positions;
-    judged in blocks of _BLOCK nodes in one _workspace made per shard: no
-    array of the shard is longer than a block.
+                  rng: np.random.Generator,
+                  walls: tuple[WallWedge, ...]) -> int:
+    """Successful trials in a shard of n (walls: the scene's
+    wall_shadow_wedges at its base station), drawing speeds, angles, count
+    uniforms, all x, then all y positions; judged in blocks of _BLOCK nodes
+    in one _workspace made per shard: no array of the shard is longer than
+    a block.
 
     A point-mass law draws one value that holds for every trial, so both
     laws fixed give one displacement, judged as scalars; otherwise each
@@ -288,7 +276,8 @@ def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
 
 
 def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
-            rngs: list[np.random.Generator], walls: tuple[_Wedge, ...]) -> int:
+            rngs: list[np.random.Generator],
+            walls: tuple[WallWedge, ...]) -> int:
     """_rr_successes summed over a run of shards."""
     return sum(_rr_successes(scene, mobility, n, rng, walls)
                for n, rng in zip(sizes, rngs))
@@ -449,8 +438,8 @@ def estimate_rr(scene: ScenarioKnown, mobility: MobilitySpec,
                 Z: int = 100_000, seed: int = 0) -> Estimate:
     """Mean of Z independent reassignment trials with per-trial mobility,
     on WORKERS threads, one shard at a time."""
-    return _estimate(functools.partial(_rr_run, scene, mobility,
-                                       walls=_wall_wedges(scene)),
+    walls = wall_shadow_wedges(scene.enb, scene.walls)
+    return _estimate(functools.partial(_rr_run, scene, mobility, walls=walls),
                      Z, seed, workers=WORKERS)
 
 

@@ -1,6 +1,5 @@
 """Config parsing, packaged scenario files, and the command-line surface."""
 
-import argparse
 import csv
 import importlib
 import json
@@ -394,6 +393,11 @@ SWEEP = ["sweep", "--var", "lambda_RIS", "--values", "1e-05,2e-05"]
      "--kind does not apply with --duration"),
     ("unknown", ["simulate", "--trials", "5000", "--mode", "s1"],
      "--mode only applies with --duration"),
+    # a column name read twice would keep only one of the two columns
+    ("unknown", SWEEP + ["--outputs", "p_ho,p_ho"],
+     "--outputs: 'p_ho' listed twice"),
+    ("unknown", SWEEP + ["--outputs", "mc_ho,p_rr,mc_ho"],
+     "--outputs: 'mc_ho' listed twice"),
 ])
 def test_command_requirements_exit_2_with_one_line(tmp_path, capsys, config,
                                                    argv, message):
@@ -884,11 +888,11 @@ def test_main_parses_as_the_full_parser_tree(monkeypatch, capsys, argv):
     for name in PARSER_CASES:
         monkeypatch.setattr(cli, f"cmd_{name}", record)
 
-    def full_tree(argv):
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+    def fresh_tree(argv):
+        args = build_parser.__wrapped__().parse_args(argv)
+        return getattr(cli, f"cmd_{args.command}")(args)
 
-    def outcome(call):
+    def outcome(call, argv):
         try:
             code = call(argv)
         except SystemExit as exc:
@@ -896,39 +900,72 @@ def test_main_parses_as_the_full_parser_tree(monkeypatch, capsys, argv):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    assert outcome(main) == outcome(full_tree)
+    # main's one cached tree first parses every earlier case in turn, so
+    # whatever a call left behind in it would show against a fresh tree
+    cases = list(_parser_argvs())
+    for earlier in cases[:cases.index(argv)]:
+        outcome(main, earlier)
+    seen.clear()
+    assert outcome(main, argv) == outcome(fresh_tree, argv)
     assert seen[:1] == seen[1:]
 
 
-def test_a_subcommand_call_builds_one_parser(monkeypatch, tmp_path, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert main(["analytic", "--config",
-                 str(packaged_config_path("table3-static-noobstacle")),
-                 "--out", str(tmp_path / "a.csv")]) == 0
-    assert built == ["risrates analytic"]
+# counts the ArgumentParsers built by two calls and by -h in a new process,
+# where the parser cache starts cold
+_COUNT_PARSERS = """
+import argparse, json, sys
+from risrates import cli, packaged_config_path
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+counts = []
+for name, rest in [
+        ("table3-static-noobstacle", ["analytic"]),
+        ("table4-unknown", ["sweep", "--var", "lambda_RIS", "--values",
+                            "1e-05,2e-05", "--outputs", "p_ho"])]:
+    assert cli.main([*rest, "--config", str(packaged_config_path(name)),
+                     "--out", sys.argv[1] + "/" + rest[0] + ".csv"]) == 0
+    counts.append(len(built))
     built.clear()
-    assert main(["sweep", "--config",
-                 str(packaged_config_path("table4-unknown")),
-                 "--var", "lambda_RIS", "--values", "1e-05,2e-05",
-                 "--outputs", "p_ho", "--out", str(tmp_path / "s.csv")]) == 0
-    assert built == ["risrates sweep"]
-    built.clear()
-    with pytest.raises(SystemExit) as exc:
-        main(["-h"])
-    assert exc.value.code == 0
-    assert len(built) == 6  # the full tree: top level and five subcommands
-    out = capsys.readouterr().out
+try:
+    cli.main(["-h"])
+except SystemExit as exc:
+    counts += [len(built), exc.code]
+sys.stderr.write(json.dumps(counts))
+"""
+
+
+def test_the_parser_tree_is_built_once_per_process(tmp_path):
+    src = Path(risrates.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", _COUNT_PARSERS,
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    # the first call builds the top level and five subcommands; no later
+    # call, -h included, builds any
+    assert json.loads(proc.stderr) == [6, 0, 0, 0]
     for name, summary in [
             ("analytic", "closed-form probabilities and rates"),
             ("simulate", "Monte Carlo estimate or load run"),
             ("sweep", "sweep one variable, CSV output"),
             ("dimension", "server count for a load threshold"),
             ("protocol", "export a signaling sequence trace")]:
-        assert re.search(rf"^ +{name} +{summary}$", out, re.M), name
+        assert re.search(rf"^ +{name} +{summary}$", proc.stdout, re.M), name
+
+
+def test_help_wraps_to_the_terminal_width_of_each_call(monkeypatch, capsys):
+    build_parser()  # the tree exists before the width is set
+    outputs = f"comma-separated from: {', '.join(cli.SWEEP_OUTPUTS)}"
+    for columns, one_line in ((40, False), (200, True)):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert (outputs in out) == one_line
+        # only the --var choices, one unbreakable word, may run past
+        assert max(len(line) for line in out.splitlines()
+                   if "{" not in line) <= columns

@@ -27,10 +27,10 @@ from risrates import (
 )
 from risrates import montecarlo
 from risrates.geometry import (TWO_PI, Point2D, SegmentObstacle,
-                               displaced_distance_sq, wall_shadow_interval)
+                               displaced_distance_sq, wall_shadow_interval,
+                               wall_shadow_wedges)
 from risrates.montecarlo import (HO_RUN, SHARD_SIZE, _candidate_mask,
-                                 _estimate, _ho_run, _rr_run, _rr_successes,
-                                 _wall_wedges)
+                                 _estimate, _ho_run, _rr_run, _rr_successes)
 from risrates.scenarios import Deterministic, MobilitySpec, Uniform, draw_law
 from risrates.stochastic import (RandomObstacleModel, SelfBlockModel, _invert,
                                  p_self_blocked, poisson_counts)
@@ -60,7 +60,8 @@ def rr_candidate_count(scene, points, d_U, xi):
     l2, heading = displaced_position(scene.ue, scene.ris_direction,
                                      scene.orientation, d_U, xi)
     R = displaced_distance(MoveGeometry(scene.serving_ris_distance, d_U, xi))
-    _, ok = _candidate_mask(scene, _wall_wedges(scene), pts[:, 0], pts[:, 1],
+    walls = wall_shadow_wedges(scene.enb, scene.walls)
+    _, ok = _candidate_mask(scene, walls, pts[:, 0], pts[:, 1],
                             np.full(1, l2.x), np.full(1, l2.y), np.full(1, R),
                             np.full(1, heading))
     return int(np.count_nonzero(ok))
@@ -114,7 +115,7 @@ def test_zero_displacement_trial_has_no_event():
     assert rr_candidate_count(scene, field, 0.0, XI45) == 0
     still = MobilitySpec(Deterministic(0.0), Deterministic(XI45))
     assert _rr_successes(scene, still, 200, np.random.default_rng(9),
-                         _wall_wedges(scene)) == 0
+                         wall_shadow_wedges(scene.enb, scene.walls)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +199,9 @@ def test_candidate_kernel_matches_reference(label, scene, mobility):
 
     expected = np.flatnonzero(_reference_candidates(
         scene, px, py, l2x, l2y, R, heading, trial_idx))
-    idx, ok = _candidate_mask(scene, _wall_wedges(scene), px, py, l2x, l2y,
-                              R, heading, trial_idx)
+    walls = wall_shadow_wedges(scene.enb, scene.walls)
+    idx, ok = _candidate_mask(scene, walls, px, py, l2x, l2y, R, heading,
+                              trial_idx)
     np.testing.assert_array_equal(idx[ok], expected)
     if scene.self_block is not None and scene.self_block.theta == TWO_PI:
         assert len(expected) == 0
@@ -286,7 +288,7 @@ def test_blocked_rr_shard_matches_reference(monkeypatch, lam, mobility, room,
     scene = dataclasses.replace(_static("selfblock"), lambda_RIS=lam)
     if room is not None:
         scene = dataclasses.replace(scene, room=room)
-    walls = _wall_wedges(scene)
+    walls = wall_shadow_wedges(scene.enb, scene.walls)
     for seed in range(5):
         b = np.random.default_rng(seed)
         expected = _reference_rr_successes(scene, mobility, n, b, walls)
@@ -310,7 +312,7 @@ def test_blocked_rr_shard_matches_reference(monkeypatch, lam, mobility, room,
                          ids=["fixed", "spread"])
 def test_rr_shard_memory_is_one_array_per_node(mobility):
     scene = dataclasses.replace(_static("selfblock"), lambda_RIS=1.6)
-    walls = _wall_wedges(scene)
+    walls = wall_shadow_wedges(scene.enb, scene.walls)
     total = _node_total(scene, mobility, 4096, 0)
     bound = 8 * total + 16 * 8 * montecarlo._BLOCK
     tracemalloc.start()
@@ -334,7 +336,7 @@ def test_rr_shard_memory_is_independent_of_node_count(mobility):
     bound = 12 * 8 * montecarlo._BLOCK
     for lam in (0.1, 1.6):
         scene = dataclasses.replace(_static("selfblock"), lambda_RIS=lam)
-        walls = _wall_wedges(scene)
+        walls = wall_shadow_wedges(scene.enb, scene.walls)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -560,7 +562,8 @@ def test_estimate_rr_deterministic_and_sharded():
     successes = 0
     for shard_idx, n in enumerate((SHARD_SIZE, 6000 - SHARD_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence((3, shard_idx)))
-        successes += _rr_successes(scene, mob, n, rng, _wall_wedges(scene))
+        successes += _rr_successes(scene, mob, n, rng,
+                                   wall_shadow_wedges(scene.enb, scene.walls))
     assert a.mean == successes / 6000
 
 
@@ -574,7 +577,8 @@ def test_estimate_independent_of_workers(laws, Z):
     else:
         room_mob = MobilitySpec(Uniform(0.5, 2.5), Uniform(0.0, math.pi))
         ho_mob = MobilitySpec(Uniform(0.5, 15.0), Uniform(0.0, math.pi))
-    rr = functools.partial(_rr_run, room, room_mob, walls=_wall_wedges(room))
+    rr = functools.partial(_rr_run, room, room_mob,
+                           walls=wall_shadow_wedges(room.enb, room.walls))
     ho = functools.partial(_ho_run, s, ho_mob)
     for run_fn, run in ((rr, 1), (ho, HO_RUN)):
         one = _estimate(run_fn, Z, 5, workers=1, run=run)
@@ -748,7 +752,7 @@ def test_estimates_share_no_generator_state():
     room = _static("obstacle")
     spread = MobilitySpec(Uniform(0.5, 15.0), Uniform(0.0, math.pi))
     rr = functools.partial(_rr_run, room, room.mobility,
-                           walls=_wall_wedges(room))
+                           walls=wall_shadow_wedges(room.enb, room.walls))
     ho_a = estimate_ho(s, s.mobility, Z=50_000, seed=3)
     rr_a = _estimate(rr, 30_000, 3, workers=2)
     estimate_ho(s, spread, Z=30_000, seed=4)
