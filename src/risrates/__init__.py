@@ -23,7 +23,6 @@ from .geometry import (AreaEstimate, BlockageWedge, BlockedRegionError,
                        numeric_blocked_area, shadowed_visible_area,
                        visible_excess_area_A1, visible_region_predicate,
                        wall_shadow_interval, wedge_from_wall)
-from .montecarlo import Estimate, estimate_ho, estimate_rr
 from .protocol import (ENTITY_KINDS, Entity, LoadResult, SequenceTemplate,
                        SignalingMessage, basic_sequence, export_trace,
                        ho_sequence, rr_sequence, simulate_load)
@@ -65,3 +64,12 @@ __all__ = [
     "ConfigError", "LoadedConfig", "parse_config", "load_config",
     "load_packaged", "packaged_config_path", "config_digest",
 ]
+
+
+def __getattr__(name: str):
+    """Estimate, estimate_rr and estimate_ho: montecarlo, and numpy with it,
+    is imported on first access."""
+    if name in ("Estimate", "estimate_rr", "estimate_ho"):
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

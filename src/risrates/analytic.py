@@ -228,7 +228,7 @@ def p_ho(s: ScenarioUnknown, d_U: float, xi: float, *,
     p_not_blocked_Z of the scenario, worked out once by the caller."""
     if pz is None:
         pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
-    return float(event_probability(pz, s.lambda_eNB, s.r_eNB, d_U, xi))
+    return event_probability(pz, s.lambda_eNB, s.r_eNB, d_U, xi)
 
 
 def p_rr_unknown(s: ScenarioUnknown, d_U: float, xi: float, *,
@@ -237,7 +237,7 @@ def p_rr_unknown(s: ScenarioUnknown, d_U: float, xi: float, *,
     p_ho with the reflective-node density and radius."""
     if pz is None:
         pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
-    return float(event_probability(pz, s.lambda_RIS, s.r_RIS, d_U, xi))
+    return event_probability(pz, s.lambda_RIS, s.r_RIS, d_U, xi)
 
 
 def marginal_p_ho(s: ScenarioUnknown, tol: float = 1e-6) -> float:

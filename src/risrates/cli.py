@@ -12,6 +12,10 @@ one argparse tree from `build_parser`, built on a process's first call and
 kept for the rest. `--trials` must be at least 1 and `--seed` a
 non-negative integer; both are checked before any work starts.
 
+numpy is imported only when draws start, by `simulate` and the `mc_rr` and
+`mc_ho` sweep outputs: the other commands and outputs run in plain floats
+and a shell call of one does not pay numpy's import.
+
 Data files are CSV: comma separator, one header line, LF endings, UTF-8,
 numbers at 9 significant digits. Run metadata (config digest, seed, version,
 timestamp; for Monte Carlo runs the threads and shards used, for load runs
@@ -42,7 +46,7 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .analytic import (class_load, dimension_servers, ho_rate,
@@ -50,8 +54,10 @@ from .analytic import (class_load, dimension_servers, ho_rate,
                        rr_rate, signaling_rate)
 from .config import ConfigError, LoadedConfig, load_config, parse_config
 from .geometry import GeometryDomainError
-from .montecarlo import Estimate, estimate_ho, estimate_rr, run_record
 from .protocol import export_trace, ho_sequence, rr_sequence, simulate_load
+
+if TYPE_CHECKING:
+    from .montecarlo import Estimate
 
 SWEEP_VARS = ("lambda_RIS", "lambda_eNB", "lambda_B", "d_U", "theta",
               "N_RISM", "N_SGW")
@@ -130,6 +136,18 @@ def _p_rr(cfg: LoadedConfig) -> float:
     return marginal_p_rr_unknown(cfg.scenario)
 
 
+# montecarlo's estimators, imported with numpy on the first call. Trials
+# run through these names, which perfbench/spans.py wraps in this module.
+def estimate_rr(*args, **kwargs) -> Estimate:
+    from .montecarlo import estimate_rr
+    return estimate_rr(*args, **kwargs)
+
+
+def estimate_ho(*args, **kwargs) -> Estimate:
+    from .montecarlo import estimate_ho
+    return estimate_ho(*args, **kwargs)
+
+
 def _mc(cfg: LoadedConfig, seed: int, trials: int) -> Estimate:
     """RR trials in a known room, HO trials in an unknown environment."""
     estimate = estimate_rr if cfg.kind == "known" else estimate_ho
@@ -191,6 +209,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                       [(f"mc_{label}", fmt9(est.mean)),
                        ("stderr", fmt9(est.stderr)),
                        ("trials", str(est.trials))])
+    from .montecarlo import run_record
     manifest = _manifest(cfg, args.seed)
     manifest.update(run_record(label, trials))
     return _deliver(text, args.out, manifest)
@@ -304,7 +323,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 failed.append({"value": v, "output": out, "reason": str(exc)})
                 row += ["nan"] * (2 if out in MC_OUTPUTS else 1)
                 continue
-            if isinstance(result, Estimate):
+            if out in MC_OUTPUTS:
                 estimates += 1
                 row += [fmt9(result.mean), fmt9(result.stderr)]
             else:
@@ -316,6 +335,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     manifest["failed"] = failed
     mc = [out for out in outputs if out in MC_OUTPUTS]
     if mc:  # one kind only: mc_rr needs a known config, mc_ho an unknown
+        from .montecarlo import run_record
         manifest.update(run_record(mc[0].removeprefix("mc_"), args.trials,
                                    estimates))
     return _deliver(render_csv(header, rows), args.out, manifest)

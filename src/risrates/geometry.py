@@ -11,9 +11,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -146,15 +147,16 @@ def bearing(p: Point2D, q: Point2D) -> float:
     return math.atan2(q.y - p.y, q.x - p.x)
 
 
-def displaced_distance_sq(r, d_U, xi):
+def displaced_distance_sq(r, d_U, xi, cos=math.cos):
     """Squared distance from the serving node (r away) to the user after a
-    displacement d_U at movement angle xi; broadcasts over arrays.
+    displacement d_U at movement angle xi. With cos=np.cos it broadcasts
+    over arrays of d_U and xi; the closed forms pass floats.
 
     Law of cosines in the triangle (node, start, end); the angle at the start
     position is pi - xi because xi = 0 points directly away from the node.
     Near zero, roundoff can leave the result slightly negative.
     """
-    return r * r + d_U * d_U - 2.0 * r * d_U * np.cos(math.pi - xi)
+    return r * r + d_U * d_U - 2.0 * r * d_U * cos(math.pi - xi)
 
 
 def displaced_distance(g: MoveGeometry) -> float:
@@ -605,6 +607,7 @@ def segment_crosses(ox, oy, px, py, seg: SegmentObstacle,
     result's shape: every array step writes into a float row, and the
     result is the first bool row. The values are the same either way.
     """
+    import numpy as np
     ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
     (w1, w2, w3, w4), (hit, side) = work or ((None,) * 4, (None,) * 2)
 
@@ -637,6 +640,7 @@ class AreaEstimate:
 
 
 def _sector_contains_many(sector: CircularSector, pts: np.ndarray) -> np.ndarray:
+    import numpy as np
     dx = pts[:, 0] - sector.origin.x
     dy = pts[:, 1] - sector.origin.y
     off = (np.arctan2(dy, dx) - sector.start_angle) % TWO_PI
@@ -679,6 +683,7 @@ def numeric_blocked_area(region: Callable[[np.ndarray], np.ndarray],
     x0, y0, x1, y1 = bbox
     if not (x1 > x0 and y1 > y0):
         raise GeometryDomainError("bbox must have positive area")
+    import numpy as np
     rng = np.random.default_rng(seed)
     box_area = (x1 - x0) * (y1 - y0)
     hits = 0
@@ -708,6 +713,7 @@ def visible_region_predicate(enb: Point2D, walls: Sequence[SegmentObstacle],
     not inside the serving exclusion circle, and not inside any wall's
     angular shadow as seen from the base station.
     """
+    import numpy as np
     intervals = [wall_shadow_interval(enb, w) for w in walls]
 
     def predicate(pts: np.ndarray) -> np.ndarray:

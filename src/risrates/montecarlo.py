@@ -234,7 +234,7 @@ def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     l2x = scene.ue.x + speeds * np.cos(heading)
     l2y = scene.ue.y + speeds * np.sin(heading)
     R = np.sqrt(displaced_distance_sq(scene.serving_ris_distance, speeds,
-                                      angles))
+                                      angles, np.cos))
     shared = l2x.size == 1
     if not shared:
         l2x, l2y, R, heading = np.broadcast_arrays(l2x, l2y, R, heading)
@@ -510,7 +510,8 @@ def _ho_run(s: ScenarioUnknown, mobility: MobilitySpec, sizes: list[int],
 def _ho_means(s: ScenarioUnknown, speeds: np.ndarray,
               angles: np.ndarray) -> np.ndarray:
     """Poisson mean of base stations in each displaced coverage disk."""
-    R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles), 0.0)
+    R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles, np.cos),
+                    0.0)
     return s.lambda_eNB * math.pi * R2
 
 

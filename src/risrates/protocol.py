@@ -5,6 +5,9 @@ procedures with a global step ordinal, so a combined trace (reassignment
 steps 1-13, handover steps 14-29) reads as one numbered diagram. Steps a
 node performs purely locally (decisions, admission control) are marked
 internal and excluded from wire-message counts.
+
+The load simulator draws through numpy, which it imports when it runs: the
+templates and traces work without it.
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .geometry import displaced_distance_sq
 from .scenarios import (ScenarioUnknown, SignalingConfig, draw_law,
                         is_point_mass)
-from .stochastic import (_ahead, event_probability, p_not_blocked_Z,
-                         poisson_counts)
+from .stochastic import _ahead, p_not_blocked_Z, poisson_counts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENTITY_KINDS = frozenset({
     "UE", "serving-RIS", "target-RIS", "serving-eNB", "target-eNB",
@@ -206,6 +211,15 @@ MAX_SESSIONS = 1e12
 _CHUNK = 1 << 16
 
 
+def _event_probability(pz: float, density: float, r: float,
+                       d_U: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """stochastic.event_probability over arrays of moves d_U and xi."""
+    import numpy as np
+    p = -np.expm1(-pz * density * math.pi
+                  * displaced_distance_sq(r, d_U, xi, np.cos))
+    return np.where(d_U > 0.0, p, 0.0)
+
+
 def _count_events(s: ScenarioUnknown, rng: np.random.Generator, n: int,
                   radius: float, density: float, p_a: float) -> int:
     """How many of n sessions run the procedure: each draws a fresh move and
@@ -219,6 +233,7 @@ def _count_events(s: ScenarioUnknown, rng: np.random.Generator, n: int,
     long, so memory stays a few chunks whatever n is. rng itself is moved
     past all three blocks.
     """
+    import numpy as np
     speed_law, angle_law = s.mobility.speed_law, s.mobility.angle_law
     n_speed = 0 if is_point_mass(speed_law) else n
     n_angle = 0 if is_point_mass(angle_law) else n
@@ -231,7 +246,7 @@ def _count_events(s: ScenarioUnknown, rng: np.random.Generator, n: int,
     def threshold(m: int) -> np.ndarray:
         speeds = draw_law(speed_rng, speed_law, m)
         angles = draw_law(angle_rng, angle_law, m)
-        return p_a * event_probability(pz, density, radius, speeds, angles)
+        return p_a * _event_probability(pz, density, radius, speeds, angles)
 
     # with both laws fixed every session shares one threshold; computing it
     # on a one-element array runs the same numpy loops as the full array
@@ -265,6 +280,7 @@ def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
             raise ValueError(
                 f"duration {duration:g} s at rate {rate:g}/s expects "
                 f"{rate * duration:g} sessions, too many to draw")
+    import numpy as np
     rng = np.random.default_rng(seed)
     tallies: Counter = Counter()
     initiations = {}

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .geometry import Point2D, SegmentObstacle
 from .stochastic import RandomObstacleModel, SelfBlockModel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,7 @@ def is_point_mass(law: Law) -> bool:
 def draw_law(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
     """n draws from the law: one double each from rng, except that a point
     mass takes nothing from rng."""
+    import numpy as np
     lo, hi = law_bounds(law)
     if is_point_mass(law):
         return np.full(n, lo)

@@ -10,10 +10,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geometry import TWO_PI, displaced_distance_sq
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dimensionless switch point for the series branch of the survival bracket.
 _SERIES_SWITCH = 0.05
@@ -62,6 +64,7 @@ class SelfBlockModel:
 
 def _ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
     """A copy of rng's PCG64 stream, k doubles further on."""
+    import numpy as np
     bg = np.random.PCG64(0)  # a fixed seed skips the entropy read
     bg.state = rng.bit_generator.state
     return np.random.Generator(bg.advance(k))
@@ -77,6 +80,7 @@ def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
     common-random-number couplings: under a shared seed, means up to SWITCH
     give counts that never fall as a mean grows.
     """
+    import numpy as np
     means = np.asarray(means, dtype=float)
     shape = means.shape if size is None else size
     if means.size and means.min() == means.max():
@@ -115,6 +119,7 @@ def _invert(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Smallest k with u <= CDF_k(m), entry by entry. The summed CDF can
     stop short of the largest uniforms; a uniform above it gets the last k
     whose term is nonzero."""
+    import numpy as np
     c = np.zeros(m.shape, dtype=np.int64)
     pk = np.exp(-m)
     cdf = pk.copy()
@@ -141,6 +146,7 @@ def _table(m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     [j, j + 1) / _GUIDE counts between guide[j] and guide[j + 1]; split[j]
     marks the bins where those differ, the only ones that hold a CDF entry
     (Chen and Asau's guide table). uint16 holds every count up to _TERMS."""
+    import numpy as np
     pk = np.empty(_TERMS)
     pk[0] = np.exp(-m)
     pk[1:] = m / np.arange(1, _TERMS, dtype=float)
@@ -164,6 +170,7 @@ def invert_drawn(m: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     what _invert gives. The guide gives the count of every uniform above
     CDF_0 whose bin holds no CDF entry, and the mean's table is searched
     for the rest; a uniform above the whole table counts last."""
+    import numpy as np
     cdf, guide, split, last = _table(float(m))
     drew = np.flatnonzero(u > cdf[0])
     k = (u[drew] * _GUIDE).astype(np.int64)  # each uniform's bin, then count
@@ -222,11 +229,14 @@ def p_not_blocked_Z(m: RandomObstacleModel, s: SelfBlockModel,
     return min(max(val, 0.0), 1.0)
 
 
-def event_probability(pz: float, density: float, r: float, d_U, xi):
+def event_probability(pz: float, density: float, r: float, d_U: float,
+                      xi: float) -> float:
     """1 - exp(-pz * density * pi * R^2): the probability that a Poisson
     field of candidates, each unblocked with probability pz, puts at least
     one inside the displaced coverage disk, whose radius R is the distance
     from the serving node (r away) after the move. Zero where the user does
-    not move. Broadcasts over d_U and xi."""
-    p = -np.expm1(-pz * density * math.pi * displaced_distance_sq(r, d_U, xi))
-    return np.where(d_U > 0.0, p, 0.0)
+    not move."""
+    if not d_U > 0.0:
+        return 0.0
+    return -math.expm1(-pz * density * math.pi
+                       * displaced_distance_sq(r, d_U, xi))

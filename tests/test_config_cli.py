@@ -657,6 +657,23 @@ def test_bench_hooks_resolve_and_see_sweep_marginals(bench_spans, tmp_path):
     assert names.count("analytic.marginal") == 3
 
 
+def test_bench_hooks_see_trials_and_load_runs(bench_spans, tmp_path):
+    # trials and load runs import their modules when they start; they must
+    # still go through the names the benchmark wraps in risrates.cli
+    tracer = bench_spans.Tracer()
+    with bench_spans.instrument(tracer):
+        for name, extra in [("table3-static-obstacle", ["--trials", "5000"]),
+                            ("table4-unknown", ["--duration", "2"])]:
+            assert main(["simulate", "--config",
+                         str(packaged_config_path(name)), *extra,
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count("montecarlo.rr") == 1
+    assert names.count("protocol.load") == 1
+    rr = next(span for span in tracer.spans if span.name == "montecarlo.rr")
+    assert rr.counts == {"trials": 5000}
+
+
 def test_sweep_server_split_preserves_totals(tmp_path):
     out = tmp_path / "split.csv"
     rc = main(["sweep", "--config",
@@ -954,6 +971,61 @@ def test_the_parser_tree_is_built_once_per_process(tmp_path):
             ("dimension", "server count for a load threshold"),
             ("protocol", "export a signaling sequence trace")]:
         assert re.search(rf"^ +{name} +{summary}$", proc.stdout, re.M), name
+
+
+# which calls leave numpy unimported in a new process: every closed-form
+# command first, then a Monte Carlo and a load run
+_NUMPY_LOADS = """
+import json, sys
+from pathlib import Path
+from risrates import cli
+configs = sorted(Path(cli.__file__).parent.joinpath("configs").glob("*.json"))
+calls = [["analytic", "--config", str(c)] for c in configs]
+calls += [["dimension", "--config", str(c), "--threshold", "55",
+           "--kind", kind]
+          for c in configs if c.stem.startswith("dimensioning-")
+          for kind in ("rism", "sgw")]
+calls += [["protocol", "--kind", "rr"], ["protocol", "--kind", "ho"]]
+calls += [["simulate", "--config", str(configs[0]), "--trials", "10"],
+          ["simulate", "--config", str(configs[0]), "--duration", "1"]]
+seen = [("import", 0, "numpy" in sys.modules)]
+try:
+    cli.main(["--version"])
+except SystemExit as exc:
+    seen.append(("--version", exc.code, "numpy" in sys.modules))
+for argv in calls:
+    code = cli.main([*argv, "--out", sys.argv[1]])
+    seen.append((" ".join(argv[:1] + argv[-2:]), code, "numpy" in sys.modules))
+sys.stderr.write(json.dumps([configs[0].stem, seen]))
+"""
+
+# every public name in a new process, the Monte Carlo ones through the
+# package's __getattr__ before anything else imported montecarlo
+_PUBLIC_NAMES = """
+import sys
+from risrates import Estimate, estimate_rr, estimate_ho, poisson_counts
+import risrates
+missing = [name for name in risrates.__all__ if not hasattr(risrates, name)]
+sys.stderr.write(repr((Estimate.__module__, estimate_rr.__module__,
+                       estimate_ho.__module__, missing)))
+"""
+
+
+def test_numpy_loads_only_when_draws_start(tmp_path):
+    src = Path(risrates.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_LOADS,
+                           str(tmp_path / "out.csv")], capture_output=True,
+                          text=True, env=env, timeout=120)
+    first, seen = json.loads(proc.stderr)
+    assert first == "dimensioning-speed10"  # the runs below need 'unknown'
+    assert all(code == 0 for _, code, _ in seen), seen
+    loaded = [step for step, _, numpy in seen if numpy]
+    assert loaded == ["simulate --trials 10", "simulate --duration 1"]
+    assert len(seen) == 2 + 11 + 4 + 2 + 2
+    proc = subprocess.run([sys.executable, "-c", _PUBLIC_NAMES],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr == repr(("risrates.montecarlo",) * 3 + ([],))
 
 
 def test_help_wraps_to_the_terminal_width_of_each_call(monkeypatch, capsys):

@@ -232,7 +232,7 @@ def _reference_rr_successes(scene, mobility, n, rng, walls):
     l2x = scene.ue.x + speeds * np.cos(heading)
     l2y = scene.ue.y + speeds * np.sin(heading)
     R = np.sqrt(displaced_distance_sq(scene.serving_ris_distance, speeds,
-                                      angles))
+                                      angles, np.cos))
     trial_idx = np.repeat(np.arange(n), counts)
     idx, ok = _candidate_mask(scene, walls, px, py, l2x, l2y, R, heading,
                               trial_idx)
@@ -397,7 +397,8 @@ def _reference_ho_shard(s, mobility, n, rng):
     speeds, angles, R^2 and means, every trial expanded, hits by bincount."""
     speeds = draw_law(rng, mobility.speed_law, n)
     angles = draw_law(rng, mobility.angle_law, n)
-    R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles), 0.0)
+    R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles, np.cos),
+                    0.0)
     counts = _reference_counts(rng, s.lambda_eNB * math.pi * R2)
     total = int(counts.sum())
     if total == 0:

@@ -23,13 +23,11 @@ from risrates import (
     simulate_load,
 )
 from risrates import protocol
-from risrates.protocol import LoadResult, _tally
+from risrates.protocol import LoadResult, _event_probability, _tally
+from risrates.geometry import displaced_distance_sq
 from risrates.scenarios import MobilitySpec, SignalingConfig, Uniform, draw_law
-from risrates.stochastic import (
-    event_probability,
-    p_not_blocked_Z,
-    poisson_counts,
-)
+from risrates.stochastic import (event_probability, p_not_blocked_Z,
+                                 poisson_counts)
 
 
 def test_rr_sequence_shape():
@@ -207,6 +205,28 @@ def test_signaling_config_rejects_non_finite_rates():
     SignalingConfig(sgw_rates=(0.0,), rism_rates=(2.5,), p_a=0.5)
 
 
+@pytest.mark.parametrize("pz,density", [(1.0, 4e-5), (0.37, 0.1), (0.9, 2.0)])
+def test_vector_forms_agree_with_the_scalar_closed_forms(pz, density):
+    # the closed forms run in math, the Monte Carlo and load kernels in
+    # numpy: the distance must match bit for bit, and the event probability
+    # within 2 ulp (np.expm1 and math.expm1 may differ in the last bit)
+    grid = np.array([(r, d, x) for r in (0.5, 3.0, 25.0, 150.0)
+                     for d in (0.0, 1e-3, 0.5, 2.0, 10.0, 49.0, 300.0)
+                     for x in np.linspace(0.0, math.pi, 13)])
+    assert {0.0, math.pi} <= set(grid[:, 2])
+    for r in np.unique(grid[:, 0]):
+        d_U, xi = grid[grid[:, 0] == r, 1:].T
+        vector = displaced_distance_sq(r, d_U, xi, np.cos)
+        scalar = [displaced_distance_sq(r, d, x)
+                  for d, x in zip(d_U.tolist(), xi.tolist())]
+        assert vector.tobytes() == np.array(scalar).tobytes()
+        vector = _event_probability(pz, density, r, d_U, xi)
+        for v, d, x in zip(vector.tolist(), d_U.tolist(), xi.tolist()):
+            p = event_probability(pz, density, r, d, x)
+            assert abs(v - p) <= 2.0 * math.ulp(p), (r, d, x)
+            assert d > 0.0 or p == 0.0
+
+
 # ---------------------------------------------------------------------------
 # streamed load simulation against the whole-array reference
 
@@ -232,7 +252,7 @@ def _reference_simulate_load(s, sig, duration, seed=0, ho_mode="x2"):
                 speeds = draw_law(rng, s.mobility.speed_law, n)
                 angles = draw_law(rng, s.mobility.angle_law, n)
                 pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
-                p = event_probability(pz, density, radius, speeds, angles)
+                p = _event_probability(pz, density, radius, speeds, angles)
                 events = int(np.count_nonzero(rng.random(n) < sig.p_a * p))
                 initiations[kind] += events
                 _tally(tallies, template, events)

@@ -18,14 +18,18 @@ def _trees() -> dict[str, ast.Module]:
 
 def _top_level_names(node: ast.stmt) -> list[str]:
     """Names a top-level statement defines: a def or class, or the names an
-    assignment binds (tuple targets unpacked), dunders left out."""
+    assignment binds (tuple targets unpacked), dunders left out: Python
+    itself looks them up, as it does a module's __getattr__."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [node.name]
-    targets = (node.targets if isinstance(node, ast.Assign)
-               else [node.target] if isinstance(node, ast.AnnAssign) else [])
-    return [n.id for t in targets for n in ast.walk(t)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
-            and not (n.id.startswith("__") and n.id.endswith("__"))]
+        names = [node.name]
+    else:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return [name for name in names
+            if not (name.startswith("__") and name.endswith("__"))]
 
 
 def unused_definitions(trees: dict[str, ast.Module],
@@ -105,8 +109,11 @@ def test_unused_definition_is_named():
         "STORED = 0\n"
         "def f(): return h.attr + b.SHARED + LIMIT\n"
         "def dead(): STORED = 1; return f()\n"
+        "def __getattr__(name): return f\n"
+        "def unread(name): return f\n"
         "class Shown: pass\n"
         "class Hidden: pass\n"),
         "b.py": ast.parse("SHARED = 1\ndef g(): pass\ndef attr(): pass\n")}
     assert unused_definitions(trees, {"Shown"}) == [
-        "a.py:DEAD", "a.py:_dead", "a.py:STORED", "a.py:dead", "a.py:Hidden"]
+        "a.py:DEAD", "a.py:_dead", "a.py:STORED", "a.py:dead", "a.py:unread",
+        "a.py:Hidden"]
