@@ -30,7 +30,7 @@ from .scenarios import (Deterministic, MobilitySpec, ScenarioKnown,
                         ScenarioUnknown, SignalingConfig, Uniform)
 from .stochastic import (RandomObstacleModel, SelfBlockModel,
                          p_blocked_static, p_not_blocked_Z, p_self_blocked,
-                         poisson_counts, survival_bracket)
+                         survival_bracket)
 
 __all__ = [
     "__version__",
@@ -67,9 +67,9 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Estimate, estimate_rr and estimate_ho: montecarlo, and numpy with it,
-    is imported on first access."""
-    if name in ("Estimate", "estimate_rr", "estimate_ho"):
+    """Estimate, estimate_rr, estimate_ho and poisson_counts: montecarlo,
+    and numpy with it, is imported on first access."""
+    if name in ("Estimate", "estimate_rr", "estimate_ho", "poisson_counts"):
         from . import montecarlo
         return getattr(montecarlo, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

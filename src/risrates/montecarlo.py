@@ -1,4 +1,6 @@
-"""Monte Carlo estimators for reassignment and handover probabilities.
+"""Every draw of the package: law draws, Poisson counts, the Monte Carlo
+estimators for reassignment and handover probabilities and the load
+simulator's sessions. numpy loads with this module, when draws start.
 
 Both estimators go through one driver, _estimate, that draws trials in
 fixed-size shards, shard k drawing the stream of PCG64(SeedSequence((master
@@ -40,10 +42,9 @@ import numpy as np
 
 from .geometry import (TWO_PI, WallWedge, displaced_distance_sq,
                        segment_crosses, wall_shadow_wedges)
-from .scenarios import (MobilitySpec, ScenarioKnown, ScenarioUnknown,
-                        draw_law, is_point_mass, law_bounds)
-from .stochastic import (SWITCH, _ahead, invert_drawn, p_self_blocked,
-                         poisson_counts)
+from .scenarios import (Law, MobilitySpec, ScenarioKnown, ScenarioUnknown,
+                        is_point_mass, law_bounds)
+from .stochastic import p_self_blocked
 
 SHARD_SIZE = 4096
 # Shards per unit of handover work: each keeps its own generator, and the
@@ -75,6 +76,146 @@ class Estimate:
             raise ValueError("mean must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+
+
+# ---------------------------------------------------------------------------
+# Draws shared by every kernel
+
+
+def _ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
+    """A copy of rng's PCG64 stream, k doubles further on."""
+    bg = np.random.PCG64(0)  # a fixed seed skips the entropy read
+    bg.state = rng.bit_generator.state
+    return np.random.Generator(bg.advance(k))
+
+
+def draw_law(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
+    """n draws from the law: one double each from rng, except that a point
+    mass takes nothing from rng."""
+    lo, hi = law_bounds(law)
+    if is_point_mass(law):
+        return np.full(n, lo)
+    return rng.uniform(lo, hi, n)
+
+
+# Largest Poisson mean drawn by inversion; above it, the generator's sampler.
+SWITCH = 60.0
+
+
+def _sample(rng: np.random.Generator, means, shape=None) -> np.ndarray:
+    """rng.poisson, with a mean it refuses named in the error."""
+    try:
+        return rng.poisson(means, shape)
+    except ValueError as exc:  # numpy says only "lam value too large"
+        raise ValueError(f"Poisson mean {np.max(means):g} is too large to "
+                         f"draw ({exc})") from None
+
+
+def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
+    """Poisson counts, one per entry of `means` broadcast to `size` (by
+    default the shape of `means`): inversion from one uniform per entry up
+    to mean SWITCH, the generator's own sampler above. A mean shared by
+    every entry is inverted by invert_drawn, mixed means by one loop over k.
+
+    For a fixed uniform, inversion is monotone in the mean, which gives
+    common-random-number couplings: under a shared seed, means up to SWITCH
+    give counts that never fall as a mean grows.
+    """
+    means = np.asarray(means, dtype=float)
+    shape = means.shape if size is None else size
+    if means.size and means.min() == means.max():
+        m = means.flat[0]
+        if m < 0.0:
+            raise ValueError("Poisson means must be nonnegative")
+        if m > SWITCH:
+            return _sample(rng, m, shape)
+        u = rng.random(shape)
+        counts = np.zeros(u.shape, dtype=np.int64)
+        drew, k = invert_drawn(m, u.reshape(-1))
+        counts.reshape(-1)[drew] = k
+        return counts
+    means = np.broadcast_to(means, shape)
+    if (means < 0.0).any():
+        raise ValueError("Poisson means must be nonnegative")
+    counts = np.zeros(means.shape, dtype=np.int64)
+    big = means > SWITCH
+    if big.any():
+        counts[big] = _sample(rng, means[big])
+    small = ~big
+    if small.any():
+        m = means[small]
+        counts[small] = _invert(m, rng.random(m.shape))
+    return counts
+
+
+# Terms a table sums before it is cut: every term of a mean up to SWITCH
+# has underflowed to zero well before the last (at SWITCH, after k = 555).
+_TERMS = 2002
+# Bins of a mean's guide table: a power of two, so u * _GUIDE is exact.
+_GUIDE = 4096
+
+
+def _invert(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Smallest k with u <= CDF_k(m), entry by entry. The summed CDF can
+    stop short of the largest uniforms; a uniform above it gets the last k
+    whose term is nonzero."""
+    c = np.zeros(m.shape, dtype=np.int64)
+    pk = np.exp(-m)
+    cdf = pk.copy()
+    remaining = u > cdf
+    k = 0
+    while remaining.any():
+        k += 1
+        pk = pk * (m / k)
+        remaining &= pk > 0.0
+        c += remaining
+        cdf = cdf + pk
+        remaining &= u > cdf
+    return c
+
+
+@functools.lru_cache(maxsize=64)
+def _table(m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(cdf, guide, split, last) of one mean, the arrays read-only. cdf is
+    CDF_0, CDF_1, ... by _invert's recurrence, which accumulate runs in
+    order, so every entry has the loop's bits; it ends where the sum stops
+    growing (past the mode the terms only shrink). last is the last k whose
+    term is nonzero: what _invert counts for a uniform above the table.
+    guide[j] counts the CDF entries below j / _GUIDE, so a uniform in
+    [j, j + 1) / _GUIDE counts between guide[j] and guide[j + 1]; split[j]
+    marks the bins where those differ, the only ones that hold a CDF entry
+    (Chen and Asau's guide table). uint16 holds every count up to _TERMS."""
+    pk = np.empty(_TERMS)
+    pk[0] = np.exp(-m)
+    pk[1:] = m / np.arange(1, _TERMS, dtype=float)
+    terms = np.multiply.accumulate(pk)
+    last = int(np.count_nonzero(terms)) - 1  # a zero term stays zero
+    cdf = np.add.accumulate(terms)
+    flat = np.flatnonzero(cdf[1:] == cdf[:-1])
+    if flat.size:
+        cdf = cdf[:flat[0] + 1]
+    guide = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE,
+                            side="left").astype(np.uint16)
+    guide, split = guide[:-1], guide[1:] != guide[:-1]
+    for a in (cdf, guide, split):
+        a.flags.writeable = False
+    return cdf, guide, split, last
+
+
+def invert_drawn(m: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(m) counts by inversion of a flat u, as (entries, counts) of
+    the entries that count 1 or more; m is at most SWITCH. Each count is
+    what _invert gives. The guide gives the count of every uniform above
+    CDF_0 whose bin holds no CDF entry, and the mean's table is searched
+    for the rest; a uniform above the whole table counts last."""
+    cdf, guide, split, last = _table(float(m))
+    drew = np.flatnonzero(u > cdf[0])
+    k = (u[drew] * _GUIDE).astype(np.int64)  # each uniform's bin, then count
+    search = np.flatnonzero(split.take(k))
+    k[...] = guide.take(k)
+    k[search] = np.searchsorted(cdf, u[drew[search]], side="left")
+    k[k == cdf.size] = last
+    return drew, k
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +685,62 @@ def estimate_ho(s: ScenarioUnknown, mobility: MobilitySpec,
     """
     return _estimate(functools.partial(_ho_run, s, mobility), Z, seed,
                      run=HO_RUN)
+
+
+# ---------------------------------------------------------------------------
+# Load simulator sessions
+
+
+def _event_probability(pz: float, density: float, r: float,
+                       d_U: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """stochastic.event_probability over arrays of moves d_U and xi."""
+    p = -np.expm1(-pz * density * math.pi
+                  * displaced_distance_sq(r, d_U, xi, np.cos))
+    return np.where(d_U > 0.0, p, 0.0)
+
+
+def load_draws(mobility: MobilitySpec,
+               servers: list[tuple[float, float, float]], pz: float,
+               p_a: float, seed: int) -> Iterator[tuple[int, int]]:
+    """(sessions, events) of each (mean, radius, density) server in turn,
+    drawn from default_rng(seed): a Poisson(mean) count n of sessions, each
+    of which draws a fresh move and runs the procedure with probability p_a
+    times its event probability against that candidate field (candidates
+    unblocked with probability pz).
+
+    After its count a server takes n speeds, n angles and n uniforms from
+    rng (a point-mass law gives none). Three copies of the stream read them
+    _BLOCK at a time into buffers made once per server, so memory stays a
+    few blocks whatever n is; rng is moved past all three.
+    """
+    rng = np.random.default_rng(seed)
+    speed_law, angle_law = mobility.speed_law, mobility.angle_law
+    for mean, radius, density in servers:
+        # an idle server takes no uniform from the stream
+        n = int(poisson_counts(rng, mean)) if mean else 0
+        if not n:
+            yield 0, 0
+            continue
+        n_speed = 0 if is_point_mass(speed_law) else n
+        n_angle = 0 if is_point_mass(angle_law) else n
+        speed_rng = _ahead(rng, 0)
+        angle_rng = _ahead(rng, n_speed)
+        uniform_rng = _ahead(rng, n_speed + n_angle)
+        rng.bit_generator.advance(n_speed + n_angle + n)
+        u = np.empty(min(_BLOCK, n))
+        below = np.empty(u.size, dtype=bool)
+        events = 0
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            # with both laws fixed every session shares one threshold; on a
+            # one-element array it runs the same numpy loops as on the block
+            k = m if n_speed or n_angle else 1
+            q = p_a * _event_probability(pz, density, radius,
+                                         draw_law(speed_rng, speed_law, k),
+                                         draw_law(angle_rng, angle_law, k))
+            uniform_rng.random(out=u[:m])
+            events += int(np.count_nonzero(np.less(u[:m], q, out=below[:m])))
+        yield n, events
 
 
 def run_record(kind: str, Z: int, estimates: int = 1) -> dict:

@@ -6,8 +6,9 @@ steps 1-13, handover steps 14-29) reads as one numbered diagram. Steps a
 node performs purely locally (decisions, admission control) are marked
 internal and excluded from wire-message counts.
 
-The load simulator draws through numpy, which it imports when it runs: the
-templates and traces work without it.
+The load simulator validates its run and tallies the messages; its sessions
+and events are drawn by montecarlo.load_draws, imported (with numpy) when a
+run starts, so the templates and traces work without numpy.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .geometry import displaced_distance_sq
-from .scenarios import (ScenarioUnknown, SignalingConfig, draw_law,
-                        is_point_mass)
-from .stochastic import _ahead, p_not_blocked_Z, poisson_counts
-
-if TYPE_CHECKING:
-    import numpy as np
+from .scenarios import ScenarioUnknown, SignalingConfig
+from .stochastic import p_not_blocked_Z
 
 ENTITY_KINDS = frozenset({
     "UE", "serving-RIS", "target-RIS", "serving-eNB", "target-eNB",
@@ -206,61 +201,6 @@ def _tally(counter: Counter, template: SequenceTemplate, times: int) -> None:
 # sessions a second, more would run for hours.
 MAX_SESSIONS = 1e12
 
-# Sessions are streamed in chunks of this many, which bounds the memory of a
-# long run without changing a draw.
-_CHUNK = 1 << 16
-
-
-def _event_probability(pz: float, density: float, r: float,
-                       d_U: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """stochastic.event_probability over arrays of moves d_U and xi."""
-    import numpy as np
-    p = -np.expm1(-pz * density * math.pi
-                  * displaced_distance_sq(r, d_U, xi, np.cos))
-    return np.where(d_U > 0.0, p, 0.0)
-
-
-def _count_events(s: ScenarioUnknown, rng: np.random.Generator, n: int,
-                  radius: float, density: float, p_a: float) -> int:
-    """How many of n sessions run the procedure: each draws a fresh move and
-    does so with probability p_a times its event probability against a
-    candidate field of the given exclusion radius and density.
-
-    rng gives, in order, n speeds, n angles and n uniforms (a point-mass law
-    gives none). Three copies of the stream, started at each block, read
-    them a chunk at a time: the uniforms and their comparison go into one
-    buffer each, made once per call, and a spread law's draws are _CHUNK
-    long, so memory stays a few chunks whatever n is. rng itself is moved
-    past all three blocks.
-    """
-    import numpy as np
-    speed_law, angle_law = s.mobility.speed_law, s.mobility.angle_law
-    n_speed = 0 if is_point_mass(speed_law) else n
-    n_angle = 0 if is_point_mass(angle_law) else n
-    speed_rng = _ahead(rng, 0)
-    angle_rng = _ahead(rng, n_speed)
-    uniform_rng = _ahead(rng, n_speed + n_angle)
-    rng.bit_generator.advance(n_speed + n_angle + n)
-    pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
-
-    def threshold(m: int) -> np.ndarray:
-        speeds = draw_law(speed_rng, speed_law, m)
-        angles = draw_law(angle_rng, angle_law, m)
-        return p_a * _event_probability(pz, density, radius, speeds, angles)
-
-    # with both laws fixed every session shares one threshold; computing it
-    # on a one-element array runs the same numpy loops as the full array
-    fixed = threshold(1) if n_speed == n_angle == 0 else None
-    u = np.empty(min(_CHUNK, n))
-    below = np.empty(u.size, dtype=bool)
-    events = 0
-    for start in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - start)
-        q = threshold(m) if fixed is None else fixed
-        uniform_rng.random(out=u[:m])
-        events += int(np.count_nonzero(np.less(u[:m], q, out=below[:m])))
-    return events
-
 
 def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
                   seed: int = 0, ho_mode: str = "x2") -> LoadResult:
@@ -280,26 +220,24 @@ def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
             raise ValueError(
                 f"duration {duration:g} s at rate {rate:g}/s expects "
                 f"{rate * duration:g} sessions, too many to draw")
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    from .montecarlo import load_draws
+    classes = (("sgw", ho_sequence(ho_mode), sig.sgw_rates, s.r_eNB,
+                s.lambda_eNB),
+               ("rism", rr_sequence(), sig.rism_rates, s.r_RIS, s.lambda_RIS))
+    servers = [(kind, template, rate * duration, radius, density)
+               for kind, template, rates, radius, density in classes
+               for rate in rates]
+    pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
+    draws = load_draws(s.mobility, [row[2:] for row in servers], pz,
+                       sig.p_a, seed)
     tallies: Counter = Counter()
-    initiations = {}
-    sessions = {}
-    for kind, template, rates, radius, density in (
-            ("sgw", ho_sequence(ho_mode), sig.sgw_rates, s.r_eNB,
-             s.lambda_eNB),
-            ("rism", rr_sequence(), sig.rism_rates, s.r_RIS, s.lambda_RIS)):
-        initiations[kind] = sessions[kind] = 0
-        for rate in rates:
-            mean = rate * duration
-            # an idle server takes no uniform from the stream
-            n = int(poisson_counts(rng, mean)) if mean else 0
-            sessions[kind] += n
-            _tally(tallies, basic_sequence(kind), n)
-            if n:
-                events = _count_events(s, rng, n, radius, density, sig.p_a)
-                initiations[kind] += events
-                _tally(tallies, template, events)
+    initiations = {"sgw": 0, "rism": 0}
+    sessions = {"sgw": 0, "rism": 0}
+    for (kind, template, *_), (n, events) in zip(servers, draws):
+        sessions[kind] += n
+        initiations[kind] += events
+        _tally(tallies, basic_sequence(kind), n)
+        _tally(tallies, template, events)
 
     rates = {kind: count / duration for kind, count in sorted(tallies.items())}
     return LoadResult(entity_rates=rates, rr_initiations=initiations["rism"],

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 from .geometry import Point2D, SegmentObstacle
 from .stochastic import RandomObstacleModel, SelfBlockModel
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -44,16 +41,6 @@ def law_bounds(law: Law) -> tuple[float, float]:
 def is_point_mass(law: Law) -> bool:
     lo, hi = law_bounds(law)
     return lo == hi
-
-
-def draw_law(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
-    """n draws from the law: one double each from rng, except that a point
-    mass takes nothing from rng."""
-    import numpy as np
-    lo, hi = law_bounds(law)
-    if is_point_mass(law):
-        return np.full(n, lo)
-    return rng.uniform(lo, hi, n)
 
 
 @dataclass(frozen=True)

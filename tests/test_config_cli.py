@@ -455,6 +455,27 @@ def test_simulate_duration_beyond_session_limit_exits_2_at_once(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, mean", [
+    (["simulate", "--trials", "10"], "1e+302"),
+    (["sweep", "--config", str(packaged_config_path(UNKNOWN)), "--var",
+      "lambda_eNB", "--values", "1,1e300", "--outputs", "mc_ho"],
+     "4.29043e+301"),
+], ids=["simulate-room", "sweep-disk"])
+def test_poisson_mean_too_large_to_draw_exits_2_named(tmp_path, capsys, argv,
+                                                      mean):
+    # numpy's own message names no quantity: the mean is named with it
+    if argv[0] == "simulate":
+        cfg = _write(tmp_path, _edited(KNOWN, ("lambda_RIS", "value"), 1e300))
+        argv = [*argv, "--config", str(cfg)]
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: Poisson mean {mean} is too large "
+                                   f"to draw (")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 @pytest.mark.parametrize("command", [
     ["simulate", "--config", "table3-static-obstacle"],

@@ -30,10 +30,11 @@ from risrates.geometry import (TWO_PI, Point2D, SegmentObstacle,
                                displaced_distance_sq, wall_shadow_interval,
                                wall_shadow_wedges)
 from risrates.montecarlo import (HO_RUN, SHARD_SIZE, _candidate_mask,
-                                 _estimate, _ho_run, _rr_run, _rr_successes)
-from risrates.scenarios import Deterministic, MobilitySpec, Uniform, draw_law
-from risrates.stochastic import (RandomObstacleModel, SelfBlockModel, _invert,
-                                 p_self_blocked, poisson_counts)
+                                 _estimate, _ho_run, _invert, _rr_run,
+                                 _rr_successes, draw_law, poisson_counts)
+from risrates.scenarios import Deterministic, MobilitySpec, Uniform
+from risrates.stochastic import (RandomObstacleModel, SelfBlockModel,
+                                 p_self_blocked)
 
 XI45 = math.radians(45.0)
 

@@ -22,12 +22,12 @@ from risrates import (
     rr_sequence,
     simulate_load,
 )
-from risrates import protocol
-from risrates.protocol import LoadResult, _event_probability, _tally
+from risrates import montecarlo, protocol
+from risrates.protocol import LoadResult, _tally
 from risrates.geometry import displaced_distance_sq
-from risrates.scenarios import MobilitySpec, SignalingConfig, Uniform, draw_law
-from risrates.stochastic import (event_probability, p_not_blocked_Z,
-                                 poisson_counts)
+from risrates.montecarlo import _event_probability, draw_law, poisson_counts
+from risrates.scenarios import MobilitySpec, SignalingConfig, Uniform
+from risrates.stochastic import event_probability, p_not_blocked_Z
 
 
 def test_rr_sequence_shape():
@@ -145,7 +145,7 @@ def test_simulate_load_refuses_a_server_beyond_the_session_limit(monkeypatch,
     def no_draws(*args):
         raise AssertionError("sessions drawn before the refusal")
 
-    monkeypatch.setattr(protocol, "poisson_counts", no_draws)
+    monkeypatch.setattr(montecarlo, "poisson_counts", no_draws)
     with pytest.raises(ValueError, match="^duration 1e[+]07 s at rate "
                                          "200000/s expects 2e[+]12 sessions"):
         simulate_load(s, sig, duration=1e7)
@@ -287,18 +287,18 @@ def _load_case(variant):
     return dataclasses.replace(cfg.scenario, mobility=mobility), sig
 
 
-@pytest.mark.parametrize("chunk,duration",
+@pytest.mark.parametrize("block,duration",
                          [(7, 1.3), (4096, 170.0), (None, 1400.0)])
 @pytest.mark.parametrize("variant",
                          UNKNOWN_CONFIGS + ["spread", "angle", "speed"])
 def test_streamed_load_matches_whole_array_reference(monkeypatch, variant,
-                                                     chunk, duration):
-    # about 130 or 17,000 sessions per class of rate 100/s: many chunk
-    # boundaries at either chunk size; about 140,000 at the default chunk
-    # (None): two full chunks and a partial one through the reused buffers
+                                                     block, duration):
+    # about 130 or 17,000 sessions per class of rate 100/s: many block
+    # boundaries at either block size; about 140,000 at the default block
+    # (None): two full blocks and a partial one through the reused buffers
     s, sig = _load_case(variant)
-    if chunk is not None:
-        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+    if block is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
     for seed in range(3):
         for mode in ("x2", "s1"):
             expected = _reference_simulate_load(s, sig, duration, seed, mode)
@@ -309,7 +309,7 @@ def test_streamed_load_matches_whole_array_reference(monkeypatch, variant,
 @pytest.mark.parametrize("variant", ["fixed", "spread"])
 def test_streamed_load_memory_is_bounded(variant):
     # about 2·10^6 sessions per server; the bound, 16 float64 arrays of 2^16
-    # entries, is a few chunks whatever the session count
+    # entries, is a few blocks whatever the session count
     s, sig = _load_case("table4-unknown" if variant == "fixed" else variant)
     tracemalloc.start()
     try:

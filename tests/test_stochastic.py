@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risrates import stochastic
+from risrates import montecarlo
+from risrates.montecarlo import poisson_counts
 from risrates.stochastic import (
     RandomObstacleModel,
     SelfBlockModel,
@@ -15,7 +16,6 @@ from risrates.stochastic import (
     p_blocked_static,
     p_not_blocked_Z,
     p_self_blocked,
-    poisson_counts,
     survival_bracket,
 )
 
@@ -205,7 +205,7 @@ def test_table_cache_keeps_means_apart():
     # one generator pair walks through means in turn, each several times,
     # neighbours in the list one ulp or one step of the d_U sweep apart: a
     # table cached for one mean must never serve another
-    stochastic._table.cache_clear()
+    montecarlo._table.cache_clear()
     means = [0.0429, 5.0, np.nextafter(5.0, 6.0), 0.5278, 60.0, 0.0, 13.66,
              np.nextafter(60.0, 0.0)]
     a, b = np.random.default_rng(11), np.random.default_rng(11)
@@ -215,14 +215,14 @@ def test_table_cache_keeps_means_apart():
             got = poisson_counts(a, np.full(n, mean))
             assert np.array_equal(got, _reference_inversion(b, np.full(n, mean)))
             assert a.bit_generator.state == b.bit_generator.state
-    info = stochastic._table.cache_info()
+    info = montecarlo._table.cache_info()
     assert info.currsize == len(means)
     assert info.hits == 2 * len(means)
-    table = stochastic._table(5.0)[0]
+    table = montecarlo._table(5.0)[0]
     with pytest.raises(ValueError):
         table[0] = 1.0
     assert not np.array_equal(table,
-                              stochastic._table(np.nextafter(5.0, 6.0))[0])
+                              montecarlo._table(np.nextafter(5.0, 6.0))[0])
 
 
 @pytest.mark.parametrize("mean", [0.043, 0.5, 10.0, 59.9, 60.0])
@@ -231,13 +231,13 @@ def test_guide_table_counts_what_a_plain_search_counts(mean):
     # float neighbours, every guide bin edge and its neighbours, and a
     # random spread; all kept inside [0, 1) as a generator's would be
     m = np.float64(mean)
-    cdf = stochastic._table(mean)[0]
-    edges = np.arange(stochastic._GUIDE) / stochastic._GUIDE
+    cdf = montecarlo._table(mean)[0]
+    edges = np.arange(montecarlo._GUIDE) / montecarlo._GUIDE
     probes = [cdf, edges, np.random.default_rng(8).random(100_000)]
     probes += [np.nextafter(p, side) for p in probes[:2] for side in (0.0, 1.0)]
     u = np.concatenate(probes)
     u = u[(u >= 0.0) & (u < 1.0)]
-    drew, k = stochastic.invert_drawn(m, u)
+    drew, k = montecarlo.invert_drawn(m, u)
     assert k.dtype == np.int64
     assert np.array_equal(drew, np.flatnonzero(u > cdf[0]))
     plain = np.searchsorted(cdf, u[drew], side="left")
@@ -246,35 +246,35 @@ def test_guide_table_counts_what_a_plain_search_counts(mean):
     # a uniform past the whole table goes to the loop, as before
     assert np.array_equal(
         k[~inside],
-        stochastic._invert(np.full((~inside).sum(), m), u[drew[~inside]]))
+        montecarlo._invert(np.full((~inside).sum(), m), u[drew[~inside]]))
 
 
 def test_table_last_is_the_loop_count_past_the_table():
     # the table's last count is what the loop over k counts for a uniform
     # above the whole table, on a grid of means and at each one's one-ulp
     # neighbours; the table's arrays are read-only
-    grid = np.linspace(0.0, stochastic.SWITCH, 121)
+    grid = np.linspace(0.0, montecarlo.SWITCH, 121)
     means = np.concatenate([grid, np.nextafter(grid, -1.0),
                             np.nextafter(grid, np.inf)])
     for mean in means[means >= 0.0]:
-        cdf, guide, split, last = stochastic._table(float(mean))
+        cdf, guide, split, last = montecarlo._table(float(mean))
         u = np.nextafter(cdf[-1], 2.0)
-        assert stochastic._invert(np.array([mean]), np.array([u]))[0] == last
+        assert montecarlo._invert(np.array([mean]), np.array([u]))[0] == last
         assert not any(a.flags.writeable for a in (cdf, guide, split))
 
 
 def test_walking_distinct_means_builds_one_table_each():
     # a table holds everything a mean's inversion needs: one build a mean,
     # whether poisson_counts or invert_drawn asks for it, and however often
-    stochastic._table.cache_clear()
+    montecarlo._table.cache_clear()
     means = [0.0, 0.0429, 1.0, np.nextafter(1.0, 2.0), 7.5, 30.0, 59.9,
-             stochastic.SWITCH]
+             montecarlo.SWITCH]
     rng = np.random.default_rng(5)
     for _ in range(3):
         for mean in means:
             poisson_counts(rng, mean, 64)
-            stochastic.invert_drawn(mean, rng.random(64))
-    assert stochastic._table.cache_info().misses == 8
+            montecarlo.invert_drawn(mean, rng.random(64))
+    assert montecarlo._table.cache_info().misses == 8
 
 
 def test_one_shared_mean_broadcasts_to_size():
@@ -330,7 +330,7 @@ def test_mixed_means_go_through_the_inversion_loop(monkeypatch):
     def refuse(m, u):
         raise AssertionError("one-mean table used for mixed means")
 
-    monkeypatch.setattr(stochastic, "invert_drawn", refuse)
+    monkeypatch.setattr(montecarlo, "invert_drawn", refuse)
     means = np.array([0.2, 5.0, 5.0, 59.0])
     for seed in range(20):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -1,7 +1,8 @@
 """Every top-level function, class and constant of the package is used by
 the package itself or exported: code that only tests call belongs in the
 tests. A module imports no underscore name from another module of the
-package: what another module needs is public."""
+package: what another module needs is public. numpy is imported where draws
+run and nowhere else."""
 
 import ast
 from pathlib import Path
@@ -75,8 +76,8 @@ def private_imports(trees: dict[str, ast.Module],
     return found
 
 
-# ROADMAP item 10 deletes the one name still shared across modules.
-SHARED_PRIVATE = {"stochastic._ahead"}
+# Underscore names one module may import from another: none.
+SHARED_PRIVATE: set[str] = set()
 
 
 def test_no_module_imports_another_modules_private_name():
@@ -117,3 +118,59 @@ def test_unused_definition_is_named():
     assert unused_definitions(trees, {"Shown"}) == [
         "a.py:DEAD", "a.py:_dead", "a.py:STORED", "a.py:dead", "a.py:unread",
         "a.py:Hidden"]
+
+
+def numpy_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """'module.py' for each import of numpy at a module's top level and
+    'module.py:function' for each inside a function (the innermost), in
+    source order. Imports under `if TYPE_CHECKING:` are left out: they
+    never run."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.If)
+                    and ast.unparse(child.test) == "TYPE_CHECKING"):
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split(':')[0]}:{child.name}")
+            elif isinstance(child, ast.Import):
+                found.extend(where for alias in child.names
+                             if alias.name.split(".")[0] == "numpy")
+            elif isinstance(child, ast.ImportFrom):
+                if child.level == 0 and child.module.split(".")[0] == "numpy":
+                    found.append(where)
+            else:
+                visit(child, where)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return found
+
+
+def test_numpy_is_imported_only_where_draws_run():
+    # montecarlo holds every draw; geometry's rejection oracle and the
+    # segment test it shares with montecarlo import numpy when they run
+    # (ROADMAP item 1b moves all but segment_crosses out of the package)
+    assert numpy_imports(_trees()) == [
+        "geometry.py:segment_crosses", "geometry.py:_sector_contains_many",
+        "geometry.py:numeric_blocked_area",
+        "geometry.py:visible_region_predicate", "montecarlo.py"]
+
+
+def test_numpy_import_is_named():
+    trees = {"a.py": ast.parse(
+        "import math, numpy as np\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy\n"
+        "def f():\n"
+        "    from numpy.random import default_rng\n"
+        "    def g(): import numpy.linalg\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        if True: import numpy\n"
+        "        from . import numpy_free\n"),
+        "b.py": ast.parse("try:\n    import numpy\nexcept ImportError: pass\n")}
+    assert numpy_imports(trees) == ["a.py", "a.py:f", "a.py:g", "a.py:h",
+                                    "b.py"]
