@@ -606,28 +606,36 @@ def segment_crosses(ox, oy, px, py, seg: SegmentObstacle,
     work, when given, is (four float rows, two bool rows), each of the
     result's shape: every array step writes into a float row, and the
     result is the first bool row. The values are the same either way.
+
+    A scalar origin's terms are worked out once in floats, the same
+    operations in the same order, so they have the bits the array steps
+    would give.
     """
     import numpy as np
     ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
     (w1, w2, w3, w4), (hit, side) = work or ((None,) * 4, (None,) * 2)
+    sub, mul = np.subtract, np.multiply
+    one = np.ndim(ox) == np.ndim(oy) == 0
 
-    def sub(a, b, row):  # a - b, into row unless both are scalars
-        return np.subtract(a, b, out=row) if np.ndim(a) + np.ndim(b) else a - b
-
-    def mul(a, b, row):  # a * b, likewise
-        return np.multiply(a, b, out=row) if np.ndim(a) + np.ndim(b) else a * b
+    def off(a, b, row):  # a - b of a segment end and the origin
+        return a - b if one else sub(a, b, out=row)
 
     # d1, d2: the sides of seg's line the two ends lie on
-    d2 = sub(mul(bx - ax, sub(py, ay, w1), w1),
-             mul(by - ay, sub(px, ax, w2), w2), w1)
-    d1 = sub(mul(bx - ax, sub(oy, ay, w2), w2),
-             mul(by - ay, sub(ox, ax, w3), w3), w2)
-    hit = np.less_equal(mul(d1, d2, w1), 0.0, out=hit)
+    d2 = sub(mul(bx - ax, sub(py, ay, out=w1), out=w1),
+             mul(by - ay, sub(px, ax, out=w2), out=w2), out=w1)
+    if one:
+        d1 = (bx - ax) * (oy - ay) - (by - ay) * (ox - ax)
+    else:
+        d1 = sub(mul(bx - ax, sub(oy, ay, out=w2), out=w2),
+                 mul(by - ay, sub(ox, ax, out=w3), out=w3), out=w2)
+    hit = np.less_equal(mul(d1, d2, out=w1), 0.0, out=hit)
     # d3, d4: the sides of the segment's line seg's two ends lie on
-    ux, uy = sub(px, ox, w1), sub(py, oy, w2)
-    d3 = sub(mul(ux, sub(ay, oy, w3), w3), mul(uy, sub(ax, ox, w4), w4), w3)
-    d4 = sub(mul(ux, sub(by, oy, w4), w4), mul(uy, sub(bx, ox, w1), w1), w4)
-    hit &= np.less_equal(mul(d3, d4, w3), 0.0, out=side)
+    ux, uy = sub(px, ox, out=w1), sub(py, oy, out=w2)
+    d3 = sub(mul(ux, off(ay, oy, w3), out=w3),
+             mul(uy, off(ax, ox, w4), out=w4), out=w3)
+    d4 = sub(mul(ux, off(by, oy, w4), out=w4),
+             mul(uy, off(bx, ox, w1), out=w1), out=w4)
+    hit &= np.less_equal(mul(d3, d4, out=w3), 0.0, out=side)
     return hit
 
 

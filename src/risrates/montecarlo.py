@@ -13,18 +13,22 @@ generator: SeedSequence's hash runs as uint32 array operations over up to
 _KEY_CHUNK shards at once, and each thread loads a shard's PCG64 state into
 one of its own generators before the shard draws.
 
-A reassignment shard holds no array longer than one block of _BLOCK nodes.
-Each block's x positions come from the shard's generator and its y
-positions from a copy of the stream started past all x positions, and
-every predicate writes into one workspace made per shard, so its working
-set stays bounded whatever the density.
+Shards are handed out in runs, RR_RUN consecutive reassignment shards or
+HO_RUN handover shards. Each shard keeps its own generator and draws, and
+only those generator calls run shard by shard; the rest runs once over the
+trials of the whole run, with the same results as one array per trial.
 
-Handover shards are handed out in runs of HO_RUN consecutive shards. Each
-shard keeps its own generator and draws, and only those generator calls run
-shard by shard: the table search for the counts, blockage and hit marking
-run once over the trials of the whole run that drew a base station, with
-the same results as one array per trial. A handover shard then costs about
-its draws.
+A reassignment run inverts the count uniforms of all its shards at once
+(every trial's mean is lambda_RIS * |room|) and judges its nodes, shard
+after shard, in blocks that may span shards. Each block's x positions come
+from its shards' generators and its y positions from a spare generator
+started past each shard's x positions, and every predicate writes into one
+workspace made per run, so no array is longer than a block or the run's
+trials, whatever the density.
+
+A handover run likewise searches the count table, and marks blockage and
+hits, once over its trials that drew a base station. A handover shard then
+costs about its draws.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ SHARD_SIZE = 4096
 # Shards per unit of handover work: each keeps its own generator, and the
 # array work between draws runs once for all of them.
 HO_RUN = 16
+# Shards per unit of reassignment work: their counts are inverted together,
+# and a block of nodes may span several of them. Runs of 2, 4 and 8 ran
+# within a few percent of each other; 8 held the most memory.
+RR_RUN = 4
 
 
 def _available_cpus() -> int:
@@ -248,10 +256,10 @@ def _clear_of_wedge(ok: np.ndarray, vx, vy, u1x, u1y, u2x, u2y,
 def _workspace(size: int, per_trial: bool) -> tuple:
     """Scratch for _candidate_mask over up to `size` points: three bool
     rows and six float rows, or, for points judged against their own
-    trials, eight float rows and two trial-index rows."""
+    trials, eight float rows and one trial-index row."""
     if not per_trial:
         return np.empty((6, size)), None, np.empty((3, size), bool)
-    return (np.empty((8, size)), np.empty((2, size), np.intp),
+    return (np.empty((8, size)), np.empty((1, size), np.intp),
             np.empty((3, size), bool))
 
 
@@ -266,17 +274,18 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[WallWedge, ...],
     Without trial_idx, every point is judged against the one displacement
     held in the one-element arrays (l2x, l2y, R, heading); with it, each
     point against the displacement of its trial, trial_idx. Returns the
-    indices of the points strictly inside their coverage disk and, aligned
-    with them, the candidate mask; the other predicates run only on those
-    points.
+    indices of some points, every candidate among them, and aligned with
+    them the candidate mask. The exclusion and wall tests run only on the
+    points strictly inside their coverage disk, and the sight-line and
+    body-shadow tests only on those that passed them, the points returned.
 
     Every point-long step writes into `work` (from _workspace, at least
     len(px) long), made here when not given: the disk test into two float
     rows, which then take the inside points, and each later predicate into
     the rows left. Each predicate is the plain expression evaluated in the
-    same order, so writing in place changes no verdict. px and py are read
-    only before the first write to work's first two rows, so they may be
-    those rows.
+    same order, so writing in place or on fewer points changes no verdict.
+    px and py are read only before the first write to work's first two
+    rows, so they may be those rows.
     """
     m = len(px)
     f, t, b = _workspace(m, trial_idx is not None) if work is None else work
@@ -298,31 +307,43 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[WallWedge, ...],
     f, b = f[:, :k], b[:, :k]
     px = np.take(px, idx, out=f[2], mode="clip")
     py = np.take(py, idx, out=f[3], mode="clip")
-    if trial_idx is None:  # the rows of the draws are free once gathered
-        trial, spare = None, (f[4], f[5], f[0], f[1])
-    else:
-        trial = np.take(trial_idx, idx, out=t[1, :k], mode="clip")
-        spare = f[4:]
-    tx, ty = at(l2x, f[0], trial), at(l2y, f[1], trial)
+    trial = (None if trial_idx is None
+             else np.take(trial_idx, idx, out=t[0, :k], mode="clip"))
     r = scene.serving_ris_distance
-    ex = np.subtract(px, scene.ue.x, out=spare[0])
+    ex = np.subtract(px, scene.ue.x, out=f[4])
     ex *= ex
-    ey = np.subtract(py, scene.ue.y, out=spare[1])
+    ey = np.subtract(py, scene.ue.y, out=f[5])
     ey *= ey
     ex += ey
     ok = np.greater_equal(ex, r * r, out=b[0])
     if walls:
-        vx = np.subtract(px, scene.enb.x, out=spare[0])
-        vy = np.subtract(py, scene.enb.y, out=spare[1])
-        for wedge in walls:
-            _clear_of_wedge(ok, vx, vy, *wedge, spare[2:], b[1:])
+        vx = np.subtract(px, scene.enb.x, out=f[4])
+        vy = np.subtract(py, scene.enb.y, out=f[5])
+        for wedge in walls:  # the rows of the draws are free once gathered
+            _clear_of_wedge(ok, vx, vy, *wedge, f[:2], b[1:])
+    body = scene.self_block is not None and scene.self_block.theta > 0.0
+    if not (scene.extra_obstacles or body):
+        return idx, ok
+    # the sight-line and body-shadow tests run only on the points that
+    # passed so far, most of them cut by the wall shadows
+    keep = np.flatnonzero(ok)
+    idx, k = idx.take(keep), keep.size
+    f, b = f[:, :k], b[:, :k]
+    px = np.take(px, keep, out=f[4], mode="clip")
+    py = np.take(py, keep, out=f[5], mode="clip")
+    ok = b[0]
+    ok[:] = True
+    if trial is not None:
+        trial = trial.take(keep)
+    # the last two rows, which a shared displacement leaves unread
+    tx, ty = at(l2x, f[-2], trial), at(l2y, f[-1], trial)
     for obs in scene.extra_obstacles:
-        crosses = segment_crosses(tx, ty, px, py, obs, (spare, b[1:]))
+        crosses = segment_crosses(tx, ty, px, py, obs, (f[:4], b[1:]))
         ok &= np.invert(crosses, out=crosses)
-    if scene.self_block is not None and scene.self_block.theta > 0.0:
+    if body:
         theta = scene.self_block.theta
-        dx = np.subtract(px, tx, out=spare[0])
-        dy = np.subtract(py, ty, out=spare[1])
+        dx = np.subtract(px, tx, out=f[0])
+        dy = np.subtract(py, ty, out=f[1])
         hd = heading if trial_idx is not None else heading[0]
         if scene.self_block_direction is not None:
             hd = scene.self_block_direction
@@ -332,44 +353,82 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[WallWedge, ...],
         rays = (np.cos(lo), np.sin(lo), np.cos(lo + theta),
                 np.sin(lo + theta))
         if np.ndim(lo):
-            rays = [at(u, row, trial) for u, row in zip(rays, f[:4])]
-        _clear_of_wedge(ok, dx, dy, *rays, theta, spare[2:], b[1:])
+            rays = [at(u, row, trial) for u, row in zip(rays, f[4:])]
+        _clear_of_wedge(ok, dx, dy, *rays, theta, f[2:4], b[1:])
     return idx, ok
 
 
-# Nodes judged per _candidate_mask call, and the nodes after which a run of
-# handover shards judges those gathered so far: temporaries stay about this
-# size however many nodes the trials draw.
+# Nodes after which a run of handover shards judges those gathered so far,
+# and the block size of the load simulator: temporaries stay about this size
+# however many nodes the trials draw. A reassignment block judges 7/8 of it
+# in one _candidate_mask call with one displacement, and half with one per
+# trial, whose workspace has 10 rows to 6; that leaves room for a run's
+# per-trial arrays, so a run peaks below the 6-row workspace of _BLOCK nodes
+# that a dense single shard reached.
 _BLOCK = 2 ** 16
 
 
-def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
-                  rng: np.random.Generator,
-                  walls: tuple[WallWedge, ...]) -> int:
-    """Successful trials in a shard of n (walls: the scene's
-    wall_shadow_wedges at its base station), drawing speeds, angles, count
-    uniforms, all x, then all y positions; judged in blocks of _BLOCK nodes
-    in one _workspace made per shard: no array of the shard is longer than
-    a block.
+def _rr_draws(mobility: MobilitySpec, mean: float, sizes: list[int],
+              rngs: list[np.random.Generator]) -> tuple:
+    """(speeds, angles, ends, node_edges) of the trials of a run of shards
+    that draw a node, shard i drawing sizes[i] trials from rngs[i]: speeds,
+    angles, then counts of mean `mean`. A point-mass law gives one value
+    for every trial. Drawing trial j owns the run's nodes ends[j - 1] (0
+    for the first) to ends[j] - 1, and shard i the nodes node_edges[i] to
+    node_edges[i + 1] - 1.
 
-    A point-mass law draws one value that holds for every trial, so both
-    laws fixed give one displacement, judged as scalars; otherwise each
-    block's trial index is built in a workspace row. The stream holds all x
-    positions, then all y positions: each block draws its x from rng into
-    the workspace and its y from a copy of the stream started past all x,
-    and rng ends where that copy does. That takes the same values from the
-    generator as drawing them all at once.
+    Up to mean SWITCH the count uniforms of all shards go into one buffer,
+    and one invert_drawn gives the trials that drew a node and their
+    counts; above it each shard draws its counts with poisson_counts."""
+    edges = list(itertools.accumulate(sizes, initial=0))
+    laws = (mobility.speed_law, mobility.angle_law)
+    speeds, angles = (draw_law(None, law, 1) if is_point_mass(law)
+                      else np.empty(edges[-1]) for law in laws)
+    inverted = 0.0 <= mean <= SWITCH
+    counts = np.empty(edges[-1], dtype=float if inverted else np.int64)
+    for rng, a, b in zip(rngs, edges, edges[1:]):
+        for law, drawn in zip(laws, (speeds, angles)):
+            if not is_point_mass(law):
+                drawn[a:b] = draw_law(rng, law, b - a)
+        if inverted:  # the count uniforms
+            rng.random(out=counts[a:b])
+        else:
+            counts[a:b] = poisson_counts(rng, mean, b - a)
+    if inverted:
+        drew, counts = invert_drawn(mean, counts)
+    else:
+        drew = np.flatnonzero(counts)
+        counts = counts[drew]
+    ends = np.cumsum(counts, out=counts)
+    node_edges = np.concatenate(((0,), ends))[
+        np.searchsorted(drew, edges[1:])]
+    speeds, angles = (v if v.size == 1 else v[drew] for v in (speeds, angles))
+    return speeds, angles, ends, [0, *node_edges.tolist()]
+
+
+def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
+            rngs: list[np.random.Generator],
+            walls: tuple[WallWedge, ...]) -> int:
+    """Successful reassignment trials in a run of shards, shard i drawing
+    sizes[i] trials from rngs[i] (walls: the scene's wall_shadow_wedges at
+    its base station). Each shard draws speeds, angles and count uniforms
+    (_rr_draws), then all x and all y positions.
+
+    The run's nodes, shard after shard, are judged in blocks (see _BLOCK) in
+    one _workspace, and a block may hold the nodes of several shards. A
+    shard draws its x positions from its generator into the workspace and
+    its y positions from a spare generator loaded with its state and moved
+    past all its x; then its generator moves past its y. That takes the
+    values of drawing them all at once. Both laws fixed give one
+    displacement, judged as scalars; otherwise each node is judged against
+    its trial's. A candidate's trial is found among the run's cumulative
+    counts.
     """
-    speeds, angles = (draw_law(rng, law, 1 if is_point_mass(law) else n)
-                      for law in (mobility.speed_law, mobility.angle_law))
     x0, y0, x1, y1 = scene.room
-    mean = scene.lambda_RIS * (x1 - x0) * (y1 - y0)
-    ends = np.cumsum(poisson_counts(rng, mean, n))
-    total = int(ends[-1])
-    if total == 0:
+    speeds, angles, ends, node_edges = _rr_draws(
+        mobility, scene.lambda_RIS * (x1 - x0) * (y1 - y0), sizes, rngs)
+    if not ends.size:
         return 0
-    y_rng = _ahead(rng, total)
-
     away = scene.ris_direction + math.pi
     heading = away + scene.orientation * angles
     l2x = scene.ue.x + speeds * np.cos(heading)
@@ -379,59 +438,76 @@ def _rr_successes(scene: ScenarioKnown, mobility: MobilitySpec, n: int,
     shared = l2x.size == 1
     if not shared:
         l2x, l2y, R, heading = np.broadcast_arrays(l2x, l2y, R, heading)
-    work = _workspace(min(_BLOCK, total), not shared)
-    f, t, _ = work
-    hits = np.zeros(n, dtype=bool)
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        px, py = f[0, :stop - start], f[1, :stop - start]
-        rng.random(out=px)  # the bits of rng.uniform(x0, x1, total)
+    total = int(ends[-1])
+    block = max(7 * _BLOCK // 8 if shared else _BLOCK // 2, 1)
+    work = _workspace(min(block, total), not shared)
+    f = work[0]
+    cap = f.shape[1]
+    hit = np.zeros(ends.size, dtype=bool)
+
+    def judge(start: int, n: int) -> None:
+        """Mark the trials with a candidate among the nodes start to
+        start + n - 1, whose positions are drawn into f[0] and f[1]."""
+        # the bits of rng.uniform(x0, x1): adding a zero corner changes none
+        px, py = f[0, :n], f[1, :n]
         px *= x1 - x0
-        px += x0
-        y_rng.random(out=py)
+        if x0:
+            px += x0
         py *= y1 - y0
-        py += y0
-        # trials lo..hi own nodes start..stop-1; lo and hi may have nodes in
-        # the blocks before and after
-        lo, hi = np.searchsorted(ends, (start, stop - 1), side="right")
-        own = slice(lo, hi + 1)
+        if y0:
+            py += y0
         if shared:
             idx, ok = _candidate_mask(scene, walls, px, py, l2x, l2y, R,
                                       heading, work=work)
         else:
-            # each node's trial: a step of one at each trial end
-            trial = t[0, :stop - start]
-            trial[:] = 0
-            np.add.at(trial, ends[lo:hi] - start, 1)
-            np.cumsum(trial, out=trial)
+            # trials lo..hi own the block's nodes; lo and hi may have
+            # nodes in the blocks before and after
+            lo, hi = np.searchsorted(ends, (start, start + n - 1),
+                                     side="right")
+            own = slice(lo, hi + 1)
+            cuts = np.minimum(ends[own], start + n) - start
+            trial = np.repeat(np.arange(hi + 1 - lo), np.diff(cuts, prepend=0))
             idx, ok = _candidate_mask(scene, walls, px, py, l2x[own],
                                       l2y[own], R[own], heading[own], trial,
                                       work)
-        # a trial has a candidate when more of the block's candidates lie
-        # before its end than before the previous trial's end
-        before = np.searchsorted(idx.compress(ok), ends[own] - start)
-        hits[own] |= np.diff(before, prepend=0) > 0
-    rng.bit_generator.state = y_rng.bit_generator.state
-    hits &= speeds > 0.0
-    return int(np.count_nonzero(hits))
+        found = idx.compress(ok)
+        found += start
+        hit[np.searchsorted(ends, found, side="right")] = True
+
+    spare = _ahead(rngs[0], 0)
+    fill = 0  # nodes drawn into the block so far
+    for rng, a, b in zip(rngs, node_edges, node_edges[1:]):
+        if a == b:
+            continue
+        spare.bit_generator.state = rng.bit_generator.state
+        spare.bit_generator.advance(b - a)
+        at = a
+        while at < b:
+            m = min(b - at, cap - fill)
+            rng.random(out=f[0, fill:fill + m])
+            spare.random(out=f[1, fill:fill + m])
+            fill += m
+            at += m
+            if fill == cap or at == total:
+                judge(at - fill, fill)
+                fill = 0
+        rng.bit_generator.advance(b - a)
+    hit &= speeds > 0.0
+    return int(np.count_nonzero(hit))
 
 
-def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
-            rngs: list[np.random.Generator],
-            walls: tuple[WallWedge, ...]) -> int:
-    """_rr_successes summed over a run of shards."""
-    return sum(_rr_successes(scene, mobility, n, rng, walls)
-               for n, rng in zip(sizes, rngs))
-
-
-def _shard_plan(Z: int, workers: int) -> tuple[int, int]:
-    """(shards, threads) of an estimate over Z trials offered `workers`
-    threads: ceil(Z / SHARD_SIZE) shards, and never more threads than
-    shards."""
+def _shard_plan(Z: int, workers: int, run: int) -> tuple[int, int, int]:
+    """(shards, threads, run) of an estimate over Z trials offered
+    `workers` threads and runs of `run` shards: ceil(Z / SHARD_SIZE)
+    shards; runs cut to ceil(shards / threads) shards where that is
+    shorter, so that every thread gets a run; and never more threads than
+    shards or runs."""
     if Z < 1:
         raise ValueError("Z must be at least 1")
     shards = -(-Z // SHARD_SIZE)
-    return shards, min(workers, shards)
+    threads = min(workers, shards)
+    run = min(run, -(-shards // threads))
+    return shards, min(threads, -(-shards // run)), run
 
 
 # SeedSequence's hash constants and PCG64's multiplier, as numpy's
@@ -523,8 +599,9 @@ def _estimate(run_fn: Callable[[list[int], list[np.random.Generator]], int],
               Z: int, seed: int, workers: int = 1, run: int = 1) -> Estimate:
     """Mean of Z trials run in shards of SHARD_SIZE, shard k drawing the
     stream of PCG64(SeedSequence((seed, k))), handed out in runs of `run`
-    consecutive shards; run_fn(sizes, rngs) returns the number of successes
-    in one run, whose shard i draws sizes[i] trials from rngs[i].
+    consecutive shards, or fewer as _shard_plan sets; run_fn(sizes, rngs)
+    returns the number of successes in one run, whose shard i draws
+    sizes[i] trials from rngs[i].
 
     The calling thread and up to workers - 1 helper threads each take the
     next run from a shared iterator until none is left, and load each
@@ -534,7 +611,7 @@ def _estimate(run_fn: Callable[[list[int], list[np.random.Generator]], int],
     calling thread, no thread starts another run; the first such exception
     propagates once every thread has stopped.
     """
-    shards, workers = _shard_plan(Z, workers)
+    shards, workers, run = _shard_plan(Z, workers, run)
     runs = _keyed_runs(seed, shards, run)
     lock = threading.Lock()
     stop = threading.Event()
@@ -545,7 +622,7 @@ def _estimate(run_fn: Callable[[list[int], list[np.random.Generator]], int],
         try:
             # each shard's state is loaded before it draws
             rngs = [np.random.Generator(np.random.PCG64(0))
-                    for _ in range(min(run, shards))]
+                    for _ in range(run)]
             while not stop.is_set():
                 with lock:
                     first, keys = next(runs, (shards, None))
@@ -578,10 +655,10 @@ def _estimate(run_fn: Callable[[list[int], list[np.random.Generator]], int],
 def estimate_rr(scene: ScenarioKnown, mobility: MobilitySpec,
                 Z: int = 100_000, seed: int = 0) -> Estimate:
     """Mean of Z independent reassignment trials with per-trial mobility,
-    on WORKERS threads, one shard at a time."""
+    on WORKERS threads, RR_RUN shards at a time."""
     walls = wall_shadow_wedges(scene.enb, scene.walls)
     return _estimate(functools.partial(_rr_run, scene, mobility, walls=walls),
-                     Z, seed, workers=WORKERS)
+                     Z, seed, workers=WORKERS, run=RR_RUN)
 
 
 # ---------------------------------------------------------------------------
@@ -747,5 +824,6 @@ def run_record(kind: str, Z: int, estimates: int = 1) -> dict:
     """Manifest entries for `estimates` runs of estimate_<kind> ("rr" or
     "ho") over Z trials each: the threads one run uses and the shards all of
     them run."""
-    shards, workers = _shard_plan(Z, WORKERS if kind == "rr" else 1)
+    shards, workers, _ = (_shard_plan(Z, WORKERS, RR_RUN) if kind == "rr"
+                          else _shard_plan(Z, 1, HO_RUN))
     return {"mc_workers": workers, "mc_shards": estimates * shards}

@@ -29,10 +29,11 @@ from risrates import montecarlo
 from risrates.geometry import (TWO_PI, Point2D, SegmentObstacle,
                                displaced_distance_sq, wall_shadow_interval,
                                wall_shadow_wedges)
-from risrates.montecarlo import (HO_RUN, SHARD_SIZE, _candidate_mask,
-                                 _estimate, _ho_run, _invert, _rr_run,
-                                 _rr_successes, draw_law, poisson_counts)
-from risrates.scenarios import Deterministic, MobilitySpec, Uniform
+from risrates.montecarlo import (HO_RUN, RR_RUN, SHARD_SIZE, _ahead,
+                                 _candidate_mask, _estimate, _ho_run, _invert,
+                                 _rr_run, _workspace, draw_law, poisson_counts)
+from risrates.scenarios import (Deterministic, MobilitySpec, Uniform,
+                                is_point_mass)
 from risrates.stochastic import (RandomObstacleModel, SelfBlockModel,
                                  p_self_blocked)
 
@@ -115,8 +116,8 @@ def test_zero_displacement_trial_has_no_event():
     field = np.random.default_rng(9).uniform((x0, y0), (x1, y1), (5000, 2))
     assert rr_candidate_count(scene, field, 0.0, XI45) == 0
     still = MobilitySpec(Deterministic(0.0), Deterministic(XI45))
-    assert _rr_successes(scene, still, 200, np.random.default_rng(9),
-                         wall_shadow_wedges(scene.enb, scene.walls)) == 0
+    assert _rr_run(scene, still, [200], [np.random.default_rng(9)],
+                   wall_shadow_wedges(scene.enb, scene.walls)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,62 @@ def _reference_rr_successes(scene, mobility, n, rng, walls):
     return int(np.count_nonzero(hits))
 
 
+def _rr_successes(scene, mobility, n, rng, walls):
+    """The RR shard one shard at a time, as the package ran it before runs
+    of shards: its nodes judged in blocks of _BLOCK in one _workspace, x
+    drawn from rng into the workspace and y from a copy of the stream
+    started past all x, the trial index built by np.add.at and cumsum."""
+    speeds, angles = (draw_law(rng, law, 1 if is_point_mass(law) else n)
+                      for law in (mobility.speed_law, mobility.angle_law))
+    x0, y0, x1, y1 = scene.room
+    mean = scene.lambda_RIS * (x1 - x0) * (y1 - y0)
+    ends = np.cumsum(poisson_counts(rng, mean, n))
+    total = int(ends[-1])
+    if total == 0:
+        return 0
+    y_rng = _ahead(rng, total)
+
+    away = scene.ris_direction + math.pi
+    heading = away + scene.orientation * angles
+    l2x = scene.ue.x + speeds * np.cos(heading)
+    l2y = scene.ue.y + speeds * np.sin(heading)
+    R = np.sqrt(displaced_distance_sq(scene.serving_ris_distance, speeds,
+                                      angles, np.cos))
+    shared = l2x.size == 1
+    if not shared:
+        l2x, l2y, R, heading = np.broadcast_arrays(l2x, l2y, R, heading)
+    block = montecarlo._BLOCK
+    work = _workspace(min(block, total), not shared)
+    f = work[0]
+    hits = np.zeros(n, dtype=bool)
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        px, py = f[0, :stop - start], f[1, :stop - start]
+        rng.random(out=px)
+        px *= x1 - x0
+        px += x0
+        y_rng.random(out=py)
+        py *= y1 - y0
+        py += y0
+        lo, hi = np.searchsorted(ends, (start, stop - 1), side="right")
+        own = slice(lo, hi + 1)
+        if shared:
+            idx, ok = _candidate_mask(scene, walls, px, py, l2x, l2y, R,
+                                      heading, work=work)
+        else:
+            trial = np.zeros(stop - start, dtype=np.intp)
+            np.add.at(trial, ends[lo:hi] - start, 1)
+            np.cumsum(trial, out=trial)
+            idx, ok = _candidate_mask(scene, walls, px, py, l2x[own],
+                                      l2y[own], R[own], heading[own], trial,
+                                      work)
+        before = np.searchsorted(idx.compress(ok), ends[own] - start)
+        hits[own] |= np.diff(before, prepend=0) > 0
+    rng.bit_generator.state = y_rng.bit_generator.state
+    hits &= speeds > 0.0
+    return int(np.count_nonzero(hits))
+
+
 def _node_total(scene, mobility, n, seed):
     """Nodes the RR shard of `seed` draws: its speed, angle and count draws
     replayed."""
@@ -258,9 +315,11 @@ def _node_total(scene, mobility, n, seed):
 # shard runs only at blocks of 2^15 and of the default _BLOCK = 2^16 (at 7
 # nodes per block its 650,000 nodes at lambda_RIS = 1.6 take about 8 s):
 # about 1, 2, 10 and 20 blocks of 2^15 at 0.05, 0.1, 0.8 and 1.6, and 1, 1,
-# 5 and 10 of 2^16. Each case also runs with one block of exactly the
-# shard's node total. The shifted room, 12.5 m by 8 m and away from the
-# origin, scales and shifts the positions differently along x and y.
+# 5 and 10 of 2^16 (a block judges 7/8 of _BLOCK nodes with fixed laws and
+# half with a spread one, so a few more). Each case also runs with _BLOCK at
+# exactly the shard's node total. The shifted room, 12.5 m by 8 m and away
+# from the origin, scales and shifts the positions differently along x and
+# y.
 _FIXED = MobilitySpec(Deterministic(2.0), Deterministic(XI45))
 _SPREAD = MobilitySpec(Uniform(0.5, 2.5), Uniform(0.0, math.pi))
 _SHIFTED = (-0.75, 1.25, 11.75, 9.25)
@@ -297,55 +356,98 @@ def test_blocked_rr_shard_matches_reference(monkeypatch, lam, mobility, room,
         for size in (block, total):
             monkeypatch.setattr(montecarlo, "_BLOCK", max(size, 1))
             a = np.random.default_rng(seed)
-            assert _rr_successes(scene, mobility, n, a, walls) == expected, \
+            assert _rr_run(scene, mobility, [n], [a], walls) == expected, \
                 (seed, size)
             assert a.bit_generator.state == b.bit_generator.state
 
 
-# The shard streams its x and y positions block by block and judges each
-# block in scratch, so it holds no node-long array. This older, looser
-# bound allows one: at lambda_RIS = 1.6 a 4096-trial shard (about 655,000
-# nodes) must peak below 8 bytes per node plus 16 _BLOCK-long float arrays.
-# It was set before measuring; a shard that holds both its x and its y
-# positions (16 bytes per node) exceeds it at _BLOCK = 2^15 or 2^16. The
-# next test pins the tighter bound with no per-node term.
-@pytest.mark.parametrize("mobility", [_FIXED, _SPREAD],
-                         ids=["fixed", "spread"])
-def test_rr_shard_memory_is_one_array_per_node(mobility):
-    scene = dataclasses.replace(_static("selfblock"), lambda_RIS=1.6)
+# Every predicate at once: the self-blocking room with the obstacle room's
+# segment, so a block runs the wall, segment and body-shadow tests.
+_ALL_PREDICATES = dataclasses.replace(
+    _static("selfblock"), extra_obstacles=_static("obstacle").extra_obstacles)
+_STILL = MobilitySpec(Deterministic(0.0), Deterministic(XI45))
+
+
+# Runs of RR_RUN shards end one trial short of and one trial past a run
+# edge, and 3 shards and 5 trials leave a last shard of 5. Blocks of 7 and
+# 1,000 nodes straddle trial and shard edges; the per-shard reference runs
+# at the default _BLOCK. A block of 7 nodes (3 with the spread law) runs
+# where the trials draw about 2,000 nodes or fewer: every Z at lambda_RIS 0
+# and 0.001, and Z = 1 at 0.1 (the others would take seconds each).
+@pytest.mark.parametrize("Z", [1, 4095, RR_RUN * SHARD_SIZE - 1,
+                               RR_RUN * SHARD_SIZE + 1, 3 * SHARD_SIZE + 5])
+@pytest.mark.parametrize("lam", [0.0, 0.001, 0.1, 0.8])
+@pytest.mark.parametrize("mobility", [_FIXED, _SPREAD, _STILL],
+                         ids=["fixed", "spread", "still"])
+def test_rr_runs_match_per_shard_reference(monkeypatch, mobility, lam, Z):
+    scene = dataclasses.replace(_ALL_PREDICATES, lambda_RIS=lam)
     walls = wall_shadow_wedges(scene.enb, scene.walls)
-    total = _node_total(scene, mobility, 4096, 0)
-    bound = 8 * total + 16 * 8 * montecarlo._BLOCK
+    shards = -(-Z // SHARD_SIZE)
+    sizes = [min(SHARD_SIZE, Z - k * SHARD_SIZE) for k in range(shards)]
+    reference = _seeded(3, shards)
+    expected = sum(_rr_successes(scene, mobility, n, rng, walls)
+                   for n, rng in zip(sizes, reference))
+    assert estimate_rr(scene, mobility, Z, seed=3).mean == expected / Z
+    blocks = [1000, 2 ** 15]
+    if Z * lam * 100.0 <= 2_000:
+        blocks.append(7)
+    for block in blocks:
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        rngs = _seeded(3, shards)
+        assert sum(_rr_run(scene, mobility, sizes[i:i + RR_RUN],
+                           rngs[i:i + RR_RUN], walls)
+                   for i in range(0, shards, RR_RUN)) == expected, block
+        for k, (a, b) in enumerate(zip(rngs, reference)):
+            assert a.bit_generator.state == b.bit_generator.state, (block, k)
+
+
+def _run_peak(scene, mobility):
+    """Peak traced bytes of one run of RR_RUN full shards at seed 0, and
+    the nodes it draws."""
+    walls = wall_shadow_wedges(scene.enb, scene.walls)
+    total = sum(_node_total(scene, mobility, SHARD_SIZE,
+                            np.random.SeedSequence((0, k)))
+                for k in range(RR_RUN))
+    rngs = _seeded(0, RR_RUN)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _rr_successes(scene, mobility, 4096, np.random.default_rng(0), walls)
+        _rr_run(scene, mobility, [SHARD_SIZE] * RR_RUN, rngs, walls)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < bound, (peak, bound, total)
+    return peak, total
 
 
-# No array of the shard is longer than a block: at lambda_RIS = 0.1 and 1.6
-# (about 41,000 and 655,000 nodes) a 4096-trial shard must peak below 12
-# _BLOCK-long float arrays, with no per-node term. The bound was set before
-# measuring; a shard that holds its x positions (8 bytes per node) exceeds
-# it at 1.6.
+# A run streams its x and y positions block by block and judges each block
+# in scratch, so it holds no node-long array. This older, looser bound
+# allows one: at lambda_RIS = 0.1 and 1.6 a run of RR_RUN 4096-trial shards
+# must peak below 8 bytes per node it draws plus 16 _BLOCK-long float
+# arrays. It was set before measuring; a shard that holds both its x and its
+# y positions (16 bytes per node) exceeds it at 1.6 with _BLOCK = 2^15 or
+# 2^16. The next test pins the tighter bound with no per-node term.
+@pytest.mark.parametrize("mobility", [_FIXED, _SPREAD],
+                         ids=["fixed", "spread"])
+def test_rr_shard_memory_is_one_array_per_node(mobility):
+    for lam in (0.1, 1.6):
+        scene = dataclasses.replace(_static("selfblock"), lambda_RIS=lam)
+        peak, total = _run_peak(scene, mobility)
+        bound = 8 * total + 16 * 8 * montecarlo._BLOCK
+        assert peak < bound, (lam, peak, bound, total)
+
+
+# No array of a run is longer than a block or the run's trials: at
+# lambda_RIS = 0.1 and 1.6 (about 41,000 and 655,000 nodes a shard) a run
+# of RR_RUN 4096-trial shards must peak below 12 _BLOCK-long float arrays,
+# with no per-node term. The bound was set before measuring; a shard that
+# holds its x positions (8 bytes per node) exceeds it at 1.6.
 @pytest.mark.parametrize("mobility", [_FIXED, _SPREAD],
                          ids=["fixed", "spread"])
 def test_rr_shard_memory_is_independent_of_node_count(mobility):
     bound = 12 * 8 * montecarlo._BLOCK
     for lam in (0.1, 1.6):
         scene = dataclasses.replace(_static("selfblock"), lambda_RIS=lam)
-        walls = wall_shadow_wedges(scene.enb, scene.walls)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            _rr_successes(scene, mobility, 4096, np.random.default_rng(0),
-                          walls)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak, _ = _run_peak(scene, mobility)
         assert peak < bound, (lam, peak, bound)
 
 
@@ -582,11 +684,32 @@ def test_estimate_independent_of_workers(laws, Z):
     rr = functools.partial(_rr_run, room, room_mob,
                            walls=wall_shadow_wedges(room.enb, room.walls))
     ho = functools.partial(_ho_run, s, ho_mob)
-    for run_fn, run in ((rr, 1), (ho, HO_RUN)):
+    for run_fn, run in ((rr, RR_RUN), (ho, HO_RUN)):
         one = _estimate(run_fn, Z, 5, workers=1, run=run)
         for workers in (2, 3, 8):
             assert _estimate(run_fn, Z, 5, workers=workers,
                              run=run) == one, (run_fn, workers)
+
+
+# Every thread the manifest counts (mc_workers) gets a run: 4,097 trials on
+# 2 threads and 9,000 on 3 run as runs of one shard, not as one run of 2 or
+# 3 shards; 5 shards on 4 threads give 3 runs of 2 or 1, so 3 threads; 49
+# shards (a sweep row of 200,000 trials) on 2 threads give 13 runs.
+@pytest.mark.parametrize("Z, workers, threads", [
+    (1, 2, 1), (SHARD_SIZE + 1, 2, 2), (9000, 3, 3), (5 * SHARD_SIZE, 4, 3),
+    (49 * SHARD_SIZE, 2, 2), (200 * SHARD_SIZE, 8, 8)])
+def test_runs_leave_no_thread_without_work(monkeypatch, Z, workers, threads):
+    lengths = []
+
+    def run_fn(sizes, rngs):
+        lengths.append(len(sizes))
+        return 0
+
+    _estimate(run_fn, Z, 0, workers=workers, run=RR_RUN)
+    assert sum(lengths) == -(-Z // SHARD_SIZE)
+    assert len(lengths) >= threads and max(lengths) <= RR_RUN
+    monkeypatch.setattr(montecarlo, "WORKERS", workers)
+    assert montecarlo.run_record("rr", Z)["mc_workers"] == threads
 
 
 # shard k of a seed-0 estimate starts in the state of
