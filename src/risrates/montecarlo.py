@@ -14,21 +14,17 @@ _KEY_CHUNK shards at once, and each thread loads a shard's PCG64 state into
 one of its own generators before the shard draws.
 
 Shards are handed out in runs, RR_RUN consecutive reassignment shards or
-HO_RUN handover shards. Each shard keeps its own generator and draws, and
-only those generator calls run shard by shard; the rest runs once over the
-trials of the whole run, with the same results as one array per trial.
-
-A reassignment run inverts the count uniforms of all its shards at once
-(every trial's mean is lambda_RIS * |room|) and judges its nodes, shard
-after shard, in blocks that may span shards. Each block's x positions come
-from its shards' generators and its y positions from a spare generator
-started past each shard's x positions, and every predicate writes into one
-workspace made per run, so no array is longer than a block or the run's
-trials, whatever the density.
-
-A handover run likewise searches the count table, and marks blockage and
-hits, once over its trials that drew a base station. A handover shard then
-costs about its draws.
+HO_RUN handover shards, and both kinds of run share one skeleton. Each
+shard keeps its own generator and draws, and only those generator calls run
+shard by shard; the rest runs once over the trials of the whole run, with
+the same results as one array per trial. _run_draws draws the laws and the
+Poisson counts, inverting the count uniforms of all shards at once where
+every trial shares one mean up to SWITCH. _hits then draws the run's nodes,
+shard after shard, into blocks of at most _BLOCK nodes that may split a
+shard or span several, and the kernel judges each block: a reassignment
+block's candidate predicates write into one workspace made per run, a
+handover block's blockage and body shadow run on its node uniforms. So no
+array is longer than a block or the run's trials, whatever the density.
 """
 
 from __future__ import annotations
@@ -130,11 +126,11 @@ def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
     give counts that never fall as a mean grows.
     """
     means = np.asarray(means, dtype=float)
+    if not (means >= 0.0).all():  # refuses NaN too, as rng.poisson does
+        raise ValueError("Poisson means must be nonnegative")
     shape = means.shape if size is None else size
     if means.size and means.min() == means.max():
         m = means.flat[0]
-        if m < 0.0:
-            raise ValueError("Poisson means must be nonnegative")
         if m > SWITCH:
             return _sample(rng, m, shape)
         u = rng.random(shape)
@@ -143,8 +139,6 @@ def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
         counts.reshape(-1)[drew] = k
         return counts
     means = np.broadcast_to(means, shape)
-    if (means < 0.0).any():
-        raise ValueError("Poisson means must be nonnegative")
     counts = np.zeros(means.shape, dtype=np.int64)
     big = means > SWITCH
     if big.any():
@@ -358,52 +352,104 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[WallWedge, ...],
     return idx, ok
 
 
-# Nodes after which a run of handover shards judges those gathered so far,
-# and the block size of the load simulator: temporaries stay about this size
-# however many nodes the trials draw. A reassignment block judges 7/8 of it
-# in one _candidate_mask call with one displacement, and half with one per
-# trial, whose workspace has 10 rows to 6; that leaves room for a run's
-# per-trial arrays, so a run peaks below the 6-row workspace of _BLOCK nodes
-# that a dense single shard reached.
+# Nodes a run judges at once (a handover block holds this many, three
+# uniforms each), and the block size of the load simulator: temporaries stay
+# about this size however many nodes the trials draw. A reassignment block
+# holds 7/8 of it with one displacement and half with one per trial, whose
+# workspace has 10 rows to 6; that leaves room for a run's per-trial arrays,
+# so a run peaks below the 6-row workspace of _BLOCK nodes that a dense
+# single shard reached.
 _BLOCK = 2 ** 16
 
 
-def _rr_draws(mobility: MobilitySpec, mean: float, sizes: list[int],
-              rngs: list[np.random.Generator]) -> tuple:
-    """(speeds, angles, ends, node_edges) of the trials of a run of shards
+def _run_draws(mobility: MobilitySpec, mean, sizes: list[int],
+               rngs: list[np.random.Generator], keep_laws: bool) -> tuple:
+    """(moved, draws, bounds, node_edges) of the trials of a run of shards
     that draw a node, shard i drawing sizes[i] trials from rngs[i]: speeds,
-    angles, then counts of mean `mean`. A point-mass law gives one value
-    for every trial. Drawing trial j owns the run's nodes ends[j - 1] (0
-    for the first) to ends[j] - 1, and shard i the nodes node_edges[i] to
-    node_edges[i + 1] - 1.
+    angles, then Poisson counts. `mean` is every trial's Poisson mean, or a
+    function of a shard's speeds and angles that gives theirs. moved marks
+    the drawing trials whose speed is above 0, and draws holds their speeds
+    and angles if keep_laws is set (else nothing); a point-mass law gives
+    one value for every trial. Drawing trial j owns the run's nodes bounds[j]
+    to bounds[j + 1] - 1 (bounds: 0, then the cumulative counts), and shard
+    i the nodes node_edges[i] to node_edges[i + 1] - 1.
 
-    Up to mean SWITCH the count uniforms of all shards go into one buffer,
-    and one invert_drawn gives the trials that drew a node and their
-    counts; above it each shard draws its counts with poisson_counts."""
+    With one mean up to SWITCH the count uniforms of all shards go into one
+    buffer, and one invert_drawn gives the trials that drew a node and their
+    counts; otherwise each shard draws its counts with poisson_counts. A
+    run keeps only what it returns: keeping the speeds and angles of a
+    spread-law handover run, which reads neither, made it about 10%
+    slower."""
     edges = list(itertools.accumulate(sizes, initial=0))
     laws = (mobility.speed_law, mobility.angle_law)
-    speeds, angles = (draw_law(None, law, 1) if is_point_mass(law)
-                      else np.empty(edges[-1]) for law in laws)
-    inverted = 0.0 <= mean <= SWITCH
+    inverted = not callable(mean) and 0.0 <= mean <= SWITCH
     counts = np.empty(edges[-1], dtype=float if inverted else np.int64)
+    # a point mass's one value, or None for a law that every shard draws
+    fixed = [draw_law(None, law, 1) if is_point_mass(law) else None
+             for law in laws]
+    spread = any(v is None for v in fixed)
+    # moved, then the laws if kept: one value for every trial, or None for
+    # values of each trial
+    kept = [None if fixed[0] is None else fixed[0] > 0.0]
+    if keep_laws:
+        kept += fixed
+    per_shard = []  # each shard's values of kept, if a law is spread
+    shard = fixed
     for rng, a, b in zip(rngs, edges, edges[1:]):
-        for law, drawn in zip(laws, (speeds, angles)):
-            if not is_point_mass(law):
-                drawn[a:b] = draw_law(rng, law, b - a)
+        if spread:
+            shard = [draw_law(rng, law, b - a) if v is None else v
+                     for law, v in zip(laws, fixed)]
+            per_shard.append([shard[0] > 0.0, *shard][:len(kept)])
         if inverted:  # the count uniforms
             rng.random(out=counts[a:b])
         else:
-            counts[a:b] = poisson_counts(rng, mean, b - a)
+            counts[a:b] = poisson_counts(
+                rng, mean(*shard) if callable(mean) else mean, b - a)
     if inverted:
         drew, counts = invert_drawn(mean, counts)
     else:
         drew = np.flatnonzero(counts)
         counts = counts[drew]
-    ends = np.cumsum(counts, out=counts)
-    node_edges = np.concatenate(((0,), ends))[
-        np.searchsorted(drew, edges[1:])]
-    speeds, angles = (v if v.size == 1 else v[drew] for v in (speeds, angles))
-    return speeds, angles, ends, [0, *node_edges.tolist()]
+    bounds = np.concatenate(((0,), np.cumsum(counts, out=counts)))
+    node_edges = bounds[np.searchsorted(drew, edges)].tolist()
+    kept = [np.concatenate([k[i] for k in per_shard])[drew] if v is None
+            else v for i, v in enumerate(kept)]
+    return kept[0], kept[1:], bounds, node_edges
+
+
+def _hits(moved: np.ndarray, bounds: np.ndarray, node_edges: list[int],
+          rngs: list[np.random.Generator], cap: int,
+          draw: Callable, judge: Callable) -> int:
+    """Trials of a run that moved and that `judge` finds among their
+    nodes; moved, bounds and node_edges as _run_draws gives them.
+
+    The run's nodes, shard after shard, are drawn into blocks of `cap`
+    nodes, and a block may split a shard or hold several: draw(rng, n, k,
+    rows) draws nodes k, k + 1, ... of the n nodes of rng's shard into the
+    block's `rows` (a slice). judge(own, cuts) marks the trials with a hit
+    in the block, as a mask over own: own (a slice) holds the drawing
+    trials with a node in the block, of which trial own.start + j owns
+    block rows cuts[j] to cuts[j + 1] - 1."""
+    hit = np.zeros(bounds.size - 1, dtype=bool)
+    total = node_edges[-1]
+    fill = 0  # nodes drawn into the block so far
+    for rng, a, b in zip(rngs, node_edges, node_edges[1:]):
+        at = a
+        while at < b:
+            m = min(b - at, cap - fill)
+            draw(rng, b - a, at - a, slice(fill, fill + m))
+            fill += m
+            at += m
+            if fill == cap or at == total:
+                start = at - fill
+                first = bounds.searchsorted(start, side="right") - 1
+                own = slice(first, bounds.searchsorted(at))
+                cuts = bounds[first:own.stop + 1] - start
+                cuts[0], cuts[-1] = 0, fill
+                hit[own] |= judge(own, cuts)
+                fill = 0
+    hit &= moved
+    return int(np.count_nonzero(hit))
 
 
 def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
@@ -412,23 +458,20 @@ def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
     """Successful reassignment trials in a run of shards, shard i drawing
     sizes[i] trials from rngs[i] (walls: the scene's wall_shadow_wedges at
     its base station). Each shard draws speeds, angles and count uniforms
-    (_rr_draws), then all x and all y positions.
+    (_run_draws, every trial's mean lambda_RIS * |room|), then all x and
+    all y positions.
 
-    The run's nodes, shard after shard, are judged in blocks (see _BLOCK) in
-    one _workspace, and a block may hold the nodes of several shards. A
-    shard draws its x positions from its generator into the workspace and
-    its y positions from a spare generator loaded with its state and moved
-    past all its x; then its generator moves past its y. That takes the
-    values of drawing them all at once. Both laws fixed give one
-    displacement, judged as scalars; otherwise each node is judged against
-    its trial's. A candidate's trial is found among the run's cumulative
-    counts.
+    The run's nodes are judged in _hits's blocks in one _workspace. A shard
+    draws its x positions into the workspace from a spare generator loaded
+    with its state, and its y positions from its own generator moved past
+    all its x, which leaves it past its y. That takes the values of drawing
+    them all at once. Both laws fixed give one displacement, judged as
+    scalars; otherwise each node is judged against its trial's.
     """
     x0, y0, x1, y1 = scene.room
-    speeds, angles, ends, node_edges = _rr_draws(
-        mobility, scene.lambda_RIS * (x1 - x0) * (y1 - y0), sizes, rngs)
-    if not ends.size:
-        return 0
+    moved, (speeds, angles), bounds, node_edges = _run_draws(
+        mobility, scene.lambda_RIS * (x1 - x0) * (y1 - y0), sizes, rngs,
+        keep_laws=True)
     away = scene.ris_direction + math.pi
     heading = away + scene.orientation * angles
     l2x = scene.ue.x + speeds * np.cos(heading)
@@ -438,16 +481,20 @@ def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
     shared = l2x.size == 1
     if not shared:
         l2x, l2y, R, heading = np.broadcast_arrays(l2x, l2y, R, heading)
-    total = int(ends[-1])
     block = max(7 * _BLOCK // 8 if shared else _BLOCK // 2, 1)
-    work = _workspace(min(block, total), not shared)
+    work = _workspace(min(block, node_edges[-1]), not shared)
     f = work[0]
-    cap = f.shape[1]
-    hit = np.zeros(ends.size, dtype=bool)
+    spare = np.random.Generator(np.random.PCG64(0))
 
-    def judge(start: int, n: int) -> None:
-        """Mark the trials with a candidate among the nodes start to
-        start + n - 1, whose positions are drawn into f[0] and f[1]."""
+    def draw(rng: np.random.Generator, n: int, k: int, rows: slice) -> None:
+        if not k:
+            spare.bit_generator.state = rng.bit_generator.state
+            rng.bit_generator.advance(n)
+        spare.random(out=f[0, rows])
+        rng.random(out=f[1, rows])
+
+    def judge(own: slice, cuts: np.ndarray) -> np.ndarray:
+        n = cuts[-1]
         # the bits of rng.uniform(x0, x1): adding a zero corner changes none
         px, py = f[0, :n], f[1, :n]
         px *= x1 - x0
@@ -460,40 +507,14 @@ def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
             idx, ok = _candidate_mask(scene, walls, px, py, l2x, l2y, R,
                                       heading, work=work)
         else:
-            # trials lo..hi own the block's nodes; lo and hi may have
-            # nodes in the blocks before and after
-            lo, hi = np.searchsorted(ends, (start, start + n - 1),
-                                     side="right")
-            own = slice(lo, hi + 1)
-            cuts = np.minimum(ends[own], start + n) - start
-            trial = np.repeat(np.arange(hi + 1 - lo), np.diff(cuts, prepend=0))
+            trial = np.repeat(np.arange(cuts.size - 1), np.diff(cuts))
             idx, ok = _candidate_mask(scene, walls, px, py, l2x[own],
                                       l2y[own], R[own], heading[own], trial,
                                       work)
-        found = idx.compress(ok)
-        found += start
-        hit[np.searchsorted(ends, found, side="right")] = True
+        found = np.searchsorted(cuts[1:], idx.compress(ok), side="right")
+        return np.bincount(found, minlength=cuts.size - 1) > 0
 
-    spare = _ahead(rngs[0], 0)
-    fill = 0  # nodes drawn into the block so far
-    for rng, a, b in zip(rngs, node_edges, node_edges[1:]):
-        if a == b:
-            continue
-        spare.bit_generator.state = rng.bit_generator.state
-        spare.bit_generator.advance(b - a)
-        at = a
-        while at < b:
-            m = min(b - at, cap - fill)
-            rng.random(out=f[0, fill:fill + m])
-            spare.random(out=f[1, fill:fill + m])
-            fill += m
-            at += m
-            if fill == cap or at == total:
-                judge(at - fill, fill)
-                fill = 0
-        rng.bit_generator.advance(b - a)
-    hit &= speeds > 0.0
-    return int(np.count_nonzero(hit))
+    return _hits(moved, bounds, node_edges, rngs, f.shape[1], draw, judge)
 
 
 def _shard_plan(Z: int, workers: int, run: int) -> tuple[int, int, int]:
@@ -670,59 +691,34 @@ def _ho_run(s: ScenarioUnknown, mobility: MobilitySpec, sizes: list[int],
     """Number of handovers in a run of shards, shard i drawing sizes[i]
     trials from rngs[i]: a Poisson base-station field over each displaced
     coverage disk, thinned by static blockage (radius drawn from the
-    linear-in-area law on [0, R_LoS]) and by the body shadow. Draw order
-    in each shard: speeds, angles, count uniforms, then three uniforms per
-    node.
-
-    Only the draws run shard by shard. With both laws point masses every
-    trial shares one speed, angle and Poisson mean; up to mean SWITCH the
-    count uniforms of all shards go into one buffer, and one invert_drawn
-    gives the trials that drew a node and their counts. Otherwise each shard
-    draws its counts with poisson_counts. Blockage and hit marking run over
-    the drawing trials of consecutive shards together, gathered until they
-    hold _BLOCK nodes or more.
+    linear-in-area law on [0, R_LoS]) and by the body shadow. Each shard
+    draws speeds, angles and counts (_run_draws), then three uniforms per
+    node into one buffer of _hits's blocks. With both laws point masses
+    every trial shares one Poisson mean; otherwise each shard's means come
+    from its own draws.
     """
-    edges = list(itertools.accumulate(sizes, initial=0))
     laws = (mobility.speed_law, mobility.angle_law)
-    mean = None
+    mean = functools.partial(_ho_means, s)
     if all(map(is_point_mass, laws)):
         # numpy scalars take the same ufunc loops as one-element arrays
-        speed, angle = (np.float64(law_bounds(law)[0]) for law in laws)
-        mean = _ho_means(s, speed, angle)
-    if mean is not None and 0.0 <= mean <= SWITCH:
-        u = np.empty(edges[-1])
-        for rng, a, b in zip(rngs, edges, edges[1:]):
-            rng.random(out=u[a:b])
-        drew, counts = invert_drawn(mean, u)
-        moved = np.full(drew.size, speed > 0.0)
-    else:
-        counts = np.empty(edges[-1], dtype=np.int64)
-        moved = np.empty(edges[-1], dtype=bool)
-        for rng, a, b in zip(rngs, edges, edges[1:]):
-            speeds, angles = (draw_law(rng, law, 1 if is_point_mass(law)
-                                       else b - a) for law in laws)
-            counts[a:b] = poisson_counts(rng, _ho_means(s, speeds, angles),
-                                         b - a)
-            moved[a:b] = speeds > 0.0
-        drew = np.flatnonzero(counts)
-        counts, moved = counts[drew], moved[drew]
-    # shard i's drawing trials are drew[trial_edges[i]:trial_edges[i + 1]]
-    # and own nodes node_edges[i] to node_edges[i + 1] - 1
-    trial_edges = [0, *np.searchsorted(drew, edges[1:]).tolist()]
-    node_edges = np.concatenate(((0,), np.cumsum(counts)))[trial_edges]
-    node_edges = node_edges.tolist()
-    hits = 0
-    start = 0  # first shard whose nodes are not yet judged
-    nodes: list[np.ndarray] = []
-    for i, rng in enumerate(rngs, 1):
-        nodes.append(rng.random((node_edges[i] - node_edges[i - 1], 3)))
-        if node_edges[i] - node_edges[start] >= _BLOCK or i == len(rngs):
-            a, b = trial_edges[start], trial_edges[i]
-            if b > a:
-                hits += _ho_hits(s, counts[a:b], np.concatenate(nodes),
-                                 moved[a:b])
-            start, nodes = i, []
-    return hits
+        mean = mean(*(np.float64(law_bounds(law)[0]) for law in laws))
+    moved, _, bounds, node_edges = _run_draws(mobility, mean, sizes, rngs,
+                                              keep_laws=False)
+    u = np.empty((min(_BLOCK, node_edges[-1]), 3))
+    model = s.obstacle_model
+    clear = p_self_blocked(s.self_block)
+
+    def draw(rng: np.random.Generator, n: int, k: int, rows: slice) -> None:
+        rng.random(out=u[rows])
+
+    def judge(own: slice, cuts: np.ndarray) -> np.ndarray:
+        nodes = u[:cuts[-1]]
+        radii = s.R_LoS * np.sqrt(nodes[:, 0])
+        alive = nodes[:, 1] < np.exp(-(model.beta * radii + model.beta0))
+        alive &= nodes[:, 2] >= clear
+        return np.logical_or.reduceat(alive, cuts[:-1])
+
+    return _hits(moved, bounds, node_edges, rngs, len(u), draw, judge)
 
 
 def _ho_means(s: ScenarioUnknown, speeds: np.ndarray,
@@ -733,32 +729,16 @@ def _ho_means(s: ScenarioUnknown, speeds: np.ndarray,
     return s.lambda_eNB * math.pi * R2
 
 
-def _ho_hits(s: ScenarioUnknown, counts: np.ndarray, u: np.ndarray,
-             moved: np.ndarray) -> int:
-    """Trials that moved and hold a node clear of blockage and of the body
-    shadow: trial i owns counts[i] >= 1 consecutive rows of u, three
-    uniforms per node."""
-    radii = s.R_LoS * np.sqrt(u[:, 0])
-    m = s.obstacle_model
-    alive = u[:, 1] < np.exp(-(m.beta * radii + m.beta0))
-    alive &= u[:, 2] >= p_self_blocked(s.self_block)
-    hits = np.zeros(counts.size, dtype=bool)
-    hits[np.repeat(np.arange(counts.size), counts)[alive]] = True
-    hits &= moved
-    return int(np.count_nonzero(hits))
-
-
 def estimate_ho(s: ScenarioUnknown, mobility: MobilitySpec,
                 Z: int = 100_000, seed: int = 0) -> Estimate:
     """Mean of Z independent handover trials with per-trial mobility, on
     the calling thread alone, HO_RUN shards at a time.
 
-    A fixed-law shard takes about 40-60 us of a run on a 2-core Xeon:
-    loading its generator's state 3-4 (building a SeedSequence and a
-    generator took about 19), its 4096 count uniforms 10-20, and the rest
-    its node uniforms and its share of the run's search and marking. These
-    are short calls that hold the interpreter lock, so two threads ran a
-    977-shard estimate no faster (58 against 57 us a shard).
+    A fixed-law shard of table4-unknown takes about 35 us of an estimate
+    on a 2-core Xeon, most of it its 4096 count uniforms and their share of
+    the run's inversion. These are short calls that hold the interpreter
+    lock, so two threads ran a 977-shard estimate no faster (35.4 against
+    34.5 us a shard).
     """
     return _estimate(functools.partial(_ho_run, s, mobility), Z, seed,
                      run=HO_RUN)

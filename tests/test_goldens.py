@@ -146,12 +146,16 @@ def test_rr_goldens_at_forced_worker_counts(workers, tmp_path, monkeypatch):
 
 def test_rr_goldens_at_forced_block_size(tmp_path, monkeypatch):
     # 1,000 divides no shard's node total: trials straddle many block edges,
-    # and each block's x and y come from two places in the stream
+    # and each block's x and y come from two places in the stream. Handover
+    # runs share the block loop: their blocks split shards at the denser
+    # points of the sweeps and with the spread laws.
     monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
     goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
     cases = _cases()
     rr = [f"simulate/{name}" for name in KNOWN + ["spread-room"]]
-    mismatched = [case for case in rr
+    ho = [f"simulate/{name}" for name in SIGNALING + ["spread-unknown"]]
+    ho += ["sweep/lambda_eNB", "sweep/lambda_B"]
+    mismatched = [case for case in rr + ho
                   if _run(cases[case], tmp_path) != goldens[case]]
     assert not mismatched, mismatched
 

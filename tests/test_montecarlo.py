@@ -451,6 +451,35 @@ def test_rr_shard_memory_is_independent_of_node_count(mobility):
         assert peak < bound, (lam, peak, bound)
 
 
+# A handover run draws its node uniforms block by block into one buffer, so
+# its memory, like a reassignment run's, stays below 12 _BLOCK-long float
+# arrays whatever the density: one run of HO_RUN 4096-trial shards on
+# table4-unknown with a 358-degree body shadow, at lambda_eNB 1.5 and 6 per
+# m^2 (means of about 64 and 256 base stations with the fixed speed, more
+# with U(0.5, 15)). Runs that hold each shard's node uniforms whole, and
+# then the run's, peaked at 19 to 556 MiB here.
+@pytest.mark.parametrize("speed", [None, Uniform(0.5, 15.0)],
+                         ids=["fixed", "spread-speed"])
+def test_ho_run_memory_is_independent_of_node_count(speed):
+    base = load_packaged("table4-unknown").scenario
+    mobility = base.mobility
+    if speed is not None:
+        mobility = MobilitySpec(speed, mobility.angle_law)
+    bound = 12 * 8 * montecarlo._BLOCK
+    for lam in (1.5, 6.0):
+        s = dataclasses.replace(base, lambda_eNB=lam,
+                                self_block=SelfBlockModel(math.radians(358.0)))
+        rngs = _seeded(0, HO_RUN)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _ho_run(s, mobility, [SHARD_SIZE] * HO_RUN, rngs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (lam, peak, bound)
+
+
 # ---------------------------------------------------------------------------
 # pathwise monotonicity under a shared seed
 
@@ -600,9 +629,22 @@ def _seeded(seed, shards):
             for k in range(shards)]
 
 
+def _ho_node_total(s, mobility, n, rng):
+    """Nodes the HO shard of rng draws: its speed, angle and count draws
+    replayed."""
+    speeds = draw_law(rng, mobility.speed_law, n)
+    angles = draw_law(rng, mobility.angle_law, n)
+    R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles, np.cos),
+                    0.0)
+    return int(_reference_counts(rng, s.lambda_eNB * math.pi * R2).sum())
+
+
 # Runs of HO_RUN shards end one trial short of, at and one trial past a
 # run edge; 33 shards leave a last run of one partial shard. A block of
-# 500 nodes gathers a few shards at a time at low means.
+# 500 nodes gathers a few shards at a time at low means and splits a shard
+# at high ones. Blocks of 1 and 7 nodes split shards and trials everywhere;
+# they run where the trials draw 6,000 nodes or fewer, as every case does at
+# Z = 1 and most at every Z, since each block is one judge call.
 @pytest.mark.parametrize("Z", [1, 4095, HO_RUN * SHARD_SIZE - 1,
                                HO_RUN * SHARD_SIZE, HO_RUN * SHARD_SIZE + 1,
                                33 * SHARD_SIZE + 7])
@@ -616,7 +658,11 @@ def test_ho_runs_match_per_shard_reference(monkeypatch, label, s, mobility,
     expected = sum(_reference_ho_shard(s, mobility, n, rng)
                    for n, rng in zip(sizes, reference))
     assert estimate_ho(s, mobility, Z, seed=3).mean == expected / Z
-    for block in (montecarlo._BLOCK, 500):
+    blocks = [montecarlo._BLOCK, 500]
+    if sum(_ho_node_total(s, mobility, n, rng)
+           for n, rng in zip(sizes, _seeded(3, shards))) <= 6_000:
+        blocks += [1, 7]
+    for block in blocks:
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
         rngs = _seeded(3, shards)
         assert sum(_ho_run(s, mobility, sizes[i:i + HO_RUN],

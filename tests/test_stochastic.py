@@ -130,6 +130,12 @@ def test_poisson_count_zero_and_negative_mean():
     assert poisson_counts(rng, 0.0) == 0
     with pytest.raises(ValueError):
         poisson_counts(rng, [1.0, -0.5])
+    # a NaN mean is refused, as numpy's own sampler refuses it, not drawn
+    # as a count of 0
+    with pytest.raises(ValueError):
+        poisson_counts(rng, math.nan, 5)
+    with pytest.raises(ValueError):
+        poisson_counts(rng, [1.0, math.nan])
 
 
 @pytest.mark.parametrize("mean", [0.3, 7.0, 80.0])
