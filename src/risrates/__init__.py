@@ -43,9 +43,8 @@ __all__ = [
     "wall_shadow_interval", "shadowed_visible_area", "numeric_blocked_area",
     "visible_region_predicate",
     # stochastic
-    "RandomObstacleModel", "SelfBlockModel", "poisson_counts",
-    "p_blocked_static", "p_self_blocked", "p_not_blocked_Z",
-    "survival_bracket",
+    "RandomObstacleModel", "SelfBlockModel", "p_blocked_static",
+    "p_self_blocked", "p_not_blocked_Z", "survival_bracket",
     # scenarios
     "Deterministic", "Uniform", "MobilitySpec", "SignalingConfig",
     "ScenarioKnown", "ScenarioUnknown",
@@ -55,7 +54,7 @@ __all__ = [
     "p_rr_unknown", "marginal_p_ho", "marginal_p_rr_unknown", "ho_rate",
     "rr_rate", "signaling_rate", "class_load", "dimension_servers",
     # montecarlo
-    "Estimate", "estimate_rr", "estimate_ho",
+    "Estimate", "estimate_rr", "estimate_ho", "poisson_counts",
     # protocol
     "ENTITY_KINDS", "Entity", "SignalingMessage", "SequenceTemplate",
     "rr_sequence", "ho_sequence", "basic_sequence", "export_trace",

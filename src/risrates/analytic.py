@@ -80,29 +80,28 @@ class _NearestValid:
 
     def __init__(self, f: Callable[[float], float], a: float, b: float):
         self._f = f
-        self._cache: list[tuple[float, float]] = []
+        # valid nodes in the order evaluated, which breaks nearest ties
+        self._cache: dict[float, float] = {}
         self.failures = 0
         errors: list[GeometryDomainError] = []
         for i in range(_PROBES):
             t = a + (b - a) * i / (_PROBES - 1)
             try:
-                self._cache.append((t, f(t)))
+                self._cache[t] = f(t)
             except GeometryDomainError as exc:
                 errors.append(exc)
         if not self._cache:
             raise errors[0]  # nothing valid anywhere on the interval
 
     def __call__(self, t: float) -> float:
-        for tc, vc in self._cache:
-            if tc == t:
-                return vc
+        if t in self._cache:
+            return self._cache[t]
         try:
             v = self._f(t)
         except GeometryDomainError:
             self.failures += 1
-            _, v = min(self._cache, key=lambda kv: abs(kv[0] - t))
-            return v
-        self._cache.append((t, v))
+            return self._cache[min(self._cache, key=lambda tc: abs(tc - t))]
+        self._cache[t] = v
         return v
 
 

@@ -209,9 +209,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                       [(f"mc_{label}", fmt9(est.mean)),
                        ("stderr", fmt9(est.stderr)),
                        ("trials", str(est.trials))])
-    from .montecarlo import run_record
     manifest = _manifest(cfg, args.seed)
-    manifest.update(run_record(label, trials))
+    manifest.update(mc_workers=est.threads, mc_shards=est.shards)
     return _deliver(text, args.out, manifest)
 
 
@@ -309,7 +308,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         header += [out, f"{out}_stderr"] if out in MC_OUTPUTS else [out]
     rows = []
     failed = []
-    estimates = 0
+    ran = []  # the Monte Carlo estimates, for the manifest
     for i, v in enumerate(values):
         variant = _apply_sweep_var(cfg, args.var, v)
         row = [fmt9(v)]
@@ -324,7 +323,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 row += ["nan"] * (2 if out in MC_OUTPUTS else 1)
                 continue
             if out in MC_OUTPUTS:
-                estimates += 1
+                ran.append(result)
                 row += [fmt9(result.mean), fmt9(result.stderr)]
             else:
                 row.append(fmt9(result))
@@ -333,11 +332,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise error  # not one cell has a value
     manifest = _manifest(cfg, args.seed)
     manifest["failed"] = failed
-    mc = [out for out in outputs if out in MC_OUTPUTS]
-    if mc:  # one kind only: mc_rr needs a known config, mc_ho an unknown
-        from .montecarlo import run_record
-        manifest.update(run_record(mc[0].removeprefix("mc_"), args.trials,
-                                   estimates))
+    if any(out in MC_OUTPUTS for out in outputs):
+        # the threads one estimate ran on and the shards of them all
+        manifest["mc_workers"] = max((e.threads for e in ran), default=0)
+        manifest["mc_shards"] = sum(e.shards for e in ran)
     return _deliver(render_csv(header, rows), args.out, manifest)
 
 

@@ -8,18 +8,21 @@ seed, k))), and hands runs of consecutive shards to one run function
 (_rr_run or _ho_run, scene and mobility bound in) that returns an integer
 success count. So the estimate does not depend on which thread runs a
 shard or in what order: reassignment shards run on one thread per CPU and
-give the same bits as one thread. No shard builds a SeedSequence or a
-generator: SeedSequence's hash runs as uint32 array operations over up to
-_KEY_CHUNK shards at once, and each thread loads a shard's PCG64 state into
-one of its own generators before the shard draws.
+give the same bits as one thread. Each Estimate records the shards it drew
+and the threads that drew them, which a run's manifest reports. No shard
+builds a SeedSequence or a generator: SeedSequence's hash runs as uint32
+array operations over up to _KEY_CHUNK shards at once, and each thread
+loads a shard's PCG64 state into one of its own generators before the
+shard draws.
 
 Shards are handed out in runs, RR_RUN consecutive reassignment shards or
 HO_RUN handover shards, and both kinds of run share one skeleton. Each
 shard keeps its own generator and draws, and only those generator calls run
 shard by shard; the rest runs once over the trials of the whole run, with
 the same results as one array per trial. _run_draws draws the laws and the
-Poisson counts, inverting the count uniforms of all shards at once where
-every trial shares one mean up to SWITCH. _hits then draws the run's nodes,
+Poisson counts: invert_drawn inverts the count uniforms of all shards at
+once where every trial shares one mean up to SWITCH, and poisson_counts
+draws each shard's counts otherwise. _hits then draws the run's nodes,
 shard after shard, into blocks of at most _BLOCK nodes that may split a
 shard or span several, and the kernel judges each block: a reassignment
 block's candidate predicates write into one workspace made per run, a
@@ -35,7 +38,7 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -44,7 +47,7 @@ from .geometry import (TWO_PI, WallWedge, displaced_distance_sq,
                        segment_crosses, wall_shadow_wedges)
 from .scenarios import (Law, MobilitySpec, ScenarioKnown, ScenarioUnknown,
                         is_point_mass, law_bounds)
-from .stochastic import p_self_blocked
+from .stochastic import event_probability, p_self_blocked
 
 SHARD_SIZE = 4096
 # Shards per unit of handover work: each keeps its own generator, and the
@@ -70,10 +73,17 @@ WORKERS = _available_cpus()
 
 @dataclass(frozen=True)
 class Estimate:
+    """Mean and standard error of `trials` trials drawn from `seed`, and
+    the plan that drew them: `shards` shards on `threads` threads (0 for an
+    estimate made by hand). The plan leaves the result unchanged, so it
+    takes no part in comparing estimates."""
+
     mean: float
     stderr: float
     trials: int
     seed: int
+    shards: int = field(default=0, compare=False)
+    threads: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mean <= 1.0:
@@ -106,10 +116,10 @@ def draw_law(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
 SWITCH = 60.0
 
 
-def _sample(rng: np.random.Generator, means, shape=None) -> np.ndarray:
+def _sample(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
     """rng.poisson, with a mean it refuses named in the error."""
     try:
-        return rng.poisson(means, shape)
+        return rng.poisson(means)
     except ValueError as exc:  # numpy says only "lam value too large"
         raise ValueError(f"Poisson mean {np.max(means):g} is too large to "
                          f"draw ({exc})") from None
@@ -117,9 +127,11 @@ def _sample(rng: np.random.Generator, means, shape=None) -> np.ndarray:
 
 def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
     """Poisson counts, one per entry of `means` broadcast to `size` (by
-    default the shape of `means`): inversion from one uniform per entry up
-    to mean SWITCH, the generator's own sampler above. A mean shared by
-    every entry is inverted by invert_drawn, mixed means by one loop over k.
+    default the shape of `means`): the generator's own sampler for the
+    means above SWITCH, then inversion from one uniform per entry for the
+    rest, by one loop over k whether the means are shared or mixed. A run
+    whose trials share one mean up to SWITCH inverts its uniforms with
+    invert_drawn instead, which counts what the loop counts.
 
     For a fixed uniform, inversion is monotone in the mean, which gives
     common-random-number couplings: under a shared seed, means up to SWITCH
@@ -128,17 +140,7 @@ def poisson_counts(rng: np.random.Generator, means, size=None) -> np.ndarray:
     means = np.asarray(means, dtype=float)
     if not (means >= 0.0).all():  # refuses NaN too, as rng.poisson does
         raise ValueError("Poisson means must be nonnegative")
-    shape = means.shape if size is None else size
-    if means.size and means.min() == means.max():
-        m = means.flat[0]
-        if m > SWITCH:
-            return _sample(rng, m, shape)
-        u = rng.random(shape)
-        counts = np.zeros(u.shape, dtype=np.int64)
-        drew, k = invert_drawn(m, u.reshape(-1))
-        counts.reshape(-1)[drew] = k
-        return counts
-    means = np.broadcast_to(means, shape)
+    means = np.broadcast_to(means, means.shape if size is None else size)
     counts = np.zeros(means.shape, dtype=np.int64)
     big = means > SWITCH
     if big.any():
@@ -517,20 +519,6 @@ def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
     return _hits(moved, bounds, node_edges, rngs, f.shape[1], draw, judge)
 
 
-def _shard_plan(Z: int, workers: int, run: int) -> tuple[int, int, int]:
-    """(shards, threads, run) of an estimate over Z trials offered
-    `workers` threads and runs of `run` shards: ceil(Z / SHARD_SIZE)
-    shards; runs cut to ceil(shards / threads) shards where that is
-    shorter, so that every thread gets a run; and never more threads than
-    shards or runs."""
-    if Z < 1:
-        raise ValueError("Z must be at least 1")
-    shards = -(-Z // SHARD_SIZE)
-    threads = min(workers, shards)
-    run = min(run, -(-shards // threads))
-    return shards, min(threads, -(-shards // run)), run
-
-
 # SeedSequence's hash constants and PCG64's multiplier, as numpy's
 # bit_generator.pyx and pcg64.h define them.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -618,11 +606,13 @@ def _keyed_runs(seed: int, shards: int,
 
 def _estimate(run_fn: Callable[[list[int], list[np.random.Generator]], int],
               Z: int, seed: int, workers: int = 1, run: int = 1) -> Estimate:
-    """Mean of Z trials run in shards of SHARD_SIZE, shard k drawing the
-    stream of PCG64(SeedSequence((seed, k))), handed out in runs of `run`
-    consecutive shards, or fewer as _shard_plan sets; run_fn(sizes, rngs)
-    returns the number of successes in one run, whose shard i draws
-    sizes[i] trials from rngs[i].
+    """Mean of Z trials run in ceil(Z / SHARD_SIZE) shards, shard k drawing
+    the stream of PCG64(SeedSequence((seed, k))), handed out in runs of
+    `run` consecutive shards; run_fn(sizes, rngs) returns the number of
+    successes in one run, whose shard i draws sizes[i] trials from rngs[i].
+    Runs are cut to ceil(shards / workers) shards where that is shorter, so
+    that every thread gets a run, and no more threads start than there are
+    runs.
 
     The calling thread and up to workers - 1 helper threads each take the
     next run from a shared iterator until none is left, and load each
@@ -632,7 +622,11 @@ def _estimate(run_fn: Callable[[list[int], list[np.random.Generator]], int],
     calling thread, no thread starts another run; the first such exception
     propagates once every thread has stopped.
     """
-    shards, workers, run = _shard_plan(Z, workers, run)
+    if Z < 1:
+        raise ValueError("Z must be at least 1")
+    shards = -(-Z // SHARD_SIZE)
+    run = min(run, -(-shards // min(workers, shards)))
+    workers = min(workers, -(-shards // run))
     runs = _keyed_runs(seed, shards, run)
     lock = threading.Lock()
     stop = threading.Event()
@@ -670,7 +664,7 @@ def _estimate(run_fn: Callable[[list[int], list[np.random.Generator]], int],
         raise errors[0]
     mean = sum(successes) / Z
     return Estimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / Z),
-                    trials=Z, seed=seed)
+                    trials=Z, seed=seed, shards=shards, threads=workers)
 
 
 def estimate_rr(scene: ScenarioKnown, mobility: MobilitySpec,
@@ -748,14 +742,6 @@ def estimate_ho(s: ScenarioUnknown, mobility: MobilitySpec,
 # Load simulator sessions
 
 
-def _event_probability(pz: float, density: float, r: float,
-                       d_U: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """stochastic.event_probability over arrays of moves d_U and xi."""
-    p = -np.expm1(-pz * density * math.pi
-                  * displaced_distance_sq(r, d_U, xi, np.cos))
-    return np.where(d_U > 0.0, p, 0.0)
-
-
 def load_draws(mobility: MobilitySpec,
                servers: list[tuple[float, float, float]], pz: float,
                p_a: float, seed: int) -> Iterator[tuple[int, int]]:
@@ -792,18 +778,11 @@ def load_draws(mobility: MobilitySpec,
             # with both laws fixed every session shares one threshold; on a
             # one-element array it runs the same numpy loops as on the block
             k = m if n_speed or n_angle else 1
-            q = p_a * _event_probability(pz, density, radius,
-                                         draw_law(speed_rng, speed_law, k),
-                                         draw_law(angle_rng, angle_law, k))
+            q = p_a * event_probability(pz, density, radius,
+                                        draw_law(speed_rng, speed_law, k),
+                                        draw_law(angle_rng, angle_law, k),
+                                        np.cos, np.expm1)
             uniform_rng.random(out=u[:m])
             events += int(np.count_nonzero(np.less(u[:m], q, out=below[:m])))
         yield n, events
 
-
-def run_record(kind: str, Z: int, estimates: int = 1) -> dict:
-    """Manifest entries for `estimates` runs of estimate_<kind> ("rr" or
-    "ho") over Z trials each: the threads one run uses and the shards all of
-    them run."""
-    shards, workers, _ = (_shard_plan(Z, WORKERS, RR_RUN) if kind == "rr"
-                          else _shard_plan(Z, 1, HO_RUN))
-    return {"mc_workers": workers, "mc_shards": estimates * shards}

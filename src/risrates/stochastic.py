@@ -1,6 +1,7 @@
 """Probability primitives: blockage and self-blockage models and the
-candidate event probability, in plain floats. The draws that sample them,
-Poisson counts included, live in montecarlo.
+candidate event probability, in plain floats unless numpy's functions are
+passed in. The draws that sample them, Poisson counts included, live in
+montecarlo.
 
 Densities are per square meter everywhere in code; the config layer converts
 per-km2 inputs before objects are built.
@@ -104,14 +105,15 @@ def p_not_blocked_Z(m: RandomObstacleModel, s: SelfBlockModel,
     return min(max(val, 0.0), 1.0)
 
 
-def event_probability(pz: float, density: float, r: float, d_U: float,
-                      xi: float) -> float:
+def event_probability(pz: float, density: float, r: float, d_U, xi,
+                      cos=math.cos, expm1=math.expm1):
     """1 - exp(-pz * density * pi * R^2): the probability that a Poisson
     field of candidates, each unblocked with probability pz, puts at least
     one inside the displaced coverage disk, whose radius R is the distance
     from the serving node (r away) after the move. Zero where the user does
-    not move."""
-    if not d_U > 0.0:
-        return 0.0
-    return -math.expm1(-pz * density * math.pi
-                       * displaced_distance_sq(r, d_U, xi))
+    not move. As in displaced_distance_sq, the closed forms pass floats, and
+    with cos=np.cos and expm1=np.expm1 it broadcasts over arrays of d_U and
+    xi."""
+    p = -expm1(-pz * density * math.pi
+               * displaced_distance_sq(r, d_U, xi, cos))
+    return p * (d_U > 0.0)

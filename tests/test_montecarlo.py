@@ -744,18 +744,17 @@ def test_estimate_independent_of_workers(laws, Z):
 @pytest.mark.parametrize("Z, workers, threads", [
     (1, 2, 1), (SHARD_SIZE + 1, 2, 2), (9000, 3, 3), (5 * SHARD_SIZE, 4, 3),
     (49 * SHARD_SIZE, 2, 2), (200 * SHARD_SIZE, 8, 8)])
-def test_runs_leave_no_thread_without_work(monkeypatch, Z, workers, threads):
+def test_runs_leave_no_thread_without_work(Z, workers, threads):
     lengths = []
 
     def run_fn(sizes, rngs):
         lengths.append(len(sizes))
         return 0
 
-    _estimate(run_fn, Z, 0, workers=workers, run=RR_RUN)
-    assert sum(lengths) == -(-Z // SHARD_SIZE)
+    est = _estimate(run_fn, Z, 0, workers=workers, run=RR_RUN)
+    assert sum(lengths) == -(-Z // SHARD_SIZE) == est.shards
     assert len(lengths) >= threads and max(lengths) <= RR_RUN
-    monkeypatch.setattr(montecarlo, "WORKERS", workers)
-    assert montecarlo.run_record("rr", Z)["mc_workers"] == threads
+    assert est.threads == threads
 
 
 # shard k of a seed-0 estimate starts in the state of

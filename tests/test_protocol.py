@@ -25,7 +25,7 @@ from risrates import (
 from risrates import montecarlo, protocol
 from risrates.protocol import LoadResult, _tally
 from risrates.geometry import displaced_distance_sq
-from risrates.montecarlo import _event_probability, draw_law, poisson_counts
+from risrates.montecarlo import draw_law, poisson_counts
 from risrates.scenarios import MobilitySpec, SignalingConfig, Uniform
 from risrates.stochastic import event_probability, p_not_blocked_Z
 
@@ -220,7 +220,8 @@ def test_vector_forms_agree_with_the_scalar_closed_forms(pz, density):
         scalar = [displaced_distance_sq(r, d, x)
                   for d, x in zip(d_U.tolist(), xi.tolist())]
         assert vector.tobytes() == np.array(scalar).tobytes()
-        vector = _event_probability(pz, density, r, d_U, xi)
+        vector = event_probability(pz, density, r, d_U, xi, np.cos,
+                                   np.expm1)
         for v, d, x in zip(vector.tolist(), d_U.tolist(), xi.tolist()):
             p = event_probability(pz, density, r, d, x)
             assert abs(v - p) <= 2.0 * math.ulp(p), (r, d, x)
@@ -252,7 +253,8 @@ def _reference_simulate_load(s, sig, duration, seed=0, ho_mode="x2"):
                 speeds = draw_law(rng, s.mobility.speed_law, n)
                 angles = draw_law(rng, s.mobility.angle_law, n)
                 pz = p_not_blocked_Z(s.obstacle_model, s.self_block, s.R_LoS)
-                p = _event_probability(pz, density, radius, speeds, angles)
+                p = event_probability(pz, density, radius, speeds, angles,
+                                      np.cos, np.expm1)
                 events = int(np.count_nonzero(rng.random(n) < sig.p_a * p))
                 initiations[kind] += events
                 _tally(tallies, template, events)

@@ -196,13 +196,22 @@ def _reference_inversion(rng, means):
     return c
 
 
+def _one_mean_counts(rng, mean, n):
+    """n Poisson(mean) counts from n uniforms of rng, by the one-mean table
+    (invert_drawn), as an array of every entry's count."""
+    counts = np.zeros(n, dtype=np.int64)
+    drew, k = montecarlo.invert_drawn(mean, rng.random(n))
+    counts[drew] = k
+    return counts
+
+
 @pytest.mark.parametrize("n", [1, 7, 4096])
 def test_one_mean_table_matches_inversion_loop(n):
     means = [0.0, 1e-9, 0.0429, *np.linspace(0.0, 60.0, 61)[1:], 60.0]
     for mean in means:
         for seed in range(5):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = poisson_counts(a, np.full(n, mean))
+            got = _one_mean_counts(a, mean, n)
             assert np.array_equal(got, _reference_inversion(b, np.full(n, mean)))
             assert a.bit_generator.state == b.bit_generator.state
 
@@ -218,7 +227,7 @@ def test_table_cache_keeps_means_apart():
     for rnd in range(3):
         for i, mean in enumerate(means):
             n = (1, 7, 4096)[(rnd + i) % 3]
-            got = poisson_counts(a, np.full(n, mean))
+            got = _one_mean_counts(a, mean, n)
             assert np.array_equal(got, _reference_inversion(b, np.full(n, mean)))
             assert a.bit_generator.state == b.bit_generator.state
     info = montecarlo._table.cache_info()
@@ -270,8 +279,9 @@ def test_table_last_is_the_loop_count_past_the_table():
 
 
 def test_walking_distinct_means_builds_one_table_each():
-    # a table holds everything a mean's inversion needs: one build a mean,
-    # whether poisson_counts or invert_drawn asks for it, and however often
+    # a table holds everything a mean's inversion needs: one build a mean
+    # however often invert_drawn asks for it, and none for poisson_counts,
+    # whose inversion loop needs no table
     montecarlo._table.cache_clear()
     means = [0.0, 0.0429, 1.0, np.nextafter(1.0, 2.0), 7.5, 30.0, 59.9,
              montecarlo.SWITCH]
@@ -313,14 +323,14 @@ def _last_nonzero_term(mean):
 def test_inversion_cap_is_the_last_nonzero_term():
     # for some means the summed CDF stops short of 1 - 2**-53 and the count
     # is capped at the last k whose term is nonzero; for others it reaches
-    # that uniform first. The one-mean table and the loop over mixed means
-    # give the same count.
+    # that uniform first. The one-mean table and poisson_counts's loop give
+    # the same count.
     means = np.linspace(0.0, 60.0, 121)
     expected = _reference_inversion(_TopUniform(), means)
     assert np.array_equal(poisson_counts(_TopUniform(), means), expected)
     capped = 0
     for mean, want in zip(means, expected):
-        assert np.array_equal(poisson_counts(_TopUniform(), np.full(3, mean)),
+        assert np.array_equal(_one_mean_counts(_TopUniform(), mean, 3),
                               np.full(3, want))
         last = _last_nonzero_term(mean)
         assert want <= last
@@ -328,7 +338,7 @@ def test_inversion_cap_is_the_last_nonzero_term():
     assert 0 < capped < 121
     # mean 0.1 once counted 2001 on both paths
     assert _last_nonzero_term(0.1) == 121
-    assert (poisson_counts(_TopUniform(), np.full(3, 0.1)) == 121).all()
+    assert (_one_mean_counts(_TopUniform(), 0.1, 3) == 121).all()
     assert poisson_counts(_TopUniform(), [0.1, 0.2])[0] == 121
 
 

@@ -2,7 +2,8 @@
 the package itself or exported: code that only tests call belongs in the
 tests. A module imports no underscore name from another module of the
 package: what another module needs is public. numpy is imported where draws
-run and nowhere else."""
+run and nowhere else. The closed-form modules call math functions through
+the math module object, so a test can swap it for numpy or mpmath."""
 
 import ast
 from pathlib import Path
@@ -174,3 +175,44 @@ def test_numpy_import_is_named():
         "b.py": ast.parse("try:\n    import numpy\nexcept ImportError: pass\n")}
     assert numpy_imports(trees) == ["a.py", "a.py:f", "a.py:g", "a.py:h",
                                     "b.py"]
+
+
+# Modules whose formulas run unchanged on another namespace in math's place.
+CLOSED_FORM = ("geometry.py", "analytic.py", "stochastic.py", "scenarios.py")
+
+
+def math_bypasses(trees: dict[str, ast.Module]) -> list[str]:
+    """'module.py:name' of each name bound from the math module other than
+    math itself, at any depth: each `from math import name` and each
+    `import math as name`."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and not node.level
+                    and node.module == "math"):
+                found += [f"{module}:{alias.asname or alias.name}"
+                          for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [f"{module}:{alias.asname}" for alias in node.names
+                          if alias.name == "math" and alias.asname
+                          not in (None, "math")]
+    return found
+
+
+def test_closed_forms_reach_math_through_the_module():
+    trees = _trees()
+    assert math_bypasses({name: trees[name] for name in CLOSED_FORM}) == []
+
+
+def test_math_bypass_is_named():
+    trees = {"a.py": ast.parse(
+        "import math\n"
+        "from math import sqrt, pi as PI\n"
+        "import math as m, os\n"
+        "def f():\n"
+        "    from math import cos\n"
+        "    return math.sin(0.0)\n"
+        "from .math import helper\n"
+        "from mpmath import mp\n")}
+    assert math_bypasses(trees) == ["a.py:sqrt", "a.py:PI", "a.py:m",
+                                    "a.py:cos"]
