@@ -106,7 +106,10 @@ class _NearestValid:
 
 
 def _mean_over_interval(f, lo, hi, tol):
-    """Mean of f over [lo, hi] with nearest-valid clamping of bad nodes."""
+    """Mean of f over [lo, hi] with nearest-valid clamping of bad nodes;
+    f(lo) when the interval is one point."""
+    if lo == hi:
+        return f(lo)
     wrapped = _NearestValid(f, lo, hi)
     value = adaptive_simpson(wrapped, lo, hi, tol=0.5 * tol * (hi - lo)) / (hi - lo)
     if wrapped.failures:
@@ -118,25 +121,16 @@ def _mean_over_interval(f, lo, hi, tol):
 def _marginal_mean(point_fn: Callable[[float, float], float],
                    mobility: MobilitySpec, tol: float = 1e-6) -> float:
     """Mean of point_fn(speed, angle) under the mobility laws, by adaptive
-    Simpson (absolute error <= tol); nested over angle then speed when both
-    laws are spread."""
+    Simpson (absolute error <= tol), nested over angle then speed; a
+    point-mass law is read at its one value, and each spread law gets
+    tol / 2 when both are spread."""
     s_lo, s_hi = law_bounds(mobility.speed_law)
     a_lo, a_hi = law_bounds(mobility.angle_law)
-    speed_fixed = s_lo == s_hi
-    angle_fixed = a_lo == a_hi
-
-    if speed_fixed and angle_fixed:
-        return point_fn(s_lo, a_lo)
-    if angle_fixed:
-        return _mean_over_interval(lambda d: point_fn(d, a_lo), s_lo, s_hi, tol)
-    if speed_fixed:
-        return _mean_over_interval(lambda x: point_fn(s_lo, x), a_lo, a_hi, tol)
-
-    def angle_slice(x: float) -> float:
-        return _mean_over_interval(lambda d: point_fn(d, x), s_lo, s_hi,
-                                   0.5 * tol)
-
-    return _mean_over_interval(angle_slice, a_lo, a_hi, 0.5 * tol)
+    if s_lo < s_hi and a_lo < a_hi:
+        tol *= 0.5
+    return _mean_over_interval(
+        lambda x: _mean_over_interval(lambda d: point_fn(d, x), s_lo, s_hi,
+                                      tol), a_lo, a_hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +167,14 @@ def blocked_bite_area(scene: ScenarioKnown, d_U: float, xi: float) -> float:
     l2, heading = displaced_position(scene.ue, scene.ris_direction,
                                      scene.orientation, d_U, xi)
     shadows = list(scene.extra_obstacles)
-    if scene.self_block is not None and scene.self_block.theta > 0.0:
-        direction = (heading if scene.self_block_direction is None
-                     else scene.self_block_direction)
+    if scene.has_body_shadow:
         shadows.append(CircularSector(
             origin=l2, radius=math.inf,
-            start_angle=direction - 0.5 * scene.self_block.theta,
+            start_angle=scene.body_shadow_start(heading),
             sweep=scene.self_block.theta))
     return sum((shadowed_visible_area(scene.enb, scene.walls, scene.ue, l2,
                                       g.r, R, shadow) for shadow in shadows),
                0.0)
-
-
-def _scene_has_bites(scene: ScenarioKnown) -> bool:
-    return bool(scene.extra_obstacles) or (
-        scene.self_block is not None and scene.self_block.theta > 0.0)
 
 
 def rr_probability_known(scene: ScenarioKnown, d_U: float, xi: float) -> float:
@@ -201,7 +188,7 @@ def rr_probability_known(scene: ScenarioKnown, d_U: float, xi: float) -> float:
         return 0.0
     g = MoveGeometry(r=scene.serving_ris_distance, d_U=d_U, xi=xi)
     a1 = visible_excess_area_A1(scene, g)
-    if a1 > 0.0 and _scene_has_bites(scene):
+    if a1 > 0.0 and (scene.extra_obstacles or scene.has_body_shadow):
         bite = min(blocked_bite_area(scene, d_U, xi), a1)
         return p_rr_with_areas(a1, bite, scene.lambda_RIS)
     return p_rr_known(a1, scene.lambda_RIS)

@@ -300,16 +300,19 @@ def angular_offset(start: float, direction: float) -> float:
 
 
 def displaced_position(ue: Point2D, ris_direction: float, orientation: int,
-                       d_U: float, xi: float) -> tuple[Point2D, float]:
+                       d_U, xi, cos=math.cos, sin=math.sin
+                       ) -> tuple[Point2D, float]:
     """Position after one displacement step, plus the absolute heading.
 
     ris_direction is the bearing from the user to its serving node; xi = 0
     moves directly away from it, and orientation (+1 ccw, -1 cw) picks which
-    side of the away direction the angle opens toward.
+    side of the away direction the angle opens toward. With cos=np.cos and
+    sin=np.sin it broadcasts over arrays of d_U and xi, and the point holds
+    arrays; the closed forms pass floats.
     """
     heading = ris_direction + math.pi + orientation * xi
-    return Point2D(ue.x + d_U * math.cos(heading),
-                   ue.y + d_U * math.sin(heading)), heading
+    return Point2D(ue.x + d_U * cos(heading),
+                   ue.y + d_U * sin(heading)), heading
 
 
 def wedge_from_wall(apex: Point2D, wall: SegmentObstacle,
@@ -594,49 +597,23 @@ def _clip(x: float, top: float) -> float:
 # Sight-line test and numeric (rejection-sampling) areas
 
 
-def segment_crosses(ox, oy, px, py, seg: SegmentObstacle,
-                    work=None) -> np.ndarray:
+def segment_crosses(ox, oy, px, py, seg: SegmentObstacle):
     """Does the segment from (ox, oy) to (px, py) meet seg? Broadcasts over
-    arrays of either end.
+    arrays of either end; floats give a bool.
 
     Inclusive test by orientation signs: touching counts as crossing, and the
     collinear-overlap corner cases resolve to True, which is the conservative
     choice for a blockage test.
-
-    work, when given, is (four float rows, two bool rows), each of the
-    result's shape: every array step writes into a float row, and the
-    result is the first bool row. The values are the same either way.
-
-    A scalar origin's terms are worked out once in floats, the same
-    operations in the same order, so they have the bits the array steps
-    would give.
     """
-    import numpy as np
     ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
-    (w1, w2, w3, w4), (hit, side) = work or ((None,) * 4, (None,) * 2)
-    sub, mul = np.subtract, np.multiply
-    one = np.ndim(ox) == np.ndim(oy) == 0
-
-    def off(a, b, row):  # a - b of a segment end and the origin
-        return a - b if one else sub(a, b, out=row)
-
     # d1, d2: the sides of seg's line the two ends lie on
-    d2 = sub(mul(bx - ax, sub(py, ay, out=w1), out=w1),
-             mul(by - ay, sub(px, ax, out=w2), out=w2), out=w1)
-    if one:
-        d1 = (bx - ax) * (oy - ay) - (by - ay) * (ox - ax)
-    else:
-        d1 = sub(mul(bx - ax, sub(oy, ay, out=w2), out=w2),
-                 mul(by - ay, sub(ox, ax, out=w3), out=w3), out=w2)
-    hit = np.less_equal(mul(d1, d2, out=w1), 0.0, out=hit)
+    d1 = (bx - ax) * (oy - ay) - (by - ay) * (ox - ax)
+    d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
     # d3, d4: the sides of the segment's line seg's two ends lie on
-    ux, uy = sub(px, ox, out=w1), sub(py, oy, out=w2)
-    d3 = sub(mul(ux, off(ay, oy, w3), out=w3),
-             mul(uy, off(ax, ox, w4), out=w4), out=w3)
-    d4 = sub(mul(ux, off(by, oy, w4), out=w4),
-             mul(uy, off(bx, ox, w1), out=w1), out=w4)
-    hit &= np.less_equal(mul(d3, d4, out=w3), 0.0, out=side)
-    return hit
+    ux, uy = px - ox, py - oy
+    d3 = ux * (ay - oy) - uy * (ax - ox)
+    d4 = ux * (by - oy) - uy * (bx - ox)
+    return (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
 
 
 @dataclass(frozen=True)

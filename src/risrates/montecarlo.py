@@ -25,9 +25,11 @@ once where every trial shares one mean up to SWITCH, and poisson_counts
 draws each shard's counts otherwise. _hits then draws the run's nodes,
 shard after shard, into blocks of at most _BLOCK nodes that may split a
 shard or span several, and the kernel judges each block: a reassignment
-block's candidate predicates write into one workspace made per run, a
-handover block's blockage and body shadow run on its node uniforms. So no
-array is longer than a block or the run's trials, whatever the density.
+block's disk, exclusion, wall and body-shadow predicates write into one
+workspace made per run, and its sight-line test runs as plain arithmetic on
+the few points left; a handover block's blockage and body shadow run on its
+node uniforms. So no array is longer than a block or the run's trials,
+whatever the density.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .geometry import (TWO_PI, WallWedge, displaced_distance_sq,
-                       segment_crosses, wall_shadow_wedges)
+                       displaced_position, segment_crosses, wall_shadow_wedges)
 from .scenarios import (Law, MobilitySpec, ScenarioKnown, ScenarioUnknown,
                         is_point_mass, law_bounds)
 from .stochastic import event_probability, p_self_blocked
@@ -275,11 +277,12 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[WallWedge, ...],
     points strictly inside their coverage disk, and the sight-line and
     body-shadow tests only on those that passed them, the points returned.
 
-    Every point-long step writes into `work` (from _workspace, at least
-    len(px) long), made here when not given: the disk test into two float
-    rows, which then take the inside points, and each later predicate into
-    the rows left. Each predicate is the plain expression evaluated in the
-    same order, so writing in place or on fewer points changes no verdict.
+    Every point-long step but the sight-line test writes into `work` (from
+    _workspace, at least len(px) long), made here when not given: the disk
+    test into two float rows, which then take the inside points, and each
+    later predicate into the rows left. Each predicate is the plain
+    expression evaluated in the same order, so writing in place or on fewer
+    points changes no verdict.
     px and py are read only before the first write to work's first two
     rows, so they may be those rows.
     """
@@ -317,8 +320,7 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[WallWedge, ...],
         vy = np.subtract(py, scene.enb.y, out=f[5])
         for wedge in walls:  # the rows of the draws are free once gathered
             _clear_of_wedge(ok, vx, vy, *wedge, f[:2], b[1:])
-    body = scene.self_block is not None and scene.self_block.theta > 0.0
-    if not (scene.extra_obstacles or body):
+    if not (scene.extra_obstacles or scene.has_body_shadow):
         return idx, ok
     # the sight-line and body-shadow tests run only on the points that
     # passed so far, most of them cut by the wall shadows
@@ -334,16 +336,13 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[WallWedge, ...],
     # the last two rows, which a shared displacement leaves unread
     tx, ty = at(l2x, f[-2], trial), at(l2y, f[-1], trial)
     for obs in scene.extra_obstacles:
-        crosses = segment_crosses(tx, ty, px, py, obs, (f[:4], b[1:]))
-        ok &= np.invert(crosses, out=crosses)
-    if body:
+        ok &= ~segment_crosses(tx, ty, px, py, obs)
+    if scene.has_body_shadow:
         theta = scene.self_block.theta
         dx = np.subtract(px, tx, out=f[0])
         dy = np.subtract(py, ty, out=f[1])
-        hd = heading if trial_idx is not None else heading[0]
-        if scene.self_block_direction is not None:
-            hd = scene.self_block_direction
-        lo = hd - 0.5 * theta
+        lo = scene.body_shadow_start(heading if trial_idx is not None
+                                     else heading[0])
         # rays of each trial, read at its points; cos and sin are the same
         # bits on a gathered array
         rays = (np.cos(lo), np.sin(lo), np.cos(lo + theta),
@@ -474,15 +473,13 @@ def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
     moved, (speeds, angles), bounds, node_edges = _run_draws(
         mobility, scene.lambda_RIS * (x1 - x0) * (y1 - y0), sizes, rngs,
         keep_laws=True)
-    away = scene.ris_direction + math.pi
-    heading = away + scene.orientation * angles
-    l2x = scene.ue.x + speeds * np.cos(heading)
-    l2y = scene.ue.y + speeds * np.sin(heading)
+    l2, heading = displaced_position(scene.ue, scene.ris_direction,
+                                     scene.orientation, speeds, angles,
+                                     np.cos, np.sin)
     R = np.sqrt(displaced_distance_sq(scene.serving_ris_distance, speeds,
                                       angles, np.cos))
+    l2x, l2y, R, heading = np.broadcast_arrays(l2.x, l2.y, R, heading)
     shared = l2x.size == 1
-    if not shared:
-        l2x, l2y, R, heading = np.broadcast_arrays(l2x, l2y, R, heading)
     block = max(7 * _BLOCK // 8 if shared else _BLOCK // 2, 1)
     work = _workspace(min(block, node_edges[-1]), not shared)
     f = work[0]

@@ -58,10 +58,12 @@ class MobilitySpec:
 
     def __post_init__(self) -> None:
         lo, hi = law_bounds(self.speed_law)
-        if lo < 0.0:
+        if not lo >= 0.0:  # NaN fails too
             raise ValueError("speeds must be nonnegative")
+        if not math.isfinite(hi):
+            raise ValueError("speeds must be finite")
         lo, hi = law_bounds(self.angle_law)
-        if lo < 0.0 or hi > math.pi:
+        if not 0.0 <= lo <= hi <= math.pi:
             raise ValueError("movement angles must lie in [0, pi]")
 
 
@@ -145,3 +147,17 @@ class ScenarioKnown:
             raise ValueError("orientation must be +1 (ccw) or -1 (cw)")
         if self.lambda_RIS < 0.0:
             raise ValueError("lambda_RIS must be nonnegative")
+
+    @property
+    def has_body_shadow(self) -> bool:
+        """Does the user's body hide a sector of nonzero width?"""
+        return self.self_block is not None and self.self_block.theta > 0.0
+
+    def body_shadow_start(self, heading):
+        """Bearing at which the body shadow's sector starts, for a move
+        along `heading` (a float, or an array of one heading per move):
+        the sector is centred on self_block_direction, or on the heading
+        when that is None."""
+        direction = (heading if self.self_block_direction is None
+                     else self.self_block_direction)
+        return direction - 0.5 * self.self_block.theta

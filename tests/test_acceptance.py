@@ -41,7 +41,6 @@ from risrates import (
     simulate_load,
     visible_excess_area_A1,
 )
-from risrates.analytic import _scene_has_bites
 from risrates.geometry import wedge_circle_area
 from risrates.scenarios import Deterministic, MobilitySpec
 
@@ -60,7 +59,7 @@ def _closed_static(name: str, lam: float) -> float:
     g = MoveGeometry(r=scene.serving_ris_distance, d_U=2.0, xi=XI45)
     a1 = visible_excess_area_A1(scene, g)
     bite = (blocked_bite_area(scene, 2.0, XI45)
-            if _scene_has_bites(scene) else 0.0)
+            if scene.extra_obstacles or scene.has_body_shadow else 0.0)
     return p_rr_with_areas(a1, min(bite, a1), lam)
 
 
@@ -73,7 +72,7 @@ def test_criterion_01_closed_vs_monte_carlo_parity():
         g = MoveGeometry(r=scene.serving_ris_distance, d_U=2.0, xi=XI45)
         a1 = visible_excess_area_A1(scene, g)
         bite = (blocked_bite_area(scene, 2.0, XI45)
-                if _scene_has_bites(scene) else 0.0)
+                if scene.extra_obstacles or scene.has_body_shadow else 0.0)
         for lam in DENSITIES:
             closed = p_rr_with_areas(a1, min(bite, a1), lam)
             variant = dataclasses.replace(scene, lambda_RIS=lam)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -29,6 +30,7 @@ from risrates import analytic
 from risrates.analytic import _NearestValid, _marginal_mean
 from risrates.geometry import GeometryDomainError
 from risrates.scenarios import Deterministic, MobilitySpec, Uniform
+from risrates.stochastic import SelfBlockModel
 
 
 def _table_scene():
@@ -161,6 +163,18 @@ def test_marginal_double_integral_matches_quad():
                                                                abs=1e-7)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mobility_refuses_non_finite_bounds(bad):
+    # a NaN point mass is not a point (nan != nan), and the marginals would
+    # run adaptive Simpson over [nan, nan] without end
+    for make in (lambda: Deterministic(bad), lambda: Uniform(0.0, bad),
+                 lambda: Uniform(bad, 1.0)):
+        with pytest.raises(ValueError):
+            MobilitySpec(speed_law=make(), angle_law=Deterministic(0.5))
+        with pytest.raises(ValueError):
+            MobilitySpec(speed_law=Deterministic(1.0), angle_law=make())
+
+
 def test_unknown_marginals_evaluate_blockage_once(monkeypatch):
     # the unblocked probability does not depend on the move: one call per
     # marginal, and the same bits as evaluating it at every node
@@ -191,6 +205,30 @@ def test_blocked_bite_area_deterministic():
     a = blocked_bite_area(scene, 2.0, math.radians(45))
     assert a == blocked_bite_area(scene, 2.0, math.radians(45))
     assert a == pytest.approx(2.0916177, rel=1e-7)
+
+
+def test_body_shadow_rule():
+    scene = load_packaged("table3-static-selfblock").scenario
+    theta = scene.self_block.theta
+    assert scene.has_body_shadow and scene.self_block_direction is None
+    # centred on each move's heading, for a float or an array of moves
+    assert scene.body_shadow_start(1.0) == 1.0 - 0.5 * theta
+    headings = np.array([0.0, 1.0, -2.5])
+    np.testing.assert_array_equal(scene.body_shadow_start(headings),
+                                  headings - 0.5 * theta)
+    # or on a fixed bearing whatever the move
+    fixed = dataclasses.replace(scene, self_block_direction=0.25)
+    assert fixed.body_shadow_start(1.0) == 0.25 - 0.5 * theta
+    assert fixed.body_shadow_start(headings) == 0.25 - 0.5 * theta
+    xi = math.radians(45)
+    assert blocked_bite_area(fixed, 2.0, xi) != blocked_bite_area(
+        scene, 2.0, xi)
+    # no sector, or one of width 0: nothing to bite in a room with no
+    # extra obstacles
+    for body in (None, SelfBlockModel(0.0)):
+        bare = dataclasses.replace(scene, self_block=body)
+        assert not bare.has_body_shadow
+        assert blocked_bite_area(bare, 2.0, xi) == 0.0
 
 
 def test_rr_probability_known_zero_displacement():

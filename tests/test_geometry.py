@@ -421,6 +421,19 @@ def test_displaced_position_conventions():
     p_cw, _ = displaced_position(ue, 0.0, -1, 1.0, math.radians(90.0))
     assert p_ccw.y < ue.y < p_cw.y
     assert p_ccw.x == pytest.approx(ue.x, abs=1e-12)
+    # numpy's cos and sin broadcast over arrays of moves; they may round one
+    # ulp away from math's, so the points agree within a few ulp
+    ue = Point2D(10.0, 10.0)
+    rng = np.random.default_rng(5)
+    d_U, xi = rng.uniform(0.0, 5.0, 200), rng.uniform(0.0, math.pi, 200)
+    for orientation in (1, -1):
+        p, heading = displaced_position(ue, 0.7, orientation, d_U, xi,
+                                        np.cos, np.sin)
+        one = [displaced_position(ue, 0.7, orientation, d, x)
+               for d, x in zip(d_U.tolist(), xi.tolist())]
+        np.testing.assert_array_equal(heading, [h for _, h in one])
+        np.testing.assert_array_max_ulp(p.x, [q.x for q, _ in one], 4)
+        np.testing.assert_array_max_ulp(p.y, [q.y for q, _ in one], 4)
 
 
 def test_bearing():
@@ -786,6 +799,26 @@ def test_segment_visibility_blocking_and_clear():
     np.testing.assert_array_equal(
         segment_crosses(np.array([0.0, 3.0]), 0.0, 2.0, 0.0, wall),
         [True, False])
+    # floats, a scalar origin with array ends and array origins give one
+    # verdict: touching the wall inside and at an end, collinear overlap,
+    # collinear and apart (conservatively True), then random segments
+    rng = np.random.default_rng(3)
+    ox = np.concatenate(([0.0, 0.0, 1.0, 1.0], rng.uniform(-1.0, 3.0, 60)))
+    oy = np.concatenate(([0.0, 1.0, -2.0, 2.0], rng.uniform(-2.0, 2.0, 60)))
+    px = np.concatenate(([1.0, 2.0, 1.0, 1.0], rng.uniform(-1.0, 3.0, 60)))
+    py = np.concatenate(([0.5, 1.0, 0.0, 3.0], rng.uniform(-2.0, 2.0, 60)))
+    ends = list(zip(px.tolist(), py.tolist()))
+    verdicts = []
+    for x, y in zip(ox.tolist(), oy.tolist()):
+        row = [segment_crosses(x, y, ex, ey, wall) for ex, ey in ends]
+        assert all(type(v) is bool for v in row)
+        np.testing.assert_array_equal(segment_crosses(x, y, px, py, wall),
+                                      row)
+        verdicts.append(row)
+    assert [verdicts[i][i] for i in range(4)] == [True] * 4
+    assert 0 < np.count_nonzero(verdicts) < len(ox) * len(px)
+    np.testing.assert_array_equal(
+        segment_crosses(ox[:, None], oy[:, None], px, py, wall), verdicts)
 
 
 def test_circular_sector_validation_and_membership():

@@ -150,11 +150,10 @@ def numpy_imports(trees: dict[str, ast.Module]) -> list[str]:
 
 
 def test_numpy_is_imported_only_where_draws_run():
-    # montecarlo holds every draw; geometry's rejection oracle and the
-    # segment test it shares with montecarlo import numpy when they run
-    # (ROADMAP item 1b moves all but segment_crosses out of the package)
+    # montecarlo holds every draw; geometry's rejection oracle imports
+    # numpy when it runs (ROADMAP item 1b moves it out of the package)
     assert numpy_imports(_trees()) == [
-        "geometry.py:segment_crosses", "geometry.py:_sector_contains_many",
+        "geometry.py:_sector_contains_many",
         "geometry.py:numeric_blocked_area",
         "geometry.py:visible_region_predicate", "montecarlo.py"]
 
