@@ -23,7 +23,7 @@ from .geometry import (AreaEstimate, BlockageWedge, BlockedRegionError,
                        numeric_blocked_area, shadowed_visible_area,
                        visible_excess_area_A1, visible_region_predicate,
                        wall_shadow_interval, wedge_from_wall)
-from .protocol import (ENTITY_KINDS, Entity, LoadResult, SequenceTemplate,
+from .protocol import (ENTITY_KINDS, LoadResult, SequenceTemplate,
                        SignalingMessage, basic_sequence, export_trace,
                        ho_sequence, rr_sequence, simulate_load)
 from .scenarios import (Deterministic, MobilitySpec, ScenarioKnown,
@@ -56,7 +56,7 @@ __all__ = [
     # montecarlo
     "Estimate", "estimate_rr", "estimate_ho", "poisson_counts",
     # protocol
-    "ENTITY_KINDS", "Entity", "SignalingMessage", "SequenceTemplate",
+    "ENTITY_KINDS", "SignalingMessage", "SequenceTemplate",
     "rr_sequence", "ho_sequence", "basic_sequence", "export_trace",
     "LoadResult", "simulate_load",
     # config

@@ -265,34 +265,25 @@ def signaling_rate(s: ScenarioUnknown, sig: SignalingConfig) -> RateReport:
                       e_so=e_so, e_gamma=e_gamma, e_gamma_expanded=expanded)
 
 
-def _normalize_kind(kind: str) -> str:
-    k = kind.strip().lower().replace("_", "-")
-    if k in ("ris-m", "rism"):
-        return "rism"
-    if k == "sgw":
-        return "sgw"
-    raise ValueError(f"unknown server kind {kind!r}; expected RIS-M or SGW")
-
-
 def class_load(s: ScenarioUnknown, sig: SignalingConfig, kind: str) -> float:
-    """Total signaling load attributed to one server class: basic sessions
-    plus the success-gated overhead of the event kind the class owns
-    (handover for SGW, reassignment for RIS-M)."""
-    k = _normalize_kind(kind)
-    if k == "rism":
+    """Total signaling load attributed to one server class, "rism" or "sgw":
+    basic sessions plus the success-gated overhead of the event kind the
+    class owns (reassignment for RIS-M, handover for SGW)."""
+    if kind == "rism":
         return sum(sig.rism_rates) * (1.0 + sig.p_a * marginal_p_rr_unknown(s))
-    return sum(sig.sgw_rates) * (1.0 + sig.p_a * marginal_p_ho(s))
+    if kind == "sgw":
+        return sum(sig.sgw_rates) * (1.0 + sig.p_a * marginal_p_ho(s))
+    raise ValueError(f"unknown server kind {kind!r}; expected 'rism' or 'sgw'")
 
 
-def dimension_servers(target_capacity: float, s: ScenarioUnknown,
-                      sig: SignalingConfig, kind: str) -> int:
-    """Smallest server count keeping the per-server load share under the
-    capacity, with the class total split uniformly."""
+def dimension_servers(load: float, target_capacity: float) -> int:
+    """Smallest server count keeping the per-server share of a class load
+    (class_load's value) under the capacity, the load split uniformly."""
     if not (target_capacity > 0.0) or not math.isfinite(target_capacity):
         raise ValueError(f"target capacity must be a positive finite number, "
                          f"got {target_capacity!r}")
-    ratio = class_load(s, sig, kind) / target_capacity
-    if not math.isfinite(ratio):
+    ratio = load / target_capacity
+    if not 0.0 <= ratio < math.inf:  # NaN, negative and overflowing loads
         raise ValueError(f"class load / target capacity is {ratio!r}; no "
                          f"server count suffices")
     return max(1, math.ceil(ratio - 1e-12))

@@ -347,8 +347,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _require(cfg, "dimensioning", kind="unknown", signaling=True)
     load = class_load(cfg.scenario, cfg.signaling, args.kind)
-    n = dimension_servers(args.threshold, cfg.scenario, cfg.signaling,
-                          args.kind)
+    n = dimension_servers(load, args.threshold)
     text = render_csv(("quantity", "value"),
                       [("class_load", fmt9(load)),
                        ("threshold", fmt9(args.threshold)),

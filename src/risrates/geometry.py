@@ -90,7 +90,7 @@ class MoveGeometry:
     def __post_init__(self) -> None:
         if not self.r > 0.0:
             raise ValueError("serving-node distance r must be positive")
-        if self.d_U < 0.0:
+        if not self.d_U >= 0.0:  # NaN fails too
             raise ValueError("displacement d_U must be nonnegative")
         if not 0.0 <= self.xi <= math.pi:
             raise ValueError("movement angle xi must lie in [0, pi]")
@@ -147,16 +147,18 @@ def bearing(p: Point2D, q: Point2D) -> float:
     return math.atan2(q.y - p.y, q.x - p.x)
 
 
-def displaced_distance_sq(r, d_U, xi, cos=math.cos):
+def displaced_distance_sq(r, d_U, xi, xp=None):
     """Squared distance from the serving node (r away) to the user after a
-    displacement d_U at movement angle xi. With cos=np.cos it broadcasts
-    over arrays of d_U and xi; the closed forms pass floats.
+    displacement d_U at movement angle xi, in the numeric namespace xp:
+    None reads this module's math when called, and xp=np broadcasts over
+    arrays of d_U and xi.
 
     Law of cosines in the triangle (node, start, end); the angle at the start
     position is pi - xi because xi = 0 points directly away from the node.
     Near zero, roundoff can leave the result slightly negative.
     """
-    return r * r + d_U * d_U - 2.0 * r * d_U * cos(math.pi - xi)
+    xp = math if xp is None else xp
+    return r * r + d_U * d_U - 2.0 * r * d_U * xp.cos(xp.pi - xi)
 
 
 def displaced_distance(g: MoveGeometry) -> float:
@@ -300,19 +302,19 @@ def angular_offset(start: float, direction: float) -> float:
 
 
 def displaced_position(ue: Point2D, ris_direction: float, orientation: int,
-                       d_U, xi, cos=math.cos, sin=math.sin
-                       ) -> tuple[Point2D, float]:
+                       d_U, xi, xp=None) -> tuple[Point2D, float]:
     """Position after one displacement step, plus the absolute heading.
 
     ris_direction is the bearing from the user to its serving node; xi = 0
     moves directly away from it, and orientation (+1 ccw, -1 cw) picks which
-    side of the away direction the angle opens toward. With cos=np.cos and
-    sin=np.sin it broadcasts over arrays of d_U and xi, and the point holds
-    arrays; the closed forms pass floats.
+    side of the away direction the angle opens toward. xp is the numeric
+    namespace, as in displaced_distance_sq: with xp=np it broadcasts over
+    arrays of d_U and xi, and the point holds arrays.
     """
-    heading = ris_direction + math.pi + orientation * xi
-    return Point2D(ue.x + d_U * cos(heading),
-                   ue.y + d_U * sin(heading)), heading
+    xp = math if xp is None else xp
+    heading = ris_direction + xp.pi + orientation * xi
+    return Point2D(ue.x + d_U * xp.cos(heading),
+                   ue.y + d_U * xp.sin(heading)), heading
 
 
 def wedge_from_wall(apex: Point2D, wall: SegmentObstacle,
@@ -601,9 +603,10 @@ def segment_crosses(ox, oy, px, py, seg: SegmentObstacle):
     """Does the segment from (ox, oy) to (px, py) meet seg? Broadcasts over
     arrays of either end; floats give a bool.
 
-    Inclusive test by orientation signs: touching counts as crossing, and the
-    collinear-overlap corner cases resolve to True, which is the conservative
-    choice for a blockage test.
+    Inclusive test by orientation signs: touching counts as crossing, and
+    segments on one line give True, overlapping or not ((1, 2)-(1, 3)
+    against (1, -1)-(1, 1) does). The exact polar sweep counts such a point
+    as visible; uniform draws hit the case with probability zero.
     """
     ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
     # d1, d2: the sides of seg's line the two ends lie on

@@ -474,10 +474,9 @@ def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
         mobility, scene.lambda_RIS * (x1 - x0) * (y1 - y0), sizes, rngs,
         keep_laws=True)
     l2, heading = displaced_position(scene.ue, scene.ris_direction,
-                                     scene.orientation, speeds, angles,
-                                     np.cos, np.sin)
+                                     scene.orientation, speeds, angles, np)
     R = np.sqrt(displaced_distance_sq(scene.serving_ris_distance, speeds,
-                                      angles, np.cos))
+                                      angles, np))
     l2x, l2y, R, heading = np.broadcast_arrays(l2.x, l2.y, R, heading)
     shared = l2x.size == 1
     block = max(7 * _BLOCK // 8 if shared else _BLOCK // 2, 1)
@@ -715,7 +714,7 @@ def _ho_run(s: ScenarioUnknown, mobility: MobilitySpec, sizes: list[int],
 def _ho_means(s: ScenarioUnknown, speeds: np.ndarray,
               angles: np.ndarray) -> np.ndarray:
     """Poisson mean of base stations in each displaced coverage disk."""
-    R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles, np.cos),
+    R2 = np.maximum(displaced_distance_sq(s.r_eNB, speeds, angles, np),
                     0.0)
     return s.lambda_eNB * math.pi * R2
 
@@ -777,8 +776,7 @@ def load_draws(mobility: MobilitySpec,
             k = m if n_speed or n_angle else 1
             q = p_a * event_probability(pz, density, radius,
                                         draw_law(speed_rng, speed_law, k),
-                                        draw_law(angle_rng, angle_law, k),
-                                        np.cos, np.expm1)
+                                        draw_law(angle_rng, angle_law, k), np)
             uniform_rng.random(out=u[:m])
             events += int(np.count_nonzero(np.less(u[:m], q, out=below[:m])))
         yield n, events

@@ -2,9 +2,9 @@
 
 The templates enumerate every message of the reassignment and handover
 procedures with a global step ordinal, so a combined trace (reassignment
-steps 1-13, handover steps 14-29) reads as one numbered diagram. Steps a
-node performs purely locally (decisions, admission control) are marked
-internal and excluded from wire-message counts.
+steps 1-13, handover steps 14-29) reads as one numbered diagram. Entities
+are the kind strings of ENTITY_KINDS. Steps a node performs purely locally
+(decisions, admission control) are marked internal and stay off the wire.
 
 The load simulator validates its run and tallies the messages; its sessions
 and events are drawn by montecarlo.load_draws, imported (with numpy) when a
@@ -27,30 +27,24 @@ ENTITY_KINDS = frozenset({
 
 
 @dataclass(frozen=True)
-class Entity:
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ENTITY_KINDS:
-            raise ValueError(f"unknown entity kind: {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class SignalingMessage:
     """One numbered step. `sender`/`receiver` stand in for the from/to pair
-    of a sequence diagram (`from` is reserved in Python); an internal step
-    keeps both equal and stays off the wire."""
+    of a sequence diagram (`from` is reserved in Python), each a kind from
+    ENTITY_KINDS; an internal step keeps both equal and stays off the wire."""
 
     step: int
-    sender: Entity
-    receiver: Entity
+    sender: str
+    receiver: str
     name: str
     internal: bool = False
 
     def __post_init__(self) -> None:
+        for entity in (self.sender, self.receiver):
+            if entity not in ENTITY_KINDS:
+                raise ValueError(f"unknown entity kind: {entity!r}")
         if self.step < 1:
             raise ValueError("step ordinals start at 1")
-        if self.internal and self.sender.kind != self.receiver.kind:
+        if self.internal and self.sender != self.receiver:
             raise ValueError("internal steps must stay within one entity")
 
 
@@ -69,19 +63,8 @@ class SequenceTemplate:
                     f"template {self.name!r}: step {msg.step} breaks the "
                     f"gapless ordinal run starting at {first}")
 
-    @property
-    def wire_messages(self) -> tuple[SignalingMessage, ...]:
-        return tuple(m for m in self.messages if not m.internal)
 
-    @property
-    def wire_count(self) -> int:
-        return len(self.wire_messages)
-
-
-def _msg(step: int, sender: str, receiver: str, name: str,
-         internal: bool = False) -> SignalingMessage:
-    return SignalingMessage(step, Entity(sender), Entity(receiver), name,
-                            internal)
+_msg = SignalingMessage  # keeps the template tables short
 
 
 def rr_sequence() -> SequenceTemplate:
@@ -161,7 +144,7 @@ def export_trace(template: SequenceTemplate) -> str:
     lines = ["step | from -> to | name"]
     for m in template.messages:
         suffix = " [internal]" if m.internal else ""
-        lines.append(f"{m.step} | {m.sender.kind} -> {m.receiver.kind} | "
+        lines.append(f"{m.step} | {m.sender} -> {m.receiver} | "
                      f"{m.name}{suffix}")
     return "\n".join(lines) + "\n"
 
@@ -192,9 +175,9 @@ def _tally(counter: Counter, template: SequenceTemplate, times: int) -> None:
     if times <= 0:
         return
     for m in template.messages:
-        counter[m.sender.kind] += times
+        counter[m.sender] += times
         if not m.internal:
-            counter[m.receiver.kind] += times
+            counter[m.receiver] += times
 
 
 # Expected sessions one server may draw in a load run: at about 2e8

@@ -99,11 +99,11 @@ class ScenarioUnknown:
     mobility: MobilitySpec
 
     def __post_init__(self) -> None:
-        if self.lambda_RIS < 0.0 or self.lambda_eNB < 0.0:
+        if not (self.lambda_RIS >= 0.0 and self.lambda_eNB >= 0.0):
             raise ValueError("densities must be nonnegative")
-        if self.r_RIS <= 0.0 or self.r_eNB <= 0.0:
+        if not (self.r_RIS > 0.0 and self.r_eNB > 0.0):
             raise ValueError("serving radii must be positive")
-        if self.R_LoS <= 0.0:
+        if not self.R_LoS > 0.0:
             raise ValueError("R_LoS must be positive")
 
 
@@ -141,11 +141,11 @@ class ScenarioKnown:
             raise ValueError("enb must lie inside or on the room boundary")
         if not (x0 <= self.ue.x <= x1 and y0 <= self.ue.y <= y1):
             raise ValueError("ue must lie inside the room")
-        if self.serving_ris_distance <= 0.0:
+        if not self.serving_ris_distance > 0.0:  # NaN fails too
             raise ValueError("serving_ris_distance must be positive")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 (ccw) or -1 (cw)")
-        if self.lambda_RIS < 0.0:
+        if not self.lambda_RIS >= 0.0:
             raise ValueError("lambda_RIS must be nonnegative")
 
     @property

@@ -1,7 +1,7 @@
 """Probability primitives: blockage and self-blockage models and the
-candidate event probability, in plain floats unless numpy's functions are
-passed in. The draws that sample them, Poisson counts included, live in
-montecarlo.
+candidate event probability, in plain floats unless another numeric
+namespace (numpy for arrays) is passed as xp. The draws that sample them,
+Poisson counts included, live in montecarlo.
 
 Densities are per square meter everywhere in code; the config layer converts
 per-km2 inputs before objects are built.
@@ -30,9 +30,9 @@ class RandomObstacleModel:
     mean_w: float
 
     def __post_init__(self) -> None:
-        if self.lambda_B < 0.0:
+        if not self.lambda_B >= 0.0:  # NaN fails too
             raise ValueError("lambda_B must be nonnegative")
-        if self.mean_l < 0.0 or self.mean_w < 0.0:
+        if not (self.mean_l >= 0.0 and self.mean_w >= 0.0):
             raise ValueError("mean obstacle dimensions must be nonnegative")
 
     @property
@@ -106,14 +106,14 @@ def p_not_blocked_Z(m: RandomObstacleModel, s: SelfBlockModel,
 
 
 def event_probability(pz: float, density: float, r: float, d_U, xi,
-                      cos=math.cos, expm1=math.expm1):
+                      xp=None):
     """1 - exp(-pz * density * pi * R^2): the probability that a Poisson
     field of candidates, each unblocked with probability pz, puts at least
     one inside the displaced coverage disk, whose radius R is the distance
     from the serving node (r away) after the move. Zero where the user does
-    not move. As in displaced_distance_sq, the closed forms pass floats, and
-    with cos=np.cos and expm1=np.expm1 it broadcasts over arrays of d_U and
-    xi."""
-    p = -expm1(-pz * density * math.pi
-               * displaced_distance_sq(r, d_U, xi, cos))
+    not move. xp picks the numeric namespace as in displaced_distance_sq;
+    xp=np broadcasts over arrays of d_U and xi."""
+    xp = math if xp is None else xp
+    p = -xp.expm1(-pz * density * xp.pi
+                  * displaced_distance_sq(r, d_U, xi, xp))
     return p * (d_U > 0.0)

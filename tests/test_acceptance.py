@@ -204,10 +204,10 @@ def test_criterion_06_obstacle_density_sensitivity():
 def test_criterion_07_server_dimensioning():
     c10 = load_packaged("dimensioning-speed10")
     c15 = load_packaged("dimensioning-speed15")
-    n10 = dimension_servers(55.0, c10.scenario, c10.signaling, "rism")
-    n15 = dimension_servers(55.0, c15.scenario, c15.signaling, "rism")
     load10 = class_load(c10.scenario, c10.signaling, "rism")
     load15 = class_load(c15.scenario, c15.signaling, "rism")
+    n10 = dimension_servers(load10, 55.0)
+    n15 = dimension_servers(load15, 55.0)
     ok = n10 == 2 and n15 == 4
     _report(7, ok, f"threshold 55 req/s: {n10} servers at 10 m/s "
                    f"(load {load10:.2f}), {n15} at 15 m/s (load {load15:.2f})")
@@ -397,11 +397,11 @@ def test_criterion_09_survival_average_vs_quadrature():
 def test_criterion_10_procedure_traces_and_simulated_rates():
     rr = rr_sequence()
     steps_ok = (len(rr.messages) == 13
-                and rr.messages[6].sender.kind == "serving-eNB"
-                and rr.messages[6].receiver.kind == "RIS-M"
+                and rr.messages[6].sender == "serving-eNB"
+                and rr.messages[6].receiver == "RIS-M"
                 and rr.messages[6].name == "RR request"
-                and rr.messages[8].sender.kind == "RIS-M"
-                and rr.messages[8].receiver.kind == "serving-eNB"
+                and rr.messages[8].sender == "RIS-M"
+                and rr.messages[8].receiver == "serving-eNB"
                 and rr.messages[8].name == "RR request acknowledgment"
                 and len(ho_sequence("x2").messages) == 16
                 and len(ho_sequence("s1").messages) == 16)

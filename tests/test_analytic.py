@@ -28,7 +28,7 @@ from risrates import (
 )
 from risrates import analytic
 from risrates.analytic import _NearestValid, _marginal_mean
-from risrates.geometry import GeometryDomainError
+from risrates.geometry import GeometryDomainError, MoveGeometry
 from risrates.scenarios import Deterministic, MobilitySpec, Uniform
 from risrates.stochastic import SelfBlockModel
 
@@ -175,6 +175,25 @@ def test_mobility_refuses_non_finite_bounds(bad):
             MobilitySpec(speed_law=Deterministic(1.0), angle_law=make())
 
 
+_NAN_FIELDS = (
+    [("unknown", f) for f in ("lambda_RIS", "lambda_eNB", "r_RIS", "r_eNB",
+                              "R_LoS")]
+    + [("known", f) for f in ("lambda_RIS", "serving_ris_distance")]
+    + [("obstacles", f) for f in ("lambda_B", "mean_l", "mean_w")]
+    + [("move", "d_U")])
+
+
+@pytest.mark.parametrize("owner,field", _NAN_FIELDS)
+def test_constructors_refuse_nan(owner, field):
+    # the closed forms would return NaN without a word on such an object
+    valid = {"unknown": lambda: _table_scene().scenario,
+             "known": lambda: load_packaged("table3-static-obstacle").scenario,
+             "obstacles": lambda: _table_scene().scenario.obstacle_model,
+             "move": lambda: MoveGeometry(r=2.0, d_U=1.0, xi=0.5)}[owner]()
+    with pytest.raises(ValueError):
+        dataclasses.replace(valid, **{field: math.nan})
+
+
 def test_unknown_marginals_evaluate_blockage_once(monkeypatch):
     # the unblocked probability does not depend on the move: one call per
     # marginal, and the same bits as evaluating it at every node
@@ -252,33 +271,40 @@ def test_rr_probability_known_monotone_in_density():
 def test_class_load_reference_values():
     c10 = load_packaged("dimensioning-speed10")
     c15 = load_packaged("dimensioning-speed15")
-    load10 = class_load(c10.scenario, c10.signaling, "RIS-M")
+    load10 = class_load(c10.scenario, c10.signaling, "rism")
     load15 = class_load(c15.scenario, c15.signaling, "rism")
     assert load10 == pytest.approx(104.955304, abs=1e-5)
     assert load15 == pytest.approx(183.411541, abs=1e-5)
-    assert dimension_servers(55.0, c10.scenario, c10.signaling, "RIS-M") == 2
-    assert dimension_servers(55.0, c15.scenario, c15.signaling, "RIS-M") == 4
+    assert dimension_servers(load10, 55.0) == 2
+    assert dimension_servers(load15, 55.0) == 4
 
 
 def test_dimension_servers_edge_cases():
     cfg = _table_scene()
+    load = class_load(cfg.scenario, cfg.signaling, "sgw")
     with pytest.raises(ValueError):
-        dimension_servers(0.0, cfg.scenario, cfg.signaling, "SGW")
+        dimension_servers(load, 0.0)
     with pytest.raises(ValueError):
-        dimension_servers(-3.0, cfg.scenario, cfg.signaling, "SGW")
-    with pytest.raises(ValueError):
-        class_load(cfg.scenario, cfg.signaling, "mme")
+        dimension_servers(load, -3.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="no server count suffices"):
+            dimension_servers(bad, 55.0)
+    # one spelling per server kind, as the CLI's --kind choices
+    for kind in ("RIS-M", "SGW", "mme"):
+        with pytest.raises(ValueError, match="unknown server kind"):
+            class_load(cfg.scenario, cfg.signaling, kind)
     silent = SignalingConfig(sgw_rates=(0.0,), rism_rates=(0.0,), p_a=1.0)
-    assert dimension_servers(55.0, cfg.scenario, silent, "SGW") == 1
+    silent_load = class_load(cfg.scenario, silent, "sgw")
+    assert dimension_servers(silent_load, 55.0) == 1
     # a subnormal capacity overflows the load/capacity ratio
     with pytest.raises(ValueError, match="no server count suffices"):
-        dimension_servers(1e-310, cfg.scenario, cfg.signaling, "SGW")
-    assert dimension_servers(1e-310, cfg.scenario, silent, "SGW") == 1
+        dimension_servers(load, 1e-310)
+    assert dimension_servers(silent_load, 1e-310) == 1
 
 
 def test_dimension_servers_exact_multiple_boundary():
     # a load landing exactly on k * capacity needs k servers, not k + 1
     cfg = _table_scene()
-    total = class_load(cfg.scenario, cfg.signaling, "SGW")
+    total = class_load(cfg.scenario, cfg.signaling, "sgw")
     k = 3
-    assert dimension_servers(total / k, cfg.scenario, cfg.signaling, "SGW") == k
+    assert dimension_servers(total, total / k) == k

@@ -427,8 +427,7 @@ def test_displaced_position_conventions():
     rng = np.random.default_rng(5)
     d_U, xi = rng.uniform(0.0, 5.0, 200), rng.uniform(0.0, math.pi, 200)
     for orientation in (1, -1):
-        p, heading = displaced_position(ue, 0.7, orientation, d_U, xi,
-                                        np.cos, np.sin)
+        p, heading = displaced_position(ue, 0.7, orientation, d_U, xi, np)
         one = [displaced_position(ue, 0.7, orientation, d, x)
                for d, x in zip(d_U.tolist(), xi.tolist())]
         np.testing.assert_array_equal(heading, [h for _, h in one])

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risrates import montecarlo
+from risrates import geometry, montecarlo, stochastic
+from risrates.geometry import Point2D
 from risrates.montecarlo import poisson_counts
 from risrates.stochastic import (
     RandomObstacleModel,
@@ -352,3 +354,35 @@ def test_mixed_means_go_through_the_inversion_loop(monkeypatch):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(poisson_counts(a, means),
                               _reference_inversion(b, means))
+
+
+# ---------------------------------------------------------------------------
+# the shared formulas in another numeric namespace
+
+
+def test_shared_formulas_follow_a_swapped_math(monkeypatch):
+    # the displacement and event formulas read their module's math when
+    # called, so mpmath in its place carries 50 digits through them; each
+    # reference evaluates the same float inputs directly in mpmath
+    mp, mpf = mpmath.mp, mpmath.mpf
+    monkeypatch.setattr(geometry, "math", mpmath)
+    monkeypatch.setattr(stochastic, "math", mpmath)
+    with mp.workdps(50):
+        def close(got, want):
+            return isinstance(got, mpf) and abs(got - want) < mpf(10) ** -40
+
+        def r2(r, d_U, xi):
+            return (mpf(r) ** 2 + mpf(d_U) ** 2
+                    - 2 * mpf(r) * mpf(d_U) * mpmath.cos(mp.pi - mpf(xi)))
+
+        assert close(geometry.displaced_distance_sq(3, 0.5, 1), r2(3, 0.5, 1))
+        l2, heading = geometry.displaced_position(Point2D(10.0, 4.0), 0.7, -1,
+                                                  2.5, 1.1)
+        h = mpf(0.7) + mp.pi - mpf(1.1)
+        assert close(heading, h)
+        assert close(l2.x, 10 + mpf(2.5) * mpmath.cos(h))
+        assert close(l2.y, 4 + mpf(2.5) * mpmath.sin(h))
+        pz, density = 0.37, 0.1
+        got = stochastic.event_probability(pz, density, 3.0, 0.5, 1.0)
+        want = -mpmath.expm1(-mpf(pz * density) * mp.pi * r2(3.0, 0.5, 1.0))
+        assert close(got, want)

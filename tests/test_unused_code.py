@@ -3,7 +3,8 @@ the package itself or exported: code that only tests call belongs in the
 tests. A module imports no underscore name from another module of the
 package: what another module needs is public. numpy is imported where draws
 run and nowhere else. The closed-form modules call math functions through
-the math module object, so a test can swap it for numpy or mpmath."""
+the math module object, read when they run, and keep the values of the
+namespace they run in, so a test can swap it for numpy or mpmath."""
 
 import ast
 from pathlib import Path
@@ -215,3 +216,64 @@ def test_math_bypass_is_named():
         "from mpmath import mp\n")}
     assert math_bypasses(trees) == ["a.py:sqrt", "a.py:PI", "a.py:m",
                                     "a.py:cos"]
+
+
+def math_defaults(trees: dict[str, ast.Module]) -> list[str]:
+    """'module.py:function' of each function or lambda with a default
+    argument that reads an attribute of math: the default binds math's
+    value at import, and a namespace swapped in later never reaches it."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults
+                                             if d is not None]
+            if any(isinstance(n, ast.Attribute)
+                   and isinstance(n.value, ast.Name) and n.value.id == "math"
+                   for d in defaults for n in ast.walk(d)):
+                found.append(f"{module}:{getattr(node, 'name', 'lambda')}")
+    return found
+
+
+def test_closed_forms_bind_no_math_default():
+    trees = _trees()
+    assert math_defaults({name: trees[name] for name in CLOSED_FORM}) == []
+
+
+def test_math_default_is_named():
+    trees = {"a.py": ast.parse(
+        "import math\n"
+        "def f(x, cos=math.cos): return cos(x)\n"
+        "def g(x, *, k=(math.pi, 2)): return x\n"
+        "def h(x, xp=None): return (xp or math).cos(x)\n"
+        "def i(x, n=other.pi): return math.sin(x)\n"
+        "class C:\n"
+        "    def m(self, e=math.e): return lambda y=math.tau: y\n")}
+    assert math_defaults(trees) == ["a.py:f", "a.py:g", "a.py:m",
+                                    "a.py:lambda"]
+
+
+def float_rounding(trees: dict[str, ast.Module]) -> list[str]:
+    """'module.py:line' of each call of float or math.fsum: both round a
+    value of a wider namespace back to a double."""
+    return [f"{module}:{node.lineno}"
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("float", "math.fsum")]
+
+
+def test_closed_forms_round_nothing_to_a_double():
+    trees = _trees()
+    assert float_rounding({name: trees[name] for name in CLOSED_FORM}) == []
+
+
+def test_float_rounding_is_named():
+    trees = {"a.py": ast.parse(
+        "x = float(2)\n"
+        "y = math.fsum([x, 1.0])\n"
+        "z = np.float64(x) + sum([x]) + fsum([x])\n"
+        "w = [float(v)\n"
+        "     for v in (x, y)]\n")}
+    assert float_rounding(trees) == ["a.py:1", "a.py:2", "a.py:4"]
