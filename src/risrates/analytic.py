@@ -3,7 +3,6 @@ signaling totals, and server dimensioning."""
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -16,8 +15,6 @@ from .geometry import numeric_blocked_area, visible_region_predicate  # noqa: F4
 from .scenarios import (MobilitySpec, ScenarioKnown, ScenarioUnknown,
                         SignalingConfig, law_bounds)
 from .stochastic import event_probability, p_not_blocked_Z
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,6 @@ class RateReport:
 # Quadrature
 
 _SIMPSON_DEPTH = 50  # bisections adaptive Simpson makes at most
-_PROBES = 9  # evenly spaced points _NearestValid evaluates first
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
@@ -74,62 +70,32 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
             + _simpson_rec(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
 
 
-class _NearestValid:
-    """Integrand wrapper that replaces domain-failing nodes with the value at
-    the nearest valid abscissa, counting the substitutions."""
-
-    def __init__(self, f: Callable[[float], float], a: float, b: float):
-        self._f = f
-        # valid nodes in the order evaluated, which breaks nearest ties
-        self._cache: dict[float, float] = {}
-        self.failures = 0
-        errors: list[GeometryDomainError] = []
-        for i in range(_PROBES):
-            t = a + (b - a) * i / (_PROBES - 1)
-            try:
-                self._cache[t] = f(t)
-            except GeometryDomainError as exc:
-                errors.append(exc)
-        if not self._cache:
-            raise errors[0]  # nothing valid anywhere on the interval
-
-    def __call__(self, t: float) -> float:
-        if t in self._cache:
-            return self._cache[t]
-        try:
-            v = self._f(t)
-        except GeometryDomainError:
-            self.failures += 1
-            return self._cache[min(self._cache, key=lambda tc: abs(tc - t))]
-        self._cache[t] = v
-        return v
-
-
 def _mean_over_interval(f, lo, hi, tol):
-    """Mean of f over [lo, hi] with nearest-valid clamping of bad nodes;
-    f(lo) when the interval is one point."""
+    """Mean of f over [lo, hi] by adaptive Simpson; f(lo) if lo == hi."""
     if lo == hi:
         return f(lo)
-    wrapped = _NearestValid(f, lo, hi)
-    value = adaptive_simpson(wrapped, lo, hi, tol=0.5 * tol * (hi - lo)) / (hi - lo)
-    if wrapped.failures:
-        logger.warning("quadrature clamped %d node(s) to the nearest valid value",
-                       wrapped.failures)
-    return value
+    return adaptive_simpson(f, lo, hi, tol=0.5 * tol * (hi - lo)) / (hi - lo)
 
 
 def _marginal_mean(point_fn: Callable[[float, float], float],
                    mobility: MobilitySpec, tol: float = 1e-6) -> float:
-    """Mean of point_fn(speed, angle) under the mobility laws, by adaptive
-    Simpson (absolute error <= tol), nested over angle then speed; a
-    point-mass law is read at its one value, and each spread law gets
-    tol / 2 when both are spread."""
+    """Mean of point_fn(speed, angle) under the mobility laws by adaptive
+    Simpson (absolute error <= tol), over angle then speed; a point-mass law
+    is read at its one value, each spread law gets tol / 2 when both spread,
+    and one refused move refuses the mean, its d_U and angle in the error."""
     s_lo, s_hi = law_bounds(mobility.speed_law)
     a_lo, a_hi = law_bounds(mobility.angle_law)
     if s_lo < s_hi and a_lo < a_hi:
         tol *= 0.5
+
+    def point(d, x):
+        try:
+            return point_fn(d, x)
+        except GeometryDomainError as exc:
+            raise GeometryDomainError(f"d_U = {d:.9g} m, angle = "
+                                      f"{math.degrees(x):.9g} deg: {exc}") from None
     return _mean_over_interval(
-        lambda x: _mean_over_interval(lambda d: point_fn(d, x), s_lo, s_hi,
+        lambda x: _mean_over_interval(lambda d: point(d, x), s_lo, s_hi,
                                       tol), a_lo, a_hi, tol)
 
 

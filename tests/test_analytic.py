@@ -27,7 +27,7 @@ from risrates import (
     signaling_rate,
 )
 from risrates import analytic
-from risrates.analytic import _NearestValid, _marginal_mean
+from risrates.analytic import _marginal_mean
 from risrates.geometry import GeometryDomainError, MoveGeometry
 from risrates.scenarios import Deterministic, MobilitySpec, Uniform
 from risrates.stochastic import SelfBlockModel
@@ -49,34 +49,29 @@ def test_adaptive_simpson_known_integrals():
     assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
 
 
-def test_nearest_valid_substitutes_failing_nodes():
-    def partial(t: float) -> float:
-        if t < 0.3:
-            raise GeometryDomainError("left edge unsupported")
-        return t * t
-
-    w = _NearestValid(partial, 0.0, 1.0)
-    assert w(0.5) == 0.25
-    # a failing abscissa borrows the nearest probed value (t = 0.375)
-    assert w(0.1) == pytest.approx(0.375 ** 2)
-    assert w.failures == 1
+def _refused_on(lo: float, hi: float, reason: str):
+    def point_fn(d: float, x: float) -> float:
+        if lo < d < hi:
+            raise GeometryDomainError(reason)
+        return d * d
+    return point_fn
 
 
-def test_nearest_valid_raises_when_nothing_works():
-    def broken(t: float) -> float:
-        raise GeometryDomainError("nowhere valid")
-
-    with pytest.raises(GeometryDomainError):
-        _NearestValid(broken, 0.0, 1.0)
-
-
-def test_nearest_valid_raises_the_first_probe_error():
-    def bad_at(t: float) -> float:
-        raise GeometryDomainError(f"bad at {t}")
-
-    # probes run from t = 0 to t = 1; the error of the first one propagates
-    with pytest.raises(GeometryDomainError, match=r"^bad at 0\.0$"):
-        _NearestValid(bad_at, 0.0, 1.0)
+# Simpson is exact on d * d, so on [0, 1] it reads d = 0, 0.5, 1, 0.25 and
+# 0.75 only; each case names the first node it refuses
+@pytest.mark.parametrize("lo, hi, reason, message", [
+    (-1.0, 0.3, "left edge unsupported",
+     "d_U = 0 m, angle = 45 deg: left edge unsupported"),
+    (0.7, 0.8, "window unsupported",
+     "d_U = 0.75 m, angle = 45 deg: window unsupported"),
+    (-1.0, 2.0, "nowhere valid", "d_U = 0 m, angle = 45 deg: nowhere valid"),
+], ids=["left-edge", "interior-window", "everywhere"])
+def test_marginal_mean_refuses_a_refused_node(lo, hi, reason, message):
+    mobility = MobilitySpec(speed_law=Uniform(0.0, 1.0),
+                            angle_law=Deterministic(math.pi / 4))
+    with pytest.raises(GeometryDomainError) as info:
+        _marginal_mean(_refused_on(lo, hi, reason), mobility)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

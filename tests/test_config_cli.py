@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import logging
 import math
 import os
 import re
@@ -513,6 +514,41 @@ def test_geometry_failure_exits_3(tmp_path, capsys):
     assert "geometry error" in capsys.readouterr().err
 
 
+def _set_speed_high(raw):
+    raw["mobility"]["speed"]["high"] = 1e6
+
+
+def _move_wall_end(raw):
+    raw["walls"][0][0][0] = 1e6
+
+
+@pytest.mark.parametrize("edit", [_set_speed_high, _move_wall_end],
+                         ids=["speed-high", "wall-end"])
+def test_spread_law_leaving_the_domain_exits_3(tmp_path, capsys, edit):
+    # some quadrature nodes of the speed law leave the wall shadow: the
+    # marginal is refused at the first one, not patched from its neighbours
+    raw = json.loads(packaged_config_path("table3-uniform-obstacle").read_text(
+        encoding="utf-8"))
+    edit(raw)
+    rc = main(["analytic", "--config", str(_write(tmp_path, raw))])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("geometry error: d_U = ")
+    assert lines[0].endswith("displaced position left the wall shadow")
+
+
+@pytest.mark.parametrize("config", KNOWN_CONFIGS + UNKNOWN_CONFIGS)
+def test_packaged_configs_log_nothing(caplog, capsys, config):
+    caplog.set_level(logging.WARNING, logger="risrates")
+    rc = main(["analytic", "--config", str(packaged_config_path(config))])
+    assert rc == 0
+    assert caplog.records == []
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_requires_monotone_values(capsys):
     rc = main(["sweep", "--config",
                str(packaged_config_path("table4-unknown")),
@@ -629,7 +665,8 @@ def test_sweep_keeps_rows_outside_the_domain(tmp_path):
     manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
     assert manifest["failed"] == [{
         "value": 5.0, "output": "p_rr",
-        "reason": "displaced position left the wall shadow"}]
+        "reason": "d_U = 5 m, angle = 45 deg: displaced position left the "
+                  "wall shadow"}]
 
 
 def test_sweep_exits_3_when_every_row_fails(tmp_path, capsys):

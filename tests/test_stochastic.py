@@ -72,11 +72,11 @@ def test_self_block_model():
 def _bracket_exact(x: float) -> float:
     from mpmath import mp, mpf
     from mpmath import exp as mexp
-    mp.dps = 50
-    xv = mpf(x)
-    if xv == 0:
-        return 1.0
-    return float(2 * (1 - (1 + xv) * mexp(-xv)) / xv ** 2)
+    with mp.workdps(50):
+        xv = mpf(x)
+        if xv == 0:
+            return 1.0
+        return float(2 * (1 - (1 + xv) * mexp(-xv)) / xv ** 2)
 
 
 @pytest.mark.parametrize("x", [1e-12, 1e-6, 0.01, 0.049, 0.05, 0.0500001,
