@@ -8,7 +8,6 @@ directly toward it.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -16,7 +15,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-logger = logging.getLogger(__name__)
+
+def _logger():
+    """This module's logger, "risrates.geometry". logging is imported only
+    when a record is made, so a call that makes none does not load it."""
+    import logging
+    return logging.getLogger(__name__)
+
 
 TWO_PI = 2.0 * math.pi
 
@@ -190,8 +195,9 @@ def excess_area(g: MoveGeometry) -> float:
             + g.r * g.d_U * math.sin(g.xi))
     if area < 0.0:
         if area < -1e-9 * max(math.pi * R * R, 1.0):
-            logger.warning("excess area clamped to 0 from %.6g (R=%.6g, r=%.6g)",
-                           area, R, g.r)
+            _logger().warning(
+                "excess area clamped to 0 from %.6g (R=%.6g, r=%.6g)",
+                area, R, g.r)
         area = 0.0
     return area
 
@@ -252,7 +258,8 @@ def blocked_candidate_area(w: BlockageWedge, r: float, R: float) -> float:
         raise GeometryDomainError("coverage radius R must be nonnegative")
     sweep = w.width
     if sweep == 0.0:
-        logger.info("degenerate-intersection: collapsed wedge misses both circles")
+        _logger().info(
+            "degenerate-intersection: collapsed wedge misses both circles")
         return 0.0
     if w.alpha1 > sweep:
         raise GeometryDomainError(
@@ -262,8 +269,9 @@ def blocked_candidate_area(w: BlockageWedge, r: float, R: float) -> float:
     blocked = outer - inner
     if blocked < 0.0:
         if blocked < -1e-9 * max(outer, 1.0):
-            logger.warning("blocked area clamped to 0 (inner %.6g > outer %.6g)",
-                           inner, outer)
+            _logger().warning(
+                "blocked area clamped to 0 (inner %.6g > outer %.6g)",
+                inner, outer)
         blocked = 0.0
     return blocked
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,38 @@ def test_analytic_writes_data_and_manifest(tmp_path):
     assert manifest["config_sha256"] == load_packaged("table4-unknown").digest
     assert "created_utc" in manifest
     assert "mc_workers" not in manifest and "mc_shards" not in manifest
+
+
+def _created_utc(tmp_path) -> str:
+    out = tmp_path / "analytic.csv"
+    assert main(["analytic", "--config",
+                 str(packaged_config_path("table4-unknown")),
+                 "--out", str(out)]) == 0
+    manifest = (tmp_path / "analytic.csv.manifest.json").read_text()
+    return json.loads(manifest)["created_utc"]
+
+
+def test_manifest_time_stamp_is_a_utc_isoformat_of_the_call(tmp_path):
+    before = datetime.now(timezone.utc)
+    stamp = _created_utc(tmp_path)
+    after = datetime.now(timezone.utc)
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00",
+                        stamp), stamp
+    assert before <= datetime.fromisoformat(stamp) <= after
+
+
+@pytest.mark.parametrize("us", [0, 1, 999_999])
+def test_manifest_time_stamp_drops_only_a_zero_fraction(tmp_path, monkeypatch,
+                                                        us):
+    # the shape of datetime.now(timezone.utc).isoformat(): the microseconds
+    # are floored, and written only when they are not zero
+    when = datetime(2026, 3, 1, 23, 59, 59, us, timezone.utc)
+    seconds = int(when.replace(microsecond=0).timestamp())
+    monkeypatch.setattr(time, "time_ns",
+                        lambda: seconds * 10**9 + us * 1000 + 999)
+    stamp = _created_utc(tmp_path)
+    assert stamp == when.isoformat()
+    assert ("." in stamp) == (us != 0)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -1031,12 +1064,16 @@ def test_the_parser_tree_is_built_once_per_process(tmp_path):
         assert re.search(rf"^ +{name} +{summary}$", proc.stdout, re.M), name
 
 
-# which calls leave numpy unimported in a new process: every closed-form
-# command first, then a Monte Carlo and a load run
+# which of numpy, logging, datetime and protocol each call has loaded in a
+# new process: every closed-form command first, then both trace kinds, a
+# Monte Carlo and a load run
 _NUMPY_LOADS = """
 import json, sys
 from pathlib import Path
 from risrates import cli
+def loaded():
+    return [name for name in ("numpy", "logging", "datetime",
+                              "risrates.protocol") if name in sys.modules]
 configs = sorted(Path(cli.__file__).parent.joinpath("configs").glob("*.json"))
 calls = [["analytic", "--config", str(c)] for c in configs]
 calls += [["dimension", "--config", str(c), "--threshold", "55",
@@ -1046,14 +1083,14 @@ calls += [["dimension", "--config", str(c), "--threshold", "55",
 calls += [["protocol", "--kind", "rr"], ["protocol", "--kind", "ho"]]
 calls += [["simulate", "--config", str(configs[0]), "--trials", "10"],
           ["simulate", "--config", str(configs[0]), "--duration", "1"]]
-seen = [("import", 0, "numpy" in sys.modules)]
+seen = [("import", 0, loaded())]
 try:
     cli.main(["--version"])
 except SystemExit as exc:
-    seen.append(("--version", exc.code, "numpy" in sys.modules))
+    seen.append(("--version", exc.code, loaded()))
 for argv in calls:
     code = cli.main([*argv, "--out", sys.argv[1]])
-    seen.append((" ".join(argv[:1] + argv[-2:]), code, "numpy" in sys.modules))
+    seen.append((" ".join(argv[:1] + argv[-2:]), code, loaded()))
 sys.stderr.write(json.dumps([configs[0].stem, seen]))
 """
 
@@ -1078,9 +1115,16 @@ def test_numpy_loads_only_when_draws_start(tmp_path):
     first, seen = json.loads(proc.stderr)
     assert first == "dimensioning-speed10"  # the runs below need 'unknown'
     assert all(code == 0 for _, code, _ in seen), seen
-    loaded = [step for step, _, numpy in seen if numpy]
-    assert loaded == ["simulate --trials 10", "simulate --duration 1"]
     assert len(seen) == 2 + 11 + 4 + 2 + 2
+
+    def loading(module):
+        return [step for step, _, loaded in seen if module in loaded]
+    assert loading("numpy") == ["simulate --trials 10", "simulate --duration 1"]
+    assert loading("logging") == []
+    # no command imports datetime; numpy, once drawing, may
+    assert set(loading("datetime")) <= set(loading("numpy"))
+    # imported with the cli (see its docstring)
+    assert loading("risrates.protocol") == [step for step, _, _ in seen]
     proc = subprocess.run([sys.executable, "-c", _PUBLIC_NAMES],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.stderr == repr(("risrates.montecarlo",) * 3 + ([],))
