@@ -23,8 +23,9 @@ raised the peak memory of a process that runs many commands.
 Data files are CSV: comma separator, one header line, LF endings, UTF-8,
 numbers at 9 significant digits. Run metadata (config digest, seed, version,
 timestamp; for Monte Carlo runs the threads and shards used, for load runs
-the sessions drawn per server kind) goes to a sidecar <out>.manifest.json,
-never into the data file, so reruns with the same seed are byte-identical.
+the sessions drawn per server kind and the threads that counted them) goes
+to a sidecar <out>.manifest.json, never into the data file, so reruns with
+the same seed are byte-identical.
 `protocol` writes its trace alone. All files go through `_deliver`: when a
 write fails, it removes what it wrote.
 
@@ -208,7 +209,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                  for kind, rate in result.entity_rates.items()]
         text = render_csv(("quantity", "value"), rows)
         manifest = _manifest(cfg, args.seed)
-        manifest["load_sessions"] = result.sessions
+        manifest.update(load_sessions=result.sessions,
+                        load_threads=result.threads)
         return _deliver(text, args.out, manifest)
 
     label = "rr" if cfg.kind == "known" else "ho"

@@ -2,7 +2,10 @@
 estimators for reassignment and handover probabilities and the load
 simulator's sessions. numpy loads with this module, when draws start.
 
-Both estimators go through one driver, _estimate, that draws trials in
+Reassignment shard runs and load-simulator chunks run on threads through
+one driver, _threaded: each thread takes the next task from a shared
+iterator and returns an integer count, and the first failure stops every
+thread. Both estimators go through _estimate, that draws trials in
 fixed-size shards, shard k drawing the stream of PCG64(SeedSequence((master
 seed, k))), and hands runs of consecutive shards to one run function
 (_rr_run or _ho_run, scene and mobility bound in) that returns an integer
@@ -30,6 +33,11 @@ workspace made per run, and its sight-line test runs as plain arithmetic on
 the few points left; a handover block's blockage and body shadow run on its
 node uniforms. So no array is longer than a block or the run's trials,
 whatever the density.
+
+The load simulator draws each server's sessions from one stream, speeds,
+then angles, then uniforms. Its threads count chunks of _BLOCK // WORKERS
+sessions, each jumping generators of its own ahead in that stream (PCG64's
+advance) to a chunk's draws, which takes the values of one pass.
 """
 
 from __future__ import annotations
@@ -68,8 +76,9 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Threads for reassignment shards, at most one per shard. numpy releases the
-# interpreter lock inside a shard's array work, so these overlap.
+# Threads for reassignment shards and load-simulator chunks, at most one per
+# shard run or chunk. numpy releases the interpreter lock inside their array
+# work, so these overlap.
 WORKERS = _available_cpus()
 
 
@@ -96,13 +105,6 @@ class Estimate:
 
 # ---------------------------------------------------------------------------
 # Draws shared by every kernel
-
-
-def _ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
-    """A copy of rng's PCG64 stream, k doubles further on."""
-    bg = np.random.PCG64(0)  # a fixed seed skips the entropy read
-    bg.state = rng.bit_generator.state
-    return np.random.Generator(bg.advance(k))
 
 
 def draw_law(rng: np.random.Generator, law: Law, n: int) -> np.ndarray:
@@ -354,12 +356,12 @@ def _candidate_mask(scene: ScenarioKnown, walls: tuple[WallWedge, ...],
 
 
 # Nodes a run judges at once (a handover block holds this many, three
-# uniforms each), and the block size of the load simulator: temporaries stay
-# about this size however many nodes the trials draw. A reassignment block
-# holds 7/8 of it with one displacement and half with one per trial, whose
-# workspace has 10 rows to 6; that leaves room for a run's per-trial arrays,
-# so a run peaks below the 6-row workspace of _BLOCK nodes that a dense
-# single shard reached.
+# uniforms each), and the load simulator's sessions in its threads' chunks
+# together: temporaries stay about this size however many nodes or sessions
+# are drawn. A reassignment block holds 7/8 of it with one displacement and
+# half with one per trial, whose workspace has 10 rows to 6; that leaves
+# room for a run's per-trial arrays, so a run peaks below the 6-row
+# workspace of _BLOCK nodes that a dense single shard reached.
 _BLOCK = 2 ** 16
 
 
@@ -482,7 +484,7 @@ def _rr_run(scene: ScenarioKnown, mobility: MobilitySpec, sizes: list[int],
     block = max(7 * _BLOCK // 8 if shared else _BLOCK // 2, 1)
     work = _workspace(min(block, node_edges[-1]), not shared)
     f = work[0]
-    spare = np.random.Generator(np.random.PCG64(0))
+    spare, = _generators(1)
 
     def draw(rng: np.random.Generator, n: int, k: int, rows: slice) -> None:
         if not k:
@@ -600,6 +602,49 @@ def _keyed_runs(seed: int, shards: int,
             yield start + i, keys[i:i + run]
 
 
+def _generators(count: int) -> list[np.random.Generator]:
+    """count PCG64 generators, each to be loaded with a state before it
+    draws (a fixed seed skips the entropy read)."""
+    return [np.random.Generator(np.random.PCG64(0)) for _ in range(count)]
+
+
+def _threaded(tasks: Iterator, counters: list[Callable[..., int]]) -> int:
+    """Sum of counter(task) over every task of `tasks`: counters[0] runs on
+    the calling thread and each other counter on a helper thread of its
+    own, each taking the next task from the shared iterator until none is
+    left. Counts are integers, so their sum does not depend on which thread
+    ran which task. After a task raises, or an interrupt reaches the calling
+    thread, no thread starts another task; the first such exception
+    propagates once every thread has stopped."""
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors: list[BaseException] = []
+    totals = [0] * len(counters)  # one slot per thread
+
+    def work(slot: int) -> None:
+        try:
+            while not stop.is_set():
+                with lock:
+                    task = next(tasks, None)
+                if task is None:
+                    break
+                totals[slot] += counters[slot](task)
+        except BaseException as exc:  # re-raised once every thread stopped
+            errors.append(exc)
+            stop.set()
+
+    helpers = [threading.Thread(target=work, args=(slot,))
+               for slot in range(1, len(counters))]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
+
+
 def _estimate(run_fn: Callable[[list[int], list[np.random.Generator]], int],
               Z: int, seed: int, workers: int = 1, run: int = 1) -> Estimate:
     """Mean of Z trials run in ceil(Z / SHARD_SIZE) shards, shard k drawing
@@ -610,55 +655,31 @@ def _estimate(run_fn: Callable[[list[int], list[np.random.Generator]], int],
     that every thread gets a run, and no more threads start than there are
     runs.
 
-    The calling thread and up to workers - 1 helper threads each take the
-    next run from a shared iterator until none is left, and load each
-    shard's state into one of their own `run` generators. Counts are
-    integers, so their sum, and the estimate, does not depend on which
-    thread ran which run. After a run raises, or an interrupt reaches the
-    calling thread, no thread starts another run; the first such exception
-    propagates once every thread has stopped.
+    The calling thread and up to workers - 1 helper threads take the runs
+    through _threaded, and each loads a shard's state into one of its own
+    `run` generators before the shard draws.
     """
     if Z < 1:
         raise ValueError("Z must be at least 1")
     shards = -(-Z // SHARD_SIZE)
     run = min(run, -(-shards // min(workers, shards)))
     workers = min(workers, -(-shards // run))
-    runs = _keyed_runs(seed, shards, run)
-    lock = threading.Lock()
-    stop = threading.Event()
-    errors: list[BaseException] = []
-    successes = [0] * workers  # one slot per thread
 
-    def work(slot: int) -> None:
-        try:
-            # each shard's state is loaded before it draws
-            rngs = [np.random.Generator(np.random.PCG64(0))
-                    for _ in range(run)]
-            while not stop.is_set():
-                with lock:
-                    first, keys = next(runs, (shards, None))
-                if first >= shards:
-                    break
-                for rng, key in zip(rngs, keys.tolist()):
-                    rng.bit_generator.state = _pcg64_state(key)
-                successes[slot] += run_fn(
-                    [min(SHARD_SIZE, Z - k * SHARD_SIZE)
-                     for k in range(first, first + len(keys))],
-                    rngs[:len(keys)])
-        except BaseException as exc:  # re-raised once every thread stopped
-            errors.append(exc)
-            stop.set()
+    def runner() -> Callable[[tuple[int, np.ndarray]], int]:
+        rngs = _generators(run)
 
-    helpers = [threading.Thread(target=work, args=(slot,))
-               for slot in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    work(0)
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
-    mean = sum(successes) / Z
+        def run_shards(task: tuple[int, np.ndarray]) -> int:
+            first, keys = task
+            for rng, key in zip(rngs, keys.tolist()):
+                rng.bit_generator.state = _pcg64_state(key)
+            return run_fn([min(SHARD_SIZE, Z - k * SHARD_SIZE)
+                           for k in range(first, first + len(keys))],
+                          rngs[:len(keys)])
+        return run_shards
+
+    successes = _threaded(_keyed_runs(seed, shards, run),
+                          [runner() for _ in range(workers)])
+    mean = successes / Z
     return Estimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / Z),
                     trials=Z, seed=seed, shards=shards, threads=workers)
 
@@ -738,46 +759,76 @@ def estimate_ho(s: ScenarioUnknown, mobility: MobilitySpec,
 # Load simulator sessions
 
 
+def _server_events(rng: np.random.Generator, n: int, laws: tuple[Law, Law],
+                   p_a: float,
+                   probability: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   workers: int) -> tuple[int, int]:
+    """(events, threads) of a server's n sessions, whose speeds, angles and
+    uniforms follow one another in rng's stream (a point-mass law draws
+    none); rng is moved past them all. A session runs the procedure when its
+    uniform is below p_a times probability(speed, angle).
+
+    Threads take chunks of _BLOCK // workers sessions through _threaded, so
+    their buffers together hold about _BLOCK sessions; a helper starts only
+    for a second chunk. For each stream a chunk draws from, its thread loads
+    rng's state into a generator of its own and jumps it ahead to the
+    chunk's first draw there, which takes the values of one pass. With both
+    laws fixed the threshold is worked out once, on one-element arrays,
+    which run the same numpy loops as a chunk.
+    """
+    block = max(_BLOCK // workers, 1)
+    drawn = [0 if is_point_mass(law) else n for law in laws] + [n]
+    offsets = list(itertools.accumulate(drawn, initial=0))
+    state = rng.bit_generator.state
+    rng.bit_generator.advance(offsets[-1])
+    fixed = not any(drawn[:2])
+    if fixed:
+        q = p_a * probability(*(draw_law(None, law, 1) for law in laws))
+
+    def counter() -> Callable[[int], int]:
+        rngs = _generators(3)
+        u = np.empty(min(block, n))
+        below = np.empty(u.size, dtype=bool)
+
+        def count(start: int) -> int:
+            m = min(block, n - start)
+            for own, offset, k in zip(rngs, offsets, drawn):
+                if k:
+                    own.bit_generator.state = state
+                    own.bit_generator.advance(offset + start)
+            chunk_q = q if fixed else p_a * probability(
+                *(draw_law(own, law, m) for own, law in zip(rngs, laws)))
+            rngs[2].random(out=u[:m])
+            return int(np.count_nonzero(np.less(u[:m], chunk_q,
+                                                out=below[:m])))
+        return count
+
+    threads = min(workers, -(-n // block))
+    return _threaded(iter(range(0, n, block)),
+                     [counter() for _ in range(threads)]), threads
+
+
 def load_draws(mobility: MobilitySpec,
                servers: list[tuple[float, float, float]], pz: float,
-               p_a: float, seed: int) -> Iterator[tuple[int, int]]:
-    """(sessions, events) of each (mean, radius, density) server in turn,
-    drawn from default_rng(seed): a Poisson(mean) count n of sessions, each
-    of which draws a fresh move and runs the procedure with probability p_a
-    times its event probability against that candidate field (candidates
-    unblocked with probability pz).
-
-    After its count a server takes n speeds, n angles and n uniforms from
-    rng (a point-mass law gives none). Three copies of the stream read them
-    _BLOCK at a time into buffers made once per server, so memory stays a
-    few blocks whatever n is; rng is moved past all three.
+               p_a: float, seed: int) -> Iterator[tuple[int, int, int]]:
+    """(sessions, events, threads) of each (mean, radius, density) server in
+    turn, drawn from default_rng(seed): a Poisson(mean) count n of
+    sessions, each of which draws a fresh move and runs the procedure with
+    probability p_a times its event probability against that candidate
+    field (candidates unblocked with probability pz). _server_events counts
+    the events on up to WORKERS threads (threads: how many, 0 for an idle
+    server), all stopped before the counts are yielded; the counts do not
+    depend on how many.
     """
     rng = np.random.default_rng(seed)
-    speed_law, angle_law = mobility.speed_law, mobility.angle_law
+    laws = (mobility.speed_law, mobility.angle_law)
     for mean, radius, density in servers:
         # an idle server takes no uniform from the stream
         n = int(poisson_counts(rng, mean)) if mean else 0
         if not n:
-            yield 0, 0
+            yield 0, 0, 0
             continue
-        n_speed = 0 if is_point_mass(speed_law) else n
-        n_angle = 0 if is_point_mass(angle_law) else n
-        speed_rng = _ahead(rng, 0)
-        angle_rng = _ahead(rng, n_speed)
-        uniform_rng = _ahead(rng, n_speed + n_angle)
-        rng.bit_generator.advance(n_speed + n_angle + n)
-        u = np.empty(min(_BLOCK, n))
-        below = np.empty(u.size, dtype=bool)
-        events = 0
-        for start in range(0, n, _BLOCK):
-            m = min(_BLOCK, n - start)
-            # with both laws fixed every session shares one threshold; on a
-            # one-element array it runs the same numpy loops as on the block
-            k = m if n_speed or n_angle else 1
-            q = p_a * event_probability(pz, density, radius,
-                                        draw_law(speed_rng, speed_law, k),
-                                        draw_law(angle_rng, angle_law, k), np)
-            uniform_rng.random(out=u[:m])
-            events += int(np.count_nonzero(np.less(u[:m], q, out=below[:m])))
-        yield n, events
+        probability = functools.partial(event_probability, pz, density,
+                                        radius, xp=np)
+        yield n, *_server_events(rng, n, laws, p_a, probability, WORKERS)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .scenarios import ScenarioUnknown, SignalingConfig
 from .stochastic import p_not_blocked_Z
@@ -160,7 +160,9 @@ class LoadResult:
     entity_rates counts participations per second by entity kind: each wire
     message adds one to its sender and one to its receiver, each internal
     step adds one to the acting entity. sessions counts the sessions drawn
-    per server kind, "sgw" and "rism".
+    per server kind, "sgw" and "rism". threads is the most threads one
+    server's sessions were counted on (0 for a result made by hand); it
+    leaves the result unchanged, so it takes no part in comparing results.
     """
 
     entity_rates: dict[str, float]
@@ -169,6 +171,7 @@ class LoadResult:
     sessions: dict[str, int]
     duration: float
     seed: int
+    threads: int = field(default=0, compare=False)
 
 
 def _tally(counter: Counter, template: SequenceTemplate, times: int) -> None:
@@ -216,7 +219,9 @@ def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
     tallies: Counter = Counter()
     initiations = {"sgw": 0, "rism": 0}
     sessions = {"sgw": 0, "rism": 0}
-    for (kind, template, *_), (n, events) in zip(servers, draws):
+    threads = 0
+    for (kind, template, *_), (n, events, used) in zip(servers, draws):
+        threads = max(threads, used)
         sessions[kind] += n
         initiations[kind] += events
         _tally(tallies, basic_sequence(kind), n)
@@ -225,4 +230,4 @@ def simulate_load(s: ScenarioUnknown, sig: SignalingConfig, duration: float,
     rates = {kind: count / duration for kind, count in sorted(tallies.items())}
     return LoadResult(entity_rates=rates, rr_initiations=initiations["rism"],
                       ho_initiations=initiations["sgw"], sessions=sessions,
-                      duration=duration, seed=seed)
+                      duration=duration, seed=seed, threads=threads)

@@ -355,6 +355,26 @@ def test_monte_carlo_manifest_records_workers_and_shards(tmp_path,
         assert manifest.get("mc_shards") == mc_shards, name
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_load_manifest_records_threads(tmp_path, monkeypatch, workers):
+    # 20 s draw about 2,000 sessions per server, one chunk on any thread
+    # count; 1,000 s about 10^5, five chunks of _BLOCK // 3 on 3 threads
+    config = str(packaged_config_path("table4-unknown"))
+    for duration, threads in (("20", 1), ("1000", workers)):
+        data = {}
+        for forced in (workers, 1):
+            monkeypatch.setattr(montecarlo, "WORKERS", forced)
+            out = tmp_path / f"load-{duration}-{forced}.csv"
+            assert main(["simulate", "--config", config, "--duration",
+                         duration, "--out", str(out)]) == 0
+            data[forced] = out.read_bytes()
+            if forced == workers:
+                manifest = json.loads(
+                    Path(f"{out}.manifest.json").read_text())
+                assert manifest["load_threads"] == threads, duration
+        assert data[workers] == data[1], duration
+
+
 def test_analytic_stdout_includes_manifest(capsys):
     rc = main(["analytic", "--config",
                str(packaged_config_path("table3-static-noobstacle"))])

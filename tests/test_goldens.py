@@ -144,18 +144,36 @@ def test_rr_goldens_at_forced_worker_counts(workers, tmp_path, monkeypatch):
     assert not mismatched, mismatched
 
 
+def _load_cases() -> list[str]:
+    return [case for case in _cases() if case.startswith("load-")]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_load_goldens_at_forced_worker_counts(workers, tmp_path,
+                                              monkeypatch):
+    # a load-long server draws about 2·10^6 sessions: 3 threads share its
+    # chunks of _BLOCK // 3, a load-* server's 10^4 fit in one chunk
+    monkeypatch.setattr(montecarlo, "WORKERS", workers)
+    goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
+    cases = _cases()
+    mismatched = [case for case in _load_cases()
+                  if _run(cases[case], tmp_path) != goldens[case]]
+    assert not mismatched, mismatched
+
+
 def test_rr_goldens_at_forced_block_size(tmp_path, monkeypatch):
     # 1,000 divides no shard's node total: trials straddle many block edges,
     # and each block's x and y come from two places in the stream. Handover
     # runs share the block loop: their blocks split shards at the denser
-    # points of the sweeps and with the spread laws.
+    # points of the sweeps and with the spread laws. The load simulator's
+    # chunks of 1,000 // WORKERS sessions split every server.
     monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
     goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
     cases = _cases()
     rr = [f"simulate/{name}" for name in KNOWN + ["spread-room"]]
     ho = [f"simulate/{name}" for name in SIGNALING + ["spread-unknown"]]
     ho += ["sweep/lambda_eNB", "sweep/lambda_B"]
-    mismatched = [case for case in rr + ho
+    mismatched = [case for case in rr + ho + _load_cases()
                   if _run(cases[case], tmp_path) != goldens[case]]
     assert not mismatched, mismatched
 

@@ -29,9 +29,9 @@ from risrates import montecarlo
 from risrates.geometry import (TWO_PI, Point2D, SegmentObstacle,
                                displaced_distance_sq, wall_shadow_interval,
                                wall_shadow_wedges)
-from risrates.montecarlo import (HO_RUN, RR_RUN, SHARD_SIZE, _ahead,
-                                 _candidate_mask, _estimate, _ho_run, _invert,
-                                 _rr_run, _workspace, draw_law, poisson_counts)
+from risrates.montecarlo import (HO_RUN, RR_RUN, SHARD_SIZE, _candidate_mask,
+                                 _estimate, _ho_run, _invert, _rr_run,
+                                 _workspace, draw_law, poisson_counts)
 from risrates.scenarios import (Deterministic, MobilitySpec, Uniform,
                                 is_point_mass)
 from risrates.stochastic import (RandomObstacleModel, SelfBlockModel,
@@ -242,6 +242,13 @@ def _reference_rr_successes(scene, mobility, n, rng, walls):
     hits[trial_idx[idx.compress(ok)]] = True
     hits &= speeds > 0.0
     return int(np.count_nonzero(hits))
+
+
+def _ahead(rng, k):
+    """A copy of rng's PCG64 stream, k doubles further on."""
+    bg = np.random.PCG64(0)  # a fixed seed skips the entropy read
+    bg.state = rng.bit_generator.state
+    return np.random.Generator(bg.advance(k))
 
 
 def _rr_successes(scene, mobility, n, rng, walls):

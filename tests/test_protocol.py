@@ -1,7 +1,11 @@
 """Signaling templates: structure, trace format, load accounting."""
 
 import dataclasses
+import functools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -25,7 +29,8 @@ from risrates import montecarlo, protocol
 from risrates.protocol import LoadResult, _tally
 from risrates.geometry import displaced_distance_sq
 from risrates.montecarlo import draw_law, poisson_counts
-from risrates.scenarios import MobilitySpec, SignalingConfig, Uniform
+from risrates.scenarios import (Deterministic, MobilitySpec, SignalingConfig,
+                                Uniform)
 from risrates.stochastic import event_probability, p_not_blocked_Z
 
 
@@ -319,6 +324,123 @@ def test_streamed_load_memory_is_bounded(variant):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * 2**16, peak / 2**20
+
+
+# three threads each hold a chunk of a third of a block: the same bound
+@pytest.mark.parametrize("variant", ["fixed", "spread"])
+def test_streamed_load_memory_is_bounded_on_three_threads(monkeypatch,
+                                                          variant):
+    monkeypatch.setattr(montecarlo, "WORKERS", 3)
+    test_streamed_load_memory_is_bounded(variant)
+
+
+def _switching_every_microsecond(fn):
+    """fn() with the interpreter switching threads every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+_LAWS = {
+    "fixed": MobilitySpec(Deterministic(2.0), Deterministic(math.pi / 4)),
+    "speed": MobilitySpec(Uniform(0.5, 15.0), Deterministic(math.pi / 4)),
+    "angle": MobilitySpec(Deterministic(2.0), Uniform(0.0, math.pi)),
+    "spread": MobilitySpec(Uniform(0.5, 15.0), Uniform(0.0, math.pi)),
+}
+
+
+# With _BLOCK = 24, chunks hold 24, 12, 8 and 3 sessions on 1, 2, 3 and 8
+# threads: 7 sessions sit below a chunk on 1 to 3 threads, 24 and 48 are an
+# exact multiple of every chunk and 25 and 49 one session past it. Each
+# count and the stream after it must be those of one whole-array pass.
+@pytest.mark.parametrize("laws", sorted(_LAWS))
+def test_server_events_match_one_pass_on_any_thread_count(monkeypatch, laws):
+    monkeypatch.setattr(montecarlo, "_BLOCK", 24)
+    mobility = _LAWS[laws]
+    p_a, pz = 0.99, 0.3
+    probability = functools.partial(event_probability, pz, 0.2, 2.0, xp=np)
+    for n in (1, 7, 24, 25, 48, 49, 241):
+        for seed in range(3):
+            ref = np.random.default_rng(seed)
+            speeds = draw_law(ref, mobility.speed_law, n)
+            angles = draw_law(ref, mobility.angle_law, n)
+            expected = int(np.count_nonzero(
+                ref.random(n) < p_a * probability(speeds, angles)))
+            for workers in (1, 2, 3, 8):
+                rng = np.random.default_rng(seed)
+                events, threads = _switching_every_microsecond(
+                    lambda: montecarlo._server_events(
+                        rng, n, (mobility.speed_law, mobility.angle_law),
+                        p_a, probability, workers))
+                assert events == expected, (n, seed, workers)
+                assert threads == min(workers, -(-n // max(24 // workers,
+                                                              1)))
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# an idle server, one below a chunk and two that span many chunks (about
+# 2·10^4 and 7·10^4 sessions at the default _BLOCK, 1 to 9 chunks)
+@pytest.mark.parametrize("laws", sorted(_LAWS))
+def test_load_draws_independent_of_workers(monkeypatch, laws):
+    servers = [(0.0, 2.0, 0.2), (50.0, 2.0, 0.2), (2e4, 2.0, 0.001),
+               (7e4, 2.0, 0.2)]
+    runs = {}
+    for workers in (1, 2, 3, 8):
+        monkeypatch.setattr(montecarlo, "WORKERS", workers)
+        runs[workers] = _switching_every_microsecond(lambda: list(
+            montecarlo.load_draws(_LAWS[laws], servers, 0.3, 0.99, 6)))
+    one = [(n, events) for n, events, _ in runs[1]]
+    assert one[0] == (0, 0) and all(n for n, _ in one[1:])
+    for workers, run in runs.items():
+        assert [(n, events) for n, events, _ in run] == one, workers
+        block = montecarlo._BLOCK // workers
+        assert [threads for *_, threads in run] == [
+            min(workers, -(-n // block)) for n, _ in one], workers
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_load_chunks_stop_and_reraise_the_first_failure(monkeypatch, error):
+    # the first chunk raises while the second runs on a second thread, which
+    # raises after it; the third thread, on chunks of a millisecond each,
+    # must stop. About 5,000 sessions in chunks of 100 make about 50 chunks.
+    monkeypatch.setattr(montecarlo, "WORKERS", 3)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 300)
+    lock = threading.Lock()
+    calls = []
+    raised = []
+    entered_1 = threading.Event()
+    raised_0 = threading.Event()
+
+    def probability(pz, density, radius, speeds, angles, xp=None):
+        with lock:
+            k = len(calls)
+            calls.append(k)
+        if k == 0:
+            assert entered_1.wait(5.0)
+            raised.append(error("chunk 0"))
+            raised_0.set()
+            raise raised[-1]
+        if k == 1:
+            entered_1.set()
+            assert raised_0.wait(5.0)
+            time.sleep(0.05)
+            raised.append(error("chunk 1"))
+            raise raised[-1]
+        time.sleep(0.001)
+        return np.zeros_like(speeds)
+
+    monkeypatch.setattr(montecarlo, "event_probability", probability)
+    before = threading.active_count()
+    with pytest.raises(error) as info:
+        list(montecarlo.load_draws(_LAWS["spread"], [(5000.0, 2.0, 0.2)],
+                                   0.3, 0.99, 0))
+    assert len(raised) == 2
+    assert info.value is raised[0]
+    assert len(calls) < 40
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("variant", ["table4-unknown", "spread", "idle"])
