@@ -16,7 +16,11 @@ numpy is imported only when draws start, by `simulate` and the `mc_rr` and
 `mc_ho` sweep outputs: the other commands and outputs run in plain floats
 and a shell call of one does not pay numpy's import. Nor do they import
 `logging` or `datetime`: `geometry` imports `logging` only to make a
-record, and the manifest's time stamp is read from `time`. `protocol` is
+record, and the manifest's time stamp is read from `time`. Nor do they
+load OpenSSL: the config digest is CPython's built-in SHA-256 (see
+`config`). A Monte Carlo command loads it all the same, because
+`numpy.random` imports `secrets`, which imports `hmac` and with it
+`hashlib`'s `_hashlib`. `protocol` is
 imported with this module; deferring it saved no measurable start-up and
 raised the peak memory of a process that runs many commands.
 

@@ -10,7 +10,6 @@ a model's own ValueError is re-raised that way by `_checked`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -23,6 +22,17 @@ from .geometry import Point2D, SegmentObstacle
 from .scenarios import (Deterministic, Law, MobilitySpec, ScenarioKnown,
                         ScenarioUnknown, SignalingConfig, Uniform)
 from .stochastic import RandomObstacleModel, SelfBlockModel
+
+# CPython's built-in SHA-256 (the same bytes as hashlib's), so a
+# closed-form command does not load OpenSSL's _hashlib for one digest;
+# hashlib only where neither built-in module exists.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -42,7 +52,7 @@ class LoadedConfig:
 def config_digest(raw: dict) -> str:
     """sha256 over the canonical (sorted, compact) JSON encoding."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _fail(path: str, why: str) -> NoReturn:

@@ -1,6 +1,7 @@
 """Config parsing, packaged scenario files, and the command-line surface."""
 
 import csv
+import hashlib
 import importlib
 import json
 import logging
@@ -243,6 +244,57 @@ def test_config_digest_is_order_independent():
     b = {"y": [1, 2], "x": 1}
     assert config_digest(a) == config_digest(b)
     assert config_digest(a) != config_digest({"x": 2, "y": [1, 2]})
+
+
+_NON_ASCII = {"name": "Bürogebäude – 東京", "walls": [], "λ": 0.5}
+
+
+def _canonical_sha256(raw: dict) -> str:
+    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", KNOWN_CONFIGS + UNKNOWN_CONFIGS)
+def test_config_digest_is_sha256_of_the_canonical_json(name):
+    cfg = load_packaged(name)
+    assert cfg.digest == config_digest(cfg.raw) == _canonical_sha256(cfg.raw)
+
+
+def test_config_digest_of_non_ascii_strings():
+    assert config_digest(_NON_ASCII) == _canonical_sha256(_NON_ASCII)
+
+
+def test_config_digest_is_pinned():
+    # recorded while the digest came from hashlib; every manifest's
+    # config_sha256 for this config reads the same
+    assert load_packaged("table4-unknown").digest == (
+        "0b56c213afb2eea6b7734e40a7227f27032db6fb1c1f7dceaa0cb3f13258dc06")
+
+
+# the digests with neither built-in SHA-256 module importable
+_HASHLIB_FALLBACK = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from risrates import config
+names = json.loads(sys.argv[1])
+sys.stderr.write(json.dumps(
+    [config.sha256 is hashlib.sha256,
+     [config.load_packaged(name).digest for name in names],
+     config.config_digest(json.loads(sys.argv[2]))]))
+"""
+
+
+def test_config_digest_falls_back_to_hashlib():
+    names = KNOWN_CONFIGS + UNKNOWN_CONFIGS
+    src = Path(risrates.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _HASHLIB_FALLBACK,
+                           json.dumps(names), json.dumps(_NON_ASCII)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == [
+        True, [load_packaged(name).digest for name in names],
+        config_digest(_NON_ASCII)]
 
 
 # ---------------------------------------------------------------------------
@@ -1092,7 +1144,7 @@ import json, sys
 from pathlib import Path
 from risrates import cli
 def loaded():
-    return [name for name in ("numpy", "logging", "datetime",
+    return [name for name in ("numpy", "_hashlib", "logging", "datetime",
                               "risrates.protocol") if name in sys.modules]
 configs = sorted(Path(cli.__file__).parent.joinpath("configs").glob("*.json"))
 calls = [["analytic", "--config", str(c)] for c in configs]
@@ -1143,6 +1195,9 @@ def test_numpy_loads_only_when_draws_start(tmp_path):
     assert loading("logging") == []
     # no command imports datetime; numpy, once drawing, may
     assert set(loading("datetime")) <= set(loading("numpy"))
+    # nor OpenSSL: the config digest is CPython's built-in SHA-256, and only
+    # numpy.random loads _hashlib (secrets -> hmac -> hashlib)
+    assert set(loading("_hashlib")) <= set(loading("numpy"))
     # imported with the cli (see its docstring)
     assert loading("risrates.protocol") == [step for step, _, _ in seen]
     proc = subprocess.run([sys.executable, "-c", _PUBLIC_NAMES],
